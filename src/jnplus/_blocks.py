@@ -16,12 +16,23 @@ on one integer scale.
 
 from __future__ import annotations
 
+from typing import Iterable, Iterator
+
 import numpy as np
 
 from .cubes import DyadicCube
 from .grid import GridFunction
 
-__all__ = ["block_count", "root_box", "clamped_sums", "absdev_sums"]
+__all__ = [
+    "block_count",
+    "root_box",
+    "clamped_sums",
+    "absdev_sums",
+    "upsample",
+    "children_sum",
+    "level_sums",
+    "covering_sweep",
+]
 
 
 def block_count(gf: GridFunction, k: int) -> int:
@@ -97,3 +108,47 @@ def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
     diff = inter * N - _expand(gf, k, S)
     within = tuple(range(1, 2 * gf.n, 2))
     return np.abs(diff).sum(axis=within)
+
+
+def upsample(arr: np.ndarray, n: int) -> np.ndarray:
+    """Each entry repeated over its 2^n children (one dyadic level finer)."""
+    for ax in range(n):
+        arr = np.repeat(arr, 2, axis=ax)
+    return arr
+
+
+def children_sum(arr: np.ndarray, n: int) -> np.ndarray:
+    """Per parent block, the sum of its 2^n children (one dyadic level coarser)."""
+    shape: list[int] = []
+    for s in arr.shape:
+        shape += [s // 2, 2]
+    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * n, 2)))
+
+
+def level_sums(arr: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
+    """Block sums of ``arr`` at ``depth`` coarser levels and its own, coarse to fine."""
+    out = [arr]
+    for _ in range(depth):
+        out.append(children_sum(out[-1], n))
+    out.reverse()
+    return out
+
+
+def covering_sweep(conds: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
+    """Top-down covering sweep over the levels of a root box.
+
+    ``conds`` yields one boolean array per level, coarse to fine, each
+    one dyadic level finer than the last.  Yields per level the blocks
+    that satisfy their condition with no chosen ancestor:
+    chosen_k = cond_k & ~covered_k, then
+    covered_{k+1} = upsample(covered_k | chosen_k).
+    """
+    covered: np.ndarray | None = None
+    for cond in conds:
+        if covered is None:
+            chosen = covered = cond
+        else:
+            covered = upsample(covered, n)
+            chosen = cond & ~covered
+            covered |= chosen
+        yield chosen

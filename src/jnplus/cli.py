@@ -8,7 +8,7 @@ Subcommands::
     jnplus maximal    --input FILE [--variant grid|augmented] [--out FILE]
     jnplus decompose  --input FILE --lambda LIST|auto [--p P] [--b B]
     jnplus verify good-lambda --input FILE --p P --b B [--lambda LIST|auto]
-                              [--jobs N] [--out FILE]
+                              [--out FILE]
     jnplus verify theorem     --input FILE --p P --b B [--lambda LIST|auto]
                               [--csv FILE] [--out FILE]
     jnplus oracle     --input FILE --p P [--functional jnp-plus|jnp-classical]
@@ -26,14 +26,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
 from .corpus import GeneratorSpec, gen as generate
 from .errors import JnplusError
 from .grid import GridFunction
-from .gridio import load_grid, save_grid
+from .gridio import load_grid, open_for_write, save_grid
 from .maximal import cz_decompose, maximal_function
 from .reports import canonical_json, jsonify, scalar_json
 from .seminorms import (
@@ -90,7 +89,7 @@ def _parse_lambdas(text: str, f: GridFunction):
 def _emit(doc, out: str | None) -> None:
     text = canonical_json(doc)
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
+        with open_for_write(out) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -161,7 +160,7 @@ def _cmd_maximal(args) -> int:
         doc = dict(summary)
         doc["denom-scale"] = field.denom_scale
         doc["values"] = field.values.tolist()
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_for_write(args.out) as fh:
             json.dump(doc, fh)
             fh.write("\n")
     _emit(summary, None)
@@ -191,16 +190,10 @@ def _cmd_good_lambda(args) -> int:
     ctx = LemmaContext(f, None, params.p)
     lambdas = _parse_lambdas(args.lambdas, f)
     if lambdas is None:
-        lambdas = default_lambda_grid(f, args.p, args.b, root=ctx.root, seminorm=ctx.seminorm)
-
-    def one(lam):
-        return good_lambda_check(f, params, lam, ctx=ctx)
-
-    if args.jobs and args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            reports = list(ex.map(one, lambdas))
-    else:
-        reports = [one(lam) for lam in lambdas]
+        lambdas = default_lambda_grid(
+            f, args.p, args.b, root=ctx.root, seminorm=ctx.seminorm, g=ctx.g
+        )
+    reports = [good_lambda_check(f, params, lam, ctx=ctx) for lam in lambdas]
 
     failed = [i for r in reports for i in r.details.get("failed-ids", [])]
     _emit(
@@ -222,7 +215,7 @@ def _cmd_theorem(args) -> int:
     lambdas = _parse_lambdas(args.lambdas, f)
     run = theorem_check(f, args.p, args.b, lambdas=lambdas)
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
+        with open_for_write(args.csv) as fh:
             fh.write(run.to_csv())
     _emit(run.to_json_dict(), args.out)
     return _fail(run.failed_ids()) if not run.passed else 0
@@ -283,7 +276,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_gl.add_argument("--p", type=_rational, required=True)
     p_gl.add_argument("--b", type=_rational, required=True)
     p_gl.add_argument("--lambda", dest="lambdas", default="auto", metavar="LIST|auto")
-    p_gl.add_argument("--jobs", type=int, default=1)
     p_gl.add_argument("--out", default=None)
     p_gl.set_defaults(func=_cmd_good_lambda)
 
@@ -293,7 +285,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_th.add_argument("--b", type=_rational, required=True)
     p_th.add_argument("--lambda", dest="lambdas", default="auto", metavar="LIST|auto")
     p_th.add_argument("--csv", default=None)
-    p_th.add_argument("--jobs", type=int, default=1)
     p_th.add_argument("--out", default=None)
     p_th.set_defaults(func=_cmd_theorem)
 

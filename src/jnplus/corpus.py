@@ -32,6 +32,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._blocks import upsample
 from .errors import InvalidSpecError
 from .grid import GridFunction
 
@@ -97,12 +98,6 @@ class GeneratorSpec:
             raise InvalidSpecError(f"generator spec missing field {exc}") from exc
 
 
-def _upsample(arr: np.ndarray, n: int) -> np.ndarray:
-    for ax in range(n):
-        arr = np.repeat(arr, 2, axis=ax)
-    return arr
-
-
 def _child_rank(shape: tuple[int, ...]) -> np.ndarray:
     """Rank 0..2^n-1 of each cell within its sibling block, C order."""
     n = len(shape)
@@ -120,13 +115,13 @@ def _zero_sum_adjust(inc: np.ndarray, n: int) -> np.ndarray:
     totals = blocks.sum(axis=tuple(range(1, 2 * n, 2)))
     q, r = np.divmod(totals, 1 << n)  # totals = q*2^n + r, 0 <= r < 2^n
     rank = _child_rank(inc.shape)
-    return inc - _upsample(q, n) - (rank < _upsample(r, n))
+    return inc - upsample(q, n) - (rank < upsample(r, n))
 
 
 def _martingale_box(rng: np.random.Generator, n: int, L: int, denom: int) -> np.ndarray:
     vals = np.full((1,) * n, int(rng.integers(0, 2 * denom + 1)), dtype=np.int64)
     for _ in range(L):
-        vals = _upsample(vals, n)
+        vals = upsample(vals, n)
         inc = rng.integers(-denom, denom + 1, size=vals.shape)
         vals = vals + _zero_sum_adjust(inc, n)
     return vals

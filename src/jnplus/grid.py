@@ -15,14 +15,20 @@ Fixed-mode arrays live in int64 while a bit-length guard proves that no
 internal intermediate (cell numerators scaled by up to 2^{Ln}, block
 sums over up to 2*2^{Ln} cells) can overflow; past the guard they fall
 back to object dtype holding Python ints, which is exact at any
-magnitude.  Instances are immutable: the value buffer is write-locked
-and per-level block sums and the prefix table are memoized (idempotent,
-so concurrent readers are fine).
+magnitude.  Integer and boolean numpy input goes to int64 in one
+vectorized cast once its magnitude max(max, -min) passes the guard, so
+no Python int is made per cell; only object input (Python-int lists
+with big entries, JSON grids) is converted cell by cell.  Every int64
+decision in the package goes through :func:`int64_fits`.  Instances
+are immutable: the value buffer is write-locked and per-level block
+sums and the prefix table are memoized (idempotent, so concurrent
+readers are fine).
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, Literal
 
@@ -46,12 +52,33 @@ __all__ = [
 
 Mode = Literal["fixed", "f64"]
 
-# int64 is safe while |value| * 2^{2Ln} * 4 provably fits below 2^62.
 _GUARD_BITS = 62
 
 
-def _int64_safe(max_abs: int, L: int, n: int) -> bool:
-    return max_abs.bit_length() + 2 * L * n + 3 <= _GUARD_BITS
+def int64_fits(magnitude: int, headroom_bits: int = 0) -> bool:
+    """True when magnitude * 2^headroom_bits stays below 2^62.
+
+    The one overflow rule for fixed-mode int64 arithmetic: a grid keeps
+    int64 cells while |value| * 2^{2Ln+3} fits, which bounds every
+    block sum and scaled comparison made on it.
+    """
+    return int(magnitude).bit_length() + headroom_bits <= _GUARD_BITS
+
+
+def _magnitude(arr: np.ndarray) -> int:
+    """max |cell| of an integer array; np.abs would overflow on INT64_MIN."""
+    return max(int(arr.max()), -int(arr.min())) if arr.size else 0
+
+
+def _cube_slices(n: int, L: int, cube: DyadicCube) -> tuple[slice, ...]:
+    if cube.n != n:
+        raise OutOfDomainError(f"cube dimension {cube.n} != grid dimension {n}")
+    if cube.level > L:
+        raise OutOfDomainError(f"cube level {cube.level} is below grid resolution {L}")
+    w = 1 << (L - cube.level)
+    sl = [slice(s * w, (s + 1) * w) for s in cube.spatial]
+    sl.append(slice(cube.time * w, (cube.time + 1) * w))
+    return tuple(sl)
 
 
 class GridFunction:
@@ -86,18 +113,21 @@ class GridFunction:
             if denom is None or int(denom) <= 0:
                 raise GridFormatError("fixed mode requires a positive denominator")
             self.denom = int(denom)
+            if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
+                # numpy reads a list holding an int in [2^63, 2^64) as float64
+                arr = np.array(values, dtype=object)
             if arr.dtype.kind == "f":
                 if not np.all(arr == np.trunc(arr)):
                     raise GridFormatError("fixed mode requires integer numerators")
                 arr = arr.astype(np.int64)
-            ints = [int(v) for v in arr.ravel().tolist()]
-            max_abs = max((abs(v) for v in ints), default=0)
-            if _int64_safe(max_abs, self.L, self.n):
-                buf = np.array(ints, dtype=np.int64)
-            else:
-                buf = np.empty(len(ints), dtype=object)
-                buf[:] = ints
-            self.values = buf.reshape(shape)
+            if arr.dtype.kind not in "biu":
+                flat = arr.ravel().tolist()
+                ints = [int(v) for v in flat]
+                if ints != flat:
+                    raise GridFormatError("fixed mode requires integer numerators")
+                arr = np.array(ints, dtype=object)
+            fits = int64_fits(_magnitude(arr), 2 * self.L * self.n + 3)
+            self.values = arr.astype(np.int64 if fits else object).reshape(shape)
         else:
             if denom is not None:
                 raise GridFormatError("f64 mode takes no denominator")
@@ -133,16 +163,7 @@ class GridFunction:
         return root_cube(self.n)
 
     def cube_slices(self, cube: DyadicCube) -> tuple[slice, ...]:
-        if cube.n != self.n:
-            raise OutOfDomainError(f"cube dimension {cube.n} != grid dimension {self.n}")
-        if cube.level > self.L:
-            raise OutOfDomainError(
-                f"cube level {cube.level} is below grid resolution {self.L}"
-            )
-        w = 1 << (self.L - cube.level)
-        sl = [slice(s * w, (s + 1) * w) for s in cube.spatial]
-        sl.append(slice(cube.time * w, (cube.time + 1) * w))
-        return tuple(sl)
+        return _cube_slices(self.n, self.L, cube)
 
     def region(self, cube: DyadicCube) -> np.ndarray:
         return self.values[self.cube_slices(cube)]
@@ -219,10 +240,12 @@ class PrefixTable:
 
     Any axis-aligned box sum costs 2^n table lookups (inclusion-exclusion);
     in fixed mode the lookups are integers, so cube averages are exact.
+    The table keeps no reference to its grid, so the grid that memoizes
+    it is freed by reference counting rather than by the cycle collector.
     """
 
     def __init__(self, gf: GridFunction) -> None:
-        self.gf = gf
+        self.n, self.L, self.mode = gf.n, gf.L, gf.mode
         t = gf.values
         for ax in range(gf.n):
             t = np.cumsum(t, axis=ax)
@@ -234,17 +257,17 @@ class PrefixTable:
     def box_sum(self, lo: tuple[int, ...], hi: tuple[int, ...]):
         """Sum of cells with lo[i] <= index_i < hi[i]."""
         total = 0
-        for corner in itertools.product((0, 1), repeat=self.gf.n):
-            idx = tuple(hi[i] if corner[i] else lo[i] for i in range(self.gf.n))
+        for corner in itertools.product((0, 1), repeat=self.n):
+            idx = tuple(hi[i] if corner[i] else lo[i] for i in range(self.n))
             term = self.table[idx]
-            if sum(corner) % 2 == self.gf.n % 2:
+            if sum(corner) % 2 == self.n % 2:
                 total += term
             else:
                 total -= term
-        return float(total) if self.gf.mode == "f64" else int(total)
+        return float(total) if self.mode == "f64" else int(total)
 
     def cube_sum(self, cube: DyadicCube):
-        sl = self.gf.cube_slices(cube)
+        sl = _cube_slices(self.n, self.L, cube)
         lo = tuple(s.start for s in sl)
         hi = tuple(s.stop for s in sl)
         return self.box_sum(lo, hi)
@@ -315,11 +338,8 @@ def _count_above(f: GridFunction, arr: np.ndarray, ref_avg, lam) -> int:
     # and for integer a*rd that holds iff a*rd > floor of the right side
     thr_num = lam.numerator * d * rd + rn * d * lam.denominator
     thr = thr_num // lam.denominator  # a*rd > thr  <=>  strict inequality
-    max_abs = 0
-    if arr.dtype == np.int64:
-        max_abs = int(np.abs(arr).max()) if arr.size else 0
-    if arr.dtype == np.int64 and (max_abs * rd).bit_length() < 62 and abs(thr) < 2**62:
-        return int((arr.astype(np.int64) * rd > thr).sum())
+    if arr.dtype == np.int64 and int64_fits(_magnitude(arr) * rd, 1) and int64_fits(thr):
+        return int((arr * rd > thr).sum())
     return sum(1 for a in arr.ravel().tolist() if a * rd > thr)
 
 
@@ -354,17 +374,15 @@ def offset_positive_part(f: GridFunction, ref: DyadicCube) -> GridFunction:
     """The grid function (f - mean(f over ref))^+, exact in fixed mode."""
     ravg = average(f, ref)
     if f.is_fixed:
-        rn, rd = ravg.numerator, ravg.denominator
+        # on the denominator lcm(d, rd): a/d - rn/rd = (a*sa - rn*sr)/lcm
         d = f.denom
-        new_denom = d * rd
+        new_denom = math.lcm(d, ravg.denominator)
+        sa, sr = new_denom // d, ravg.numerator * (new_denom // ravg.denominator)
         arr = f.values
-        max_abs = 0
-        if arr.dtype == np.int64:
-            max_abs = int(np.abs(arr).max()) if arr.size else 0
-        if arr.dtype == np.int64 and (max_abs * rd + abs(rn) * d).bit_length() < 62:
-            vals = np.maximum(arr.astype(np.int64) * rd - rn * d, 0)
+        if arr.dtype == np.int64 and int64_fits(_magnitude(arr) * sa + abs(sr), 1):
+            vals = np.maximum(arr * sa - sr, 0)
         else:
-            vals = [max(a * rd - rn * d, 0) for a in arr.ravel().tolist()]
+            vals = [max(a * sa - sr, 0) for a in arr.ravel().tolist()]
         return GridFunction(f.n, f.L, vals, "fixed", new_denom)
     return GridFunction(f.n, f.L, np.maximum(f.values - ravg, 0.0), "f64")
 

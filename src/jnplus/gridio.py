@@ -22,19 +22,23 @@ Loading validates every header field and names the offending one in
 :class:`~jnplus.errors.GridFormatError`.  Saving a fixed-mode grid to
 the binary form requires every numerator to fit in int64; grids that
 exceed that (exact big-integer numerators) must use the JSON form.
+
+Every file the package writes goes through :func:`open_for_write`,
+which replaces an existing regular file instead of truncating it.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import stat
 
 import numpy as np
 
 from .errors import GridFormatError
 from .grid import GridFunction
 
-__all__ = ["save_grid", "load_grid"]
+__all__ = ["save_grid", "load_grid", "open_for_write"]
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -53,13 +57,32 @@ def _header(f: GridFunction) -> dict:
     return h
 
 
+def open_for_write(path: str, binary: bool = False):
+    """Open ``path`` for writing, replacing an existing regular file.
+
+    The old file is unlinked and a new one created, because truncating
+    a file in place (O_TRUNC) can stall for tens of milliseconds on
+    some filesystems while unlink-and-create does not.  A symlink or a
+    non-regular file (a FIFO, a device) is opened as it is, so writes
+    still go through to its target.
+    """
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.unlink(path)
+    except FileNotFoundError:
+        pass
+    if binary:
+        return open(path, "wb")
+    return open(path, "w", encoding="utf-8")
+
+
 def save_grid(f: GridFunction, path: str) -> None:
     """Write ``f`` to ``path`` (JSON if the path ends in ``.json``,
     otherwise binary payload + ``path + ".json"`` sidecar)."""
     if path.endswith(".json"):
         doc = _header(f)
         doc["values"] = f.values.tolist()
-        with open(path, "w", encoding="utf-8") as fh:
+        with open_for_write(path) as fh:
             json.dump(doc, fh)
             fh.write("\n")
         return
@@ -76,9 +99,9 @@ def save_grid(f: GridFunction, path: str) -> None:
             payload = f.values.astype("<i8").ravel()
     else:
         payload = f.values.astype("<f8").ravel()
-    with open(path, "wb") as fh:
+    with open_for_write(path, binary=True) as fh:
         fh.write(payload.tobytes(order="C"))
-    with open(path + ".json", "w", encoding="utf-8") as fh:
+    with open_for_write(path + ".json") as fh:
         json.dump(_header(f), fh)
         fh.write("\n")
 

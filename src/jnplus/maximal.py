@@ -25,19 +25,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
-from ._blocks import block_count, root_box
+from ._blocks import block_count, covering_sweep, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward, parent, volume
 from .errors import InvalidParamsError, NegativeInputError
-from .grid import GridFunction, average, resolve_root
+from .grid import GridFunction, average, int64_fits, resolve_root
 from .reports import VerificationReport
 
 __all__ = [
     "MaximalField",
     "Decomposition",
     "maximal_function",
+    "positive_part_field",
+    "stopping_levels",
     "cz_decompose",
     "select_subfamily",
     "rel_slices",
@@ -49,21 +52,14 @@ __all__ = [
 _VARIANTS = ("grid", "augmented")
 
 
-def _upsample(arr: np.ndarray, n: int) -> np.ndarray:
-    for ax in range(n):
-        arr = np.repeat(arr, 2, axis=ax)
-    return arr
-
-
 def _threshold_int(lam: Fraction, denom_scale: int) -> int:
     # integers m satisfy m/denom_scale > lam  iff  m > floor(lam*denom_scale)
     return (lam.numerator * denom_scale) // lam.denominator
 
 
 def _compare_gt(values: np.ndarray, thr: int) -> np.ndarray:
-    if values.dtype == np.int64:
-        lo, hi = -(1 << 62), 1 << 62
-        thr = min(max(thr, lo), hi)  # |values| < 2^62 by the storage guard
+    if values.dtype == np.int64 and not int64_fits(thr):
+        thr = (1 << 62) if thr > 0 else -(1 << 62)  # |values| < 2^62 by the storage guard
     return values > thr
 
 
@@ -111,6 +107,24 @@ class MaximalField:
         return Fraction(int(m), self.denom_scale) if self.mode == "fixed" else float(m)
 
 
+def _running_max(fwd: list[np.ndarray], n: int, fixed: bool) -> np.ndarray:
+    """Top-down running maximum of forward means, one entry per level.
+
+    ``fwd[j]`` holds the sums over the forward translates of the
+    level-(r+j) subcubes of a level-r root, down to the leaf level.  At
+    each level the means are joined with the maximum inherited from the
+    ancestors.  Fixed mode returns numerators over 2^{(L-r)n} times the
+    cell denominator; f64 mode returns the means.
+    """
+    depth = len(fwd) - 1
+    running: np.ndarray | None = None
+    for j, sums in enumerate(fwd):
+        lvl = sums * (1 << (j * n)) if fixed else sums / (1 << ((depth - j) * n))
+        running = lvl if running is None else np.maximum(upsample(running, n), lvl)
+    assert running is not None
+    return running
+
+
 def maximal_function(
     f: GridFunction, root: DyadicCube | None = None, variant: str = "grid"
 ) -> MaximalField:
@@ -124,16 +138,8 @@ def maximal_function(
         raise InvalidParamsError(f"unknown maximal variant {variant!r}")
     root = resolve_root(f, root)
     r = root.level
-    running: np.ndarray | None = None
-    for k in range(r, f.L + 1):
-        S = f.block_sums(k)
-        fwd = S[root_box(root, k, time_shift=1)]
-        if f.is_fixed:
-            lvl = fwd * (1 << ((k - r) * f.n))
-        else:
-            lvl = fwd / block_count(f, k)
-        running = lvl if running is None else np.maximum(_upsample(running, f.n), lvl)
-    assert running is not None
+    fwd = [f.block_sums(k)[root_box(root, k, time_shift=1)] for k in range(r, f.L + 1)]
+    running = _running_max(fwd, f.n, f.is_fixed)
     if variant == "augmented":
         leaf = f.region(root)
         if f.is_fixed:
@@ -142,6 +148,34 @@ def maximal_function(
     scale = f.denom * (1 << ((f.L - r) * f.n)) if f.is_fixed else None
     running.setflags(write=False)
     return MaximalField(root, variant, f.n, f.L, f.mode, scale, running)
+
+
+def positive_part_field(f: GridFunction, cube: DyadicCube) -> MaximalField:
+    """Grid maximal field over ``cube`` of g = (f - mean(f over cube++))^+.
+
+    Equals maximal_function(offset_positive_part(f, forward(cube, 2)),
+    cube) cell for cell, but reads f on cube ∪ cube+ only: the mean is
+    one lookup in f.block_sums(cube.level), and g stays a local array on
+    the integer scale N*denom (N cells per cube) instead of a full-grid
+    GridFunction.  On an int64 grid every intermediate stays below 2^62.
+    """
+    cube = resolve_root(f, cube)
+    r = cube.level
+    N = block_count(f, r)
+    sl = f.cube_slices(cube)
+    t = sl[-1]
+    a = f.values[sl[:-1] + (slice(t.start, 2 * t.stop - t.start),)]
+    ref = f.block_sums(r)[cube.spatial + (cube.time + 2,)]
+    if f.is_fixed:
+        h = np.maximum(a * N - ref, 0)
+    else:
+        h = np.maximum(a - ref / N, 0.0)
+    # the forward translate of a block is the next block in time
+    fwd = [s[..., 1 : s.shape[-1] // 2 + 1] for s in level_sums(h, f.n, f.L - r)]
+    running = _running_max(fwd, f.n, f.is_fixed)
+    scale = N * f.denom * (1 << ((f.L - r) * f.n)) if f.is_fixed else None
+    running.setflags(write=False)
+    return MaximalField(cube, "grid", f.n, f.L, f.mode, scale, running)
 
 
 @dataclass
@@ -191,6 +225,24 @@ def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
         )
 
 
+def stopping_levels(f: GridFunction, root: DyadicCube, lam) -> Iterator[tuple[int, np.ndarray]]:
+    """Per level k of ``root``, the mask of its level-k stopping cubes.
+
+    The mask covers the level-k blocks of the root box; a block is set
+    when its forward mean exceeds lam (strict) and no ancestor is set.
+    ``lam`` is a Fraction in fixed mode and a float in f64 mode.
+    """
+    def conds():
+        for k in range(root.level, f.L + 1):
+            fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
+            if f.is_fixed:
+                yield _compare_gt(fwd, _threshold_int(lam, block_count(f, k) * f.denom))
+            else:
+                yield fwd > lam * block_count(f, k)
+
+    return zip(range(root.level, f.L + 1), covering_sweep(conds(), f.n))
+
+
 def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition:
     """Maximal dyadic subcubes of root with mean(f over Q+) > lam (strict).
 
@@ -201,28 +253,12 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     root = resolve_root(f, root)
     _require_nonneg(f, root)
     lam_n = Fraction(lam) if f.is_fixed else float(lam)
-    r = root.level
     stopping: list[DyadicCube] = []
-    covered: np.ndarray | None = None
-    for k in range(r, f.L + 1):
-        S = f.block_sums(k)
-        fwd = S[root_box(root, k, time_shift=1)]
-        if f.is_fixed:
-            cond = _compare_gt(fwd, _threshold_int(lam_n, block_count(f, k) * f.denom))
-        else:
-            cond = fwd > lam_n * block_count(f, k)
-        if covered is None:
-            emit = cond
-        else:
-            emit = cond & ~covered
-        sh = k - r
-        for idx in np.argwhere(emit):
-            sp = tuple(root.spatial[i] * (1 << sh) + int(idx[i]) for i in range(f.n - 1))
-            t = root.time * (1 << sh) + int(idx[-1])
-            stopping.append(DyadicCube(k, sp, t))
-        full = emit if covered is None else (covered | emit)
-        if k < f.L:
-            covered = _upsample(full, f.n)
+    for k, emit in stopping_levels(f, root, lam_n):
+        sh = k - root.level
+        for idx in np.argwhere(emit).tolist():
+            sp = tuple(root.spatial[i] * (1 << sh) + idx[i] for i in range(f.n - 1))
+            stopping.append(DyadicCube(k, sp, root.time * (1 << sh) + idx[-1]))
     subfamily, groups = select_subfamily(stopping)
     return Decomposition(root, lam_n, stopping, subfamily, groups)
 

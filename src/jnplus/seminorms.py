@@ -16,7 +16,11 @@ of pairwise non-overlapping dyadic subcubes of the root:
 and dyadic cubes nest, the supremum over families equals the maximum
 over antichains of the subcube tree, which a bottom-up pass computes
 exactly: best(Q) = max(phi(Q), sum of best over children), ties resolved
-toward the children so the extracted witness is a full partition.
+toward the children so the extracted witness is a full partition.  The
+witness comes out of a top-down covering sweep as one index array per
+level; its ``DyadicCube`` and weight lists are built only when a caller
+first reads ``witness`` or ``witness_weights``, so the verification
+chain, which never reads them, makes no per-cube objects.
 
 Two cube-wise suprema with no exponent:
 
@@ -45,7 +49,15 @@ from math import lcm
 
 import numpy as np
 
-from ._blocks import absdev_sums, block_count, clamped_sums, root_box, _shift_time
+from ._blocks import (
+    _shift_time,
+    absdev_sums,
+    block_count,
+    children_sum,
+    clamped_sums,
+    covering_sweep,
+    root_box,
+)
 from .cubes import DyadicCube, children, contains, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, average, pos_part_average, resolve_root
@@ -54,6 +66,7 @@ from .reports import jsonify, scalar_json
 __all__ = [
     "CubeFamily",
     "SeminormResult",
+    "Witness",
     "phi_plus",
     "phi_classical",
     "jnp_plus_dyadic",
@@ -169,6 +182,55 @@ class CubeFamily:
         return sum(terms, zero)
 
 
+class Witness:
+    """The cubes attaining a seminorm, with their weights.
+
+    The tree pass hands over the chosen cubes of each level as an index
+    array over the root box, plus their raw weights on one scale and
+    the map from a raw weight to its value.  The first read of either
+    list builds both the ``DyadicCube`` and the weight list, caches
+    them and drops the arrays; the length needs no list.
+    """
+
+    def __init__(
+        self,
+        root: DyadicCube | None,
+        levels: list[tuple[int, np.ndarray, np.ndarray]],
+        to_weight,
+    ) -> None:
+        self._root = root
+        self._levels = levels
+        self._to_weight = to_weight
+        self._lists: tuple[list[DyadicCube], list] | None = None
+
+    @classmethod
+    def listed(cls, cubes: list[DyadicCube], weights: list) -> "Witness":
+        w = cls(None, [], None)
+        w._lists = (list(cubes), list(weights))
+        return w
+
+    def __len__(self) -> int:
+        if self._lists is not None:
+            return len(self._lists[0])
+        return sum(len(idx) for _, idx, _ in self._levels)
+
+    def lists(self) -> tuple[list[DyadicCube], list]:
+        """The witness cubes in canonical order and their weights."""
+        if self._lists is None:
+            root, to_weight = self._root, self._to_weight
+            cubes: list[DyadicCube] = []
+            weights: list = []
+            for k, idx, raw in self._levels:
+                sh = k - root.level
+                base = np.array(root.spatial + (root.time,), dtype=np.int64) << sh
+                for row in (idx + base).tolist():
+                    cubes.append(DyadicCube(k, tuple(row[:-1]), row[-1]))
+                weights += [to_weight(w) for w in raw.tolist()]
+            self._lists = (cubes, weights)
+            self._levels = []
+        return self._lists
+
+
 @dataclass
 class SeminormResult:
     """Outcome of a seminorm computation.
@@ -178,7 +240,10 @@ class SeminormResult:
     functionals.  ``value`` is always the seminorm as a float.
     ``witness`` attains ``weight`` (for the jnp functionals a full
     partition of the root; for the bmo functionals a single cube), with
-    per-cube weights alongside.
+    per-cube weights alongside in ``witness_weights``.  Both are plain
+    lists, built from ``family`` on first read, so computations that
+    never look at the witness (the verification chain) make no
+    per-cube objects.
     """
 
     functional: str
@@ -188,9 +253,16 @@ class SeminormResult:
     exact: bool
     mode: str
     root: DyadicCube
-    witness: list[DyadicCube]
-    witness_weights: list
+    family: Witness = field(repr=False)
     details: dict = field(default_factory=dict)
+
+    @property
+    def witness(self) -> list[DyadicCube]:
+        return self.family.lists()[0]
+
+    @property
+    def witness_weights(self) -> list:
+        return self.family.lists()[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -207,49 +279,31 @@ class SeminormResult:
         }
 
 
-def _children_sum(arr: np.ndarray, n: int) -> np.ndarray:
-    shape: list[int] = []
-    for s in arr.shape:
-        shape += [s // 2, 2]
-    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * n, 2)))
-
-
 def _tree_dp(
-    phi: dict[int, np.ndarray], root: DyadicCube, n: int
-) -> tuple[object, list[DyadicCube], list]:
+    phi: dict[int, np.ndarray], n: int
+) -> tuple[object, list[tuple[int, np.ndarray, np.ndarray]]]:
     """Maximize the summed weight over antichains of the subcube tree.
 
     ``phi[k]`` holds the level-k weights over the root box, all on one
-    common scale.  Returns the root optimum (same scale), the witness
-    family, and the witness cubes' raw weights; ties prefer the
-    children, so the witness tiles the root.
+    common scale.  Returns the root optimum (same scale) and, per level,
+    the witness cubes as an (m, n) index array over the root box with
+    their raw weights.  Ties prefer the children, so the witness tiles
+    the root.  The witness comes from a top-down covering sweep: a cube
+    is chosen when its own weight beat its children's best (every leaf
+    qualifies) and no ancestor was chosen.
     """
     ks = sorted(phi)
-    take: dict[int, np.ndarray] = {}
+    take: dict[int, np.ndarray] = {ks[-1]: np.ones(phi[ks[-1]].shape, dtype=bool)}
     best = phi[ks[-1]]
     for k in reversed(ks[:-1]):
-        child = _children_sum(best, n)
+        child = children_sum(best, n)
         t = phi[k] > child
         take[k] = t
         best = np.where(t, phi[k], child)
-
-    picked: list[tuple[DyadicCube, object]] = []
-
-    def walk(k: int, idx: tuple[int, ...]) -> None:
-        if k == ks[-1] or take[k][idx]:
-            sh = k - root.level
-            sp = tuple(root.spatial[i] * (1 << sh) + idx[i] for i in range(n - 1))
-            cube = DyadicCube(k, sp, root.time * (1 << sh) + idx[-1])
-            picked.append((cube, phi[k][idx]))
-            return
-        for off in itertools.product((0, 1), repeat=n):
-            walk(k + 1, tuple(2 * idx[i] + off[i] for i in range(n)))
-
-    walk(ks[0], (0,) * n)
-    picked.sort(key=lambda cw: (cw[0].level, cw[0].spatial, cw[0].time))
-    witness = [c for c, _ in picked]
-    raw = [w for _, w in picked]
-    return best[(0,) * n], witness, raw
+    levels = []
+    for k, chosen in zip(ks, covering_sweep((take[k] for k in ks), n)):
+        levels.append((k, np.argwhere(chosen), phi[k][chosen]))
+    return best[(0,) * n], levels
 
 
 def _as_objects(arr: np.ndarray) -> np.ndarray:
@@ -264,9 +318,15 @@ def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
     return clamped_sums(f, k, 2) + _shift_time(clamped_sums(f, k, 1), 1)
 
 
-def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
-    root = resolve_root(f, root)
-    q, p_int = _norm_exponent(p)
+def _level_weights(
+    f: GridFunction, root: DyadicCube, variant: str, q: Fraction, p_int: int | None
+) -> dict[int, np.ndarray]:
+    """Per level k of ``root``, the weights of its level-k subcubes.
+
+    Exact integer numerators (object arrays) on the common denominator
+    of the module docstring in fixed mode with integer p; floats
+    otherwise.
+    """
     exact = f.is_fixed and p_int is not None
     phi: dict[int, np.ndarray] = {}
     for k in range(root.level, f.L + 1):
@@ -282,17 +342,25 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
             N = block_count(f, k)
             scale = float(half * N * N * (f.denom if f.is_fixed else 1))
             phi[k] = (T.astype(np.float64) / scale) ** float(q) * 2.0 ** (-k * f.n)
-    num, witness, raw = _tree_dp(phi, root, f.n)
+    return phi
+
+
+def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
+    root = resolve_root(f, root)
+    q, p_int = _norm_exponent(p)
+    exact = f.is_fixed and p_int is not None
+    # the weight arrays die with this call; the witness keeps only its own cubes
+    num, levels = _tree_dp(_level_weights(f, root, variant, q, p_int), f.n)
     if exact:
         base = (2 * f.denom) if variant == "plus" else f.denom
         D = base**p_int * (1 << (2 * f.L * f.n * p_int))
         power = Fraction(int(num), D)
-        if sum(int(w) for w in raw) != int(num):
+        if sum(int(raw.sum()) for _, _, raw in levels) != int(num):
             raise AssertionError("witness weights do not add up to the optimum")
-        weights = [Fraction(int(w), D) for w in raw]
+        family = Witness(root, levels, lambda w: Fraction(int(w), D))
     else:
         power = float(num)
-        weights = [float(w) for w in raw]
+        family = Witness(root, levels, float)
     functional = "jnp-plus" if variant == "plus" else "jnp-classical"
     value = _pth_root(power, q)
     return SeminormResult(
@@ -303,9 +371,8 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         exact=exact,
         mode=f.mode,
         root=root,
-        witness=witness,
-        witness_weights=weights,
-        details={"levels": f.L - root.level + 1, "witness-size": len(witness)},
+        family=family,
+        details={"levels": f.L - root.level + 1, "witness-size": len(family)},
     )
 
 
@@ -363,8 +430,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         exact=f.is_fixed,
         mode=f.mode,
         root=root,
-        witness=[cube],
-        witness_weights=[val],
+        family=Witness.listed([cube], [val]),
     )
 
 
@@ -492,7 +558,6 @@ def antichain_oracle(
         exact=exact,
         mode=f.mode,
         root=root,
-        witness=witness,
-        witness_weights=[raw[c] for c in witness],
+        family=Witness.listed(witness, [raw[c] for c in witness]),
         details={"antichains": count, "tree-cubes": len(nodes)},
     )

@@ -45,15 +45,22 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._blocks import level_sums
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
+    average,
     distribution_measure,
     offset_positive_part,
     resolve_root,
 )
-from .maximal import MaximalField, cz_decompose, maximal_function, rel_slices
+from .maximal import (
+    MaximalField,
+    maximal_function,
+    positive_part_field,
+    stopping_levels,
+)
 from .reports import VerificationReport, jsonify, scalar_json
 from .seminorms import SeminormResult, jnp_plus_dyadic, _norm_exponent
 
@@ -126,8 +133,6 @@ class LemmaContext:
         self.seminorm = seminorm or jnp_plus_dyadic(f, p, self.root)
         self.g = offset_positive_part(f, forward(self.root, 2))
         self.field: MaximalField = maximal_function(self.g, self.root, "grid")
-        from .grid import average
-
         self.g_fwd_avg = average(self.g, forward(self.root))
 
 
@@ -190,26 +195,35 @@ def good_lambda_check(
         else:
             main_ok = float(E_lam) <= rhs_float * (1.0 + _REL_TOL) + 1e-18
 
-        dec = cz_decompose(ctx.g, root, blam)
-        dec_size = len(dec.stopping)
+        # stopping cubes of g at b*lam, one mask per level of the root box,
+        # and per level the count of E(lam) cells inside each block
+        stopping = list(stopping_levels(ctx.g, root, blam))
+        dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
         E_mask = ctx.field.superlevel_mask(lamN)
-        covered = np.zeros(E_mask.shape, dtype=bool)
-        for c in dec.stopping:
-            covered[rel_slices(f, root, c)] = True
-        p6_ok = not bool(np.any(E_mask & ~covered))
+        hits = level_sums(E_mask, f.n, f.L - root.level)
+        # the stopping cubes are disjoint, so E lies in their union iff
+        # they hold all of its cells
+        inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))
+        p6_ok = inside == int(E_mask.sum())
         p8_ok = True
         one_minus = (1 - (1 << f.n) * b) * lamN
-        for c in dec.stopping:
-            sub = E_mask[rel_slices(f, root, c)]
-            if not sub.any():
-                continue  # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M)
-            local = maximal_function(ctx.g, c, "grid")
-            if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
-                p6_ok = False
-            g_j = offset_positive_part(f, forward(c, 2))
-            local_j = maximal_function(g_j, c, "grid")
-            if bool(np.any(sub & ~local_j.superlevel_mask(one_minus))):
-                p8_ok = False
+        for (k, chosen), h in zip(stopping, hits):
+            # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
+            sh = k - root.level
+            w = 1 << (f.L - k)
+            for idx in np.argwhere(chosen & (h > 0)).tolist():
+                sub = E_mask[tuple(slice(i * w, (i + 1) * w) for i in idx)]
+                c = DyadicCube(
+                    k,
+                    tuple((s << sh) + i for s, i in zip(root.spatial, idx)),
+                    (root.time << sh) + idx[-1],
+                )
+                local = maximal_function(ctx.g, c, "grid")
+                if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
+                    p6_ok = False
+                local_j = positive_part_field(f, c)
+                if bool(np.any(sub & ~local_j.superlevel_mask(one_minus))):
+                    p8_ok = False
         passed = main_ok and p6_ok and p8_ok
 
     failed = [
@@ -253,7 +267,7 @@ def lemma_sweep(
     params = lemma_params(f.n, p, b)
     ctx = LemmaContext(f, root, params.p, seminorm)
     if lambdas is None:
-        lambdas = default_lambda_grid(f, p, b, root=ctx.root, seminorm=ctx.seminorm)
+        lambdas = default_lambda_grid(f, p, b, root=ctx.root, seminorm=ctx.seminorm, g=ctx.g)
     return [good_lambda_check(f, params, lam, root=ctx.root, ctx=ctx) for lam in lambdas]
 
 
@@ -314,16 +328,20 @@ def default_lambda_grid(
     seminorm: SeminormResult | None = None,
     count: int = 64,
     ladder: int = 8,
+    g: GridFunction | None = None,
 ) -> list[float]:
     """Log-spaced lambdas spanning both proof branches.
 
     ``count`` values from (max f - min f) * 2^{-10} up to max g + 1,
     plus the ladder points lambda0 and b^{-k} lambda0 for k = 1..ladder.
+    ``g`` = (f - mean(f over root++))^+ is built unless the caller
+    already has it.
     """
     params = lemma_params(f.n, p, b)
     root = resolve_root(f, root)
     K = seminorm or jnp_plus_dyadic(f, p, root)
-    g = offset_positive_part(f, forward(root, 2))
+    if g is None:
+        g = offset_positive_part(f, forward(root, 2))
     hi = float(g.max_value()) + 1.0
     lo = (float(f.max_value()) - float(f.min_value())) * 2.0**-10
     if lo <= 0.0:
@@ -431,7 +449,7 @@ def theorem_check(
     field_g = maximal_function(g, root, "grid")
     field_a = maximal_function(g, root, "augmented")
     if lambdas is None:
-        lambdas = default_lambda_grid(f, p, b, root=root, seminorm=K)
+        lambdas = default_lambda_grid(f, p, b, root=root, seminorm=K, g=g)
     C = proof_constant(f.n, p, b)
     lam0 = lambda0(f, p, b, root=root, seminorm=K)
     Kp = float(K.weight) if K.exact else K.value ** float(params.p)

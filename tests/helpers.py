@@ -29,6 +29,12 @@ def cells_of(f: GridFunction, cube: DyadicCube):
     sides.append(range(cube.time << sh, (cube.time + 1) << sh))
     return itertools.product(*sides)
 
+def naive_block_sum(f: GridFunction, cube: DyadicCube):
+    """Sum of the raw cell entries inside a cube (Python ints in fixed mode)."""
+    conv = int if f.is_fixed else float
+    return sum(conv(f.values[idx]) for idx in cells_of(f, cube))
+
+
 def naive_average(f: GridFunction, cube: DyadicCube):
     vals = [cell_value(f, idx) for idx in cells_of(f, cube)]
     if f.is_fixed:
@@ -137,6 +143,49 @@ def naive_best_family(f: GridFunction, root: DyadicCube, p: int, phi) -> tuple[F
         if best is None or w > best:
             best, best_fam = w, fam
     return best, best_fam
+
+
+def recursive_witness(phi: dict, root: DyadicCube, n: int):
+    """Tree optimum and witness by plain recursion over the subcube tree.
+
+    ``phi[k][idx]`` is the weight of the level-k subcube at index idx of
+    the root box.  best(Q) = max(phi(Q), sum of best over children), a
+    cube is taken only when its weight beats its children's strictly,
+    and the witness is read off by walking down from the root.  Returns
+    (optimum, witness cubes in canonical order, their raw weights).
+    """
+    leaf = max(phi)
+    take: dict = {}
+
+    def best(k, idx):
+        w = phi[k][idx]
+        if k == leaf:
+            return w
+        kids = [
+            best(k + 1, tuple(2 * i + o for i, o in zip(idx, off)))
+            for off in itertools.product((0, 1), repeat=n)
+        ]
+        child = kids[0]
+        for v in kids[1:]:
+            child = child + v
+        take[k, idx] = w > child
+        return w if take[k, idx] else child
+
+    top = best(root.level, (0,) * n)
+    picked = []
+
+    def walk(k, idx):
+        if k == leaf or take[k, idx]:
+            sh = k - root.level
+            sp = tuple(root.spatial[i] * (1 << sh) + idx[i] for i in range(n - 1))
+            picked.append((DyadicCube(k, sp, root.time * (1 << sh) + idx[-1]), phi[k][idx]))
+            return
+        for off in itertools.product((0, 1), repeat=n):
+            walk(k + 1, tuple(2 * i + o for i, o in zip(idx, off)))
+
+    walk(root.level, (0,) * n)
+    picked.sort(key=lambda cw: (cw[0].level, cw[0].spatial, cw[0].time))
+    return top, [c for c, _ in picked], [w for _, w in picked]
 
 
 def random_fixed_grid(rng: np.random.Generator, n: int, L: int, denom: int = 8) -> GridFunction:

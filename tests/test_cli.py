@@ -118,10 +118,10 @@ def test_verify_good_lambda_pass(example_path, capsys):
     assert len(doc["reports"]) >= 64
 
 
-def test_verify_good_lambda_explicit_lambdas_and_jobs(example_path, capsys):
+def test_verify_good_lambda_explicit_lambdas(example_path, capsys):
     code, stdout, _ = run(
         capsys, "verify", "good-lambda", "--input", example_path,
-        "--p", "2", "--b", "1/4", "--lambda", "1,2,4,8", "--jobs", "2",
+        "--p", "2", "--b", "1/4", "--lambda", "1,2,4,8",
     )
     assert code == 0
     doc = json.loads(stdout)

@@ -8,12 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from jnplus import (
     DyadicCube,
+    GeneratorSpec,
     GridFormatError,
     GridFunction,
     OutOfDomainError,
     average,
     distribution_measure,
     forward,
+    gen,
     offset_positive_part,
     pos_part_average,
     refine,
@@ -26,6 +28,7 @@ from jnplus import (
 from helpers import (
     cell_value,
     naive_average,
+    naive_block_sum,
     naive_pos_part_average,
     random_fixed_grid,
 )
@@ -193,3 +196,76 @@ def test_resolve_root_validation():
         resolve_root(f, DyadicCube(2, (), 0))  # finer than the grid
     with pytest.raises(OutOfDomainError):
         resolve_root(f, DyadicCube(1, (), 2))  # outside the unit cube
+
+
+def _guard_limit(n, L):
+    """Smallest cell magnitude that no longer fits the int64 guard."""
+    return 1 << (62 - (2 * L * n + 3))
+
+
+def _assert_block_sums_naive(f):
+    for k in range(f.L + 1):
+        S = f.block_sums(k)
+        for idx in np.ndindex(*S.shape):
+            assert int(S[idx]) == naive_block_sum(f, DyadicCube(k, idx[:-1], idx[-1]))
+
+
+@pytest.mark.parametrize("n,L", [(1, 2), (2, 2)])
+def test_int64_guard_boundary_from_both_sides(n, L):
+    limit = _guard_limit(n, L)
+    rng = np.random.default_rng(n * 10 + L)
+    base = rng.integers(-1000, 1000, size=3 << (L * n))
+    for top, want in ((limit - 1, np.int64), (limit, object)):
+        for sign in (1, -1):
+            vals = base.copy()
+            vals[1] = sign * top
+            for given in (vals.astype(np.int64), vals.tolist()):
+                f = GridFunction(n, L, given, "fixed", 3)
+                assert f.values.dtype == want, (top, sign, type(given))
+                assert [int(v) for v in f.values.ravel().tolist()] == vals.tolist()
+                _assert_block_sums_naive(f)
+
+
+def test_int64_extremes_and_unsigned_input():
+    L, n = 1, 1
+    limit = _guard_limit(n, L)
+    int64_min = np.iinfo(np.int64).min
+    f = GridFunction(n, L, np.array([int64_min, 0, 1, 0, 0, 0], dtype=np.int64), "fixed", 1)
+    assert f.values.dtype == object and f.values[0] == int64_min
+    _assert_block_sums_naive(f)
+
+    small = np.array([limit - 1, 0, 1, 2, 3, 4], dtype=np.uint64)
+    f = GridFunction(n, L, small, "fixed", 1)
+    assert f.values.dtype == np.int64
+    assert f.values.tolist() == [limit - 1, 0, 1, 2, 3, 4]
+    _assert_block_sums_naive(f)
+
+    huge = np.array([2**64 - 1, 0, 1, 2, 3, 4], dtype=np.uint64)
+    f = GridFunction(n, L, huge, "fixed", 1)
+    assert f.values.dtype == object and f.values[0] == 2**64 - 1
+    _assert_block_sums_naive(f)
+
+    # numpy alone would read the last two lists as float64
+    lists = ([2**70, -(2**70), 0, 0, 0, 1], [2**63, -1, 0, 0, 0, 1], [2**64 - 1, 0, 0, 0, 0, 1])
+    for big in lists:
+        f = GridFunction(n, L, big, "fixed", 1)
+        assert f.values.dtype == object and f.values.tolist() == big
+        _assert_block_sums_naive(f)
+    with pytest.raises(GridFormatError):
+        GridFunction(n, L, [2**63, 0.5, 0, 0, 0, 0], "fixed", 1)
+
+
+def test_offset_positive_part_on_lcm_denominator_stays_int64():
+    """The uniform n=2 L=8 theorem grid: g on lcm(d, rd) fits int64, and equals
+    as rationals the g built on d*rd, which would need big integers."""
+    f = gen(GeneratorSpec("uniform-random", 2, 8, 0, "fixed", 256))
+    ref = forward(root_cube(2), 2)
+    g = offset_positive_part(f, ref)
+    assert g.values.dtype == np.int64
+    m = average(f, ref)
+    rn, rd, d = m.numerator, m.denominator, f.denom
+    wide_denom = d * rd
+    wide = [max(a * rd - rn * d, 0) for a in f.values.ravel().tolist()]
+    assert g.denom < wide_denom
+    assert GridFunction(2, 8, wide, "fixed", wide_denom).values.dtype == object
+    assert [v * wide_denom for v in g.values.ravel().tolist()] == [w * g.denom for w in wide]

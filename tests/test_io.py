@@ -152,3 +152,31 @@ def test_big_integers_need_json(tmp_path):
     g = load_grid(jpath)
     assert g.equals(f)
     assert int(g.values[0]) == big
+
+
+def test_save_grid_overwrites_and_writes_through_symlinks(tmp_path):
+    a = GridFunction(1, 1, [0, 1, 2, 3, 4, 5], "fixed", 2)
+    b = GridFunction(1, 1, [5, 4, 3, 2, 1, 0], "fixed", 2)
+    for name in ("grid.bin", "grid.json"):
+        path = str(tmp_path / name)
+        save_grid(a, path)
+        with open(path, "rb") as old:
+            before = old.read()
+            old.seek(0)
+            save_grid(b, path)
+            # the file was replaced, not truncated: the old one is intact
+            assert old.read() == before
+        assert load_grid(path).equals(b)
+
+    for name in ("target.bin", "target.json"):
+        target = tmp_path / name
+        link = tmp_path / ("link-" + name)
+        save_grid(a, str(target))
+        link.symlink_to(target)
+        save_grid(b, str(link))
+        assert link.is_symlink()
+        assert load_grid(str(link)).equals(b)
+        if name.endswith(".json"):
+            assert load_grid(str(target)).equals(b)
+        else:  # the payload went through the link; the sidecar sits next to it
+            assert np.fromfile(str(target), dtype="<i8").tolist() == [5, 4, 3, 2, 1, 0]

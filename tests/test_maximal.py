@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jnplus import (
     DyadicCube,
+    GeneratorSpec,
     GridFunction,
     InvalidParamsError,
     NegativeInputError,
@@ -17,13 +18,19 @@ from jnplus import (
     check_p2,
     contains,
     cz_decompose,
+    default_manifest,
     forward,
+    gen,
     maximal_function,
+    offset_positive_part,
     root_cube,
+    scale_values,
     select_subfamily,
+    subcubes,
     volume,
     weak_type_check,
 )
+from jnplus.maximal import positive_part_field
 
 from helpers import naive_cz, naive_maximal, random_fixed_grid
 
@@ -219,3 +226,45 @@ def test_weak_type_rejects_nonpositive_lambda():
     f = bundled_example()
     with pytest.raises(InvalidParamsError):
         weak_type_check(f, None, Fraction(0))
+
+
+def _corpus_grids(mode):
+    for s in default_manifest():
+        kind = "f64" if mode == "f64" else "fixed"
+        f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, kind, s.denom, s.params))
+        # 2^56 puts every cell past the int64 guard, onto Python ints
+        yield scale_values(f, 1 << 56) if mode == "big" else f
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_positive_part_field_matches_full_grid_offset(mode):
+    """The stopping-cube-local field of (f - mean(f over Q++))^+ equals the
+    field of the full-grid offset_positive_part, cell for cell, at
+    thresholds that hit field values exactly and fall between them, on
+    int64, float and big-integer grids."""
+    pairs = 0
+    for f in _corpus_grids(mode):
+        cubes = list(subcubes(root_cube(f.n), f.L))
+        for c in cubes[:: max(1, len(cubes) // 12)]:
+            full = maximal_function(offset_positive_part(f, forward(c, 2)), c)
+            local = positive_part_field(f, c)
+            assert local.root == c and local.values.shape == full.values.shape
+            want = {"fixed": np.int64, "f64": np.float64, "big": object}[mode]
+            assert local.values.dtype == want
+            ties = sorted({full.value_at(idx) for idx in np.ndindex(*full.values.shape)})
+            lams = ties[:: max(1, len(ties) // 4)] + [ties[-1]]
+            lams += [lam * Fraction(3, 4) if f.is_fixed else lam * 0.75 for lam in lams]
+            for lam in lams:
+                assert np.array_equal(local.superlevel_mask(lam), full.superlevel_mask(lam))
+                pairs += 1
+    assert pairs >= 2000
+
+
+def test_maximal_function_field_matches_naive_on_subcube_roots():
+    rng = np.random.default_rng(17)
+    f = random_fixed_grid(rng, 2, 2)
+    for c in subcubes(root_cube(2), 2):
+        field = maximal_function(f, c)
+        want = naive_maximal(f, c, "grid")
+        for idx in np.ndindex(*field.values.shape):
+            assert field.value_at(idx) == want[idx]

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from jnplus import (
     CubeFamily,
     DyadicCube,
+    GeneratorSpec,
     GridFunction,
     InstanceTooLargeError,
     InvalidExponentError,
@@ -17,6 +18,8 @@ from jnplus import (
     bmo_plus_dyadic,
     bmo_plus_limit_form,
     bundled_example,
+    default_manifest,
+    gen,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
     phi_classical,
@@ -26,12 +29,14 @@ from jnplus import (
     shift_values,
     volume,
 )
+from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
     naive_best_family,
     naive_phi_classical,
     naive_phi_plus,
     random_fixed_grid,
+    recursive_witness,
 )
 
 
@@ -235,3 +240,45 @@ def test_single_cube_family_lower_bound():
     for k in range(3):
         for t in range(1 << k):
             assert phi_plus(f, DyadicCube(k, (), t), 2) <= r.weight
+
+
+@pytest.mark.parametrize("variant", ["plus", "classical"])
+def test_array_witness_matches_recursive_walk(variant):
+    """The covering-sweep witness equals the recursive walk of tests/helpers.py:
+    same cubes in the same order, same raw and reported weights, same
+    witness-size, on every corpus grid in exact and float arithmetic."""
+    functional = jnp_plus_dyadic if variant == "plus" else jnp_classical_dyadic
+    for s in default_manifest():
+        for mode in ("fixed", "f64"):
+            f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, mode, s.denom, s.params))
+            # the unit cube, and a subcube off the origin on every axis
+            for root, p in ((root_cube(f.n), 2), (root_cube(f.n), Fraction(3, 2)),
+                            (DyadicCube(1, (1,) * (f.n - 1), 1), 2)):
+                q, p_int = _norm_exponent(p)
+                phi = _level_weights(f, root, variant, q, p_int)
+                num, levels = _tree_dp(phi, f.n)
+                want_num, want_cubes, want_raw = recursive_witness(phi, root, f.n)
+                raw = [w for _, _, ws in levels for w in ws.tolist()]
+                r = functional(f, p, root)
+                assert r.details["witness-size"] == len(want_cubes)
+                assert r.witness == want_cubes
+                assert raw == want_raw
+                if r.exact:
+                    assert num == want_num
+                    base = 2 * f.denom if variant == "plus" else f.denom
+                    D = base**p_int * (1 << (2 * f.L * f.n * p_int))
+                    assert r.witness_weights == [Fraction(w, D) for w in want_raw]
+                else:
+                    assert float(num) == pytest.approx(float(want_num), rel=1e-12)
+                    assert r.witness_weights == [float(w) for w in want_raw]
+
+
+def test_witness_lists_built_once_on_first_read():
+    f = random_fixed_grid(np.random.default_rng(8), 2, 3)
+    r = jnp_plus_dyadic(f, 2)
+    size = r.details["witness-size"]
+    assert len(r.family) == size
+    cubes = r.witness
+    assert r.witness is cubes and r.witness_weights is r.witness_weights
+    assert isinstance(cubes, list) and len(cubes) == size == len(r.witness_weights)
+    assert sum(r.witness_weights, Fraction(0)) == r.weight
