@@ -1,5 +1,11 @@
-"""Level-batched block reductions shared by the maximal scan and the
-seminorm DP.
+"""The dyadic block layout, and the level-batched block reductions
+shared by the maximal scan and the seminorm DP.
+
+:func:`blocked` splits each axis of a cell array into (block,
+cell-in-block) axes: summing over the :func:`in_block` axes gives block
+sums, and a per-block array blocked with side 1 broadcasts over the
+cells of each block.  :func:`root_box` maps a cube to its level-k block
+indices and :func:`block_cubes` maps such indices back to cubes.
 
 Everything here works on raw cell entries: integer numerators in fixed
 mode (where sums and clamps stay exact) or float64 values.  Callers own
@@ -16,16 +22,21 @@ on one integer scale.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
 from .cubes import DyadicCube
-from .grid import GridFunction
+
+if TYPE_CHECKING:
+    from .grid import GridFunction
 
 __all__ = [
+    "blocked",
+    "in_block",
     "block_count",
     "root_box",
+    "block_cubes",
     "clamped_sums",
     "absdev_sums",
     "upsample",
@@ -33,6 +44,23 @@ __all__ = [
     "level_sums",
     "covering_sweep",
 ]
+
+
+def blocked(arr: np.ndarray, w: int) -> np.ndarray:
+    """``arr`` with each axis split into (block, cell-in-block) for blocks of side w.
+
+    Axis 2i of the result indexes the blocks along axis i of ``arr`` and
+    axis 2i+1 the cells inside them.
+    """
+    shape: list[int] = []
+    for s in arr.shape:
+        shape += [s // w, w]
+    return arr.reshape(shape)
+
+
+def in_block(n: int) -> tuple[int, ...]:
+    """The cell-in-block axes of a :func:`blocked` n-dimensional array."""
+    return tuple(range(1, 2 * n, 2))
 
 
 def block_count(gf: GridFunction, k: int) -> int:
@@ -49,22 +77,17 @@ def root_box(root: DyadicCube, k: int, time_shift: int = 0) -> tuple[slice, ...]
     return tuple(sl)
 
 
-def _interleaved(gf: GridFunction, k: int) -> np.ndarray:
-    w = gf.side >> k
-    shape: list[int] = []
-    for _ in range(gf.n - 1):
-        shape += [1 << k, w]
-    shape += [3 << k, w]
-    return gf.values.reshape(shape)
+def block_cubes(root: DyadicCube, k: int, idx: np.ndarray) -> list[DyadicCube]:
+    """The level-k cubes at block indices ``idx`` of the root box; inverse of :func:`root_box`.
 
-
-def _expand(gf: GridFunction, k: int, blocks: np.ndarray) -> np.ndarray:
-    # Reshape a per-block array so it broadcasts over the cells of each block.
-    shape: list[int] = []
-    for _ in range(gf.n - 1):
-        shape += [1 << k, 1]
-    shape += [3 << k, 1]
-    return blocks.reshape(shape)
+    ``idx`` is an (m, n) integer array of indices relative to the box,
+    as :func:`numpy.argwhere` returns them.
+    """
+    if not len(idx):  # most levels of a stopping family hold no cubes
+        return []
+    sh = k - root.level
+    base = [s << sh for s in root.spatial] + [root.time << sh]
+    return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in (idx + base).tolist()]
 
 
 def _shift_time(blocks: np.ndarray, offset: int) -> np.ndarray:
@@ -89,25 +112,17 @@ def clamped_sums(gf: GridFunction, k: int, offset: int) -> np.ndarray:
     the mean over the block ``offset`` steps forward in time.  offset=1
     references the block's forward translate, offset=2 the two-step one.
     """
-    S = gf.block_sums(k)
-    N = block_count(gf, k)
-    inter = _interleaved(gf, k)
-    ref = _expand(gf, k, _shift_time(S, offset))
-    diff = inter * N - ref
+    ref = blocked(_shift_time(gf.block_sums(k), offset), 1)
+    diff = blocked(gf.values, gf.side >> k) * block_count(gf, k) - ref
     zero = 0.0 if gf.mode == "f64" else 0
-    clamped = np.maximum(diff, zero)
-    within = tuple(range(1, 2 * gf.n, 2))
-    return clamped.sum(axis=within)
+    return np.maximum(diff, zero).sum(axis=in_block(gf.n))
 
 
 def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
     """Per level-k block: sum of |value*N - S| over its cells (S = own sum)."""
-    S = gf.block_sums(k)
-    N = block_count(gf, k)
-    inter = _interleaved(gf, k)
-    diff = inter * N - _expand(gf, k, S)
-    within = tuple(range(1, 2 * gf.n, 2))
-    return np.abs(diff).sum(axis=within)
+    ref = blocked(gf.block_sums(k), 1)
+    diff = blocked(gf.values, gf.side >> k) * block_count(gf, k) - ref
+    return np.abs(diff).sum(axis=in_block(gf.n))
 
 
 def upsample(arr: np.ndarray, n: int) -> np.ndarray:
@@ -119,10 +134,7 @@ def upsample(arr: np.ndarray, n: int) -> np.ndarray:
 
 def children_sum(arr: np.ndarray, n: int) -> np.ndarray:
     """Per parent block, the sum of its 2^n children (one dyadic level coarser)."""
-    shape: list[int] = []
-    for s in arr.shape:
-        shape += [s // 2, 2]
-    return arr.reshape(shape).sum(axis=tuple(range(1, 2 * n, 2)))
+    return blocked(arr, 2).sum(axis=in_block(n))
 
 
 def level_sums(arr: np.ndarray, n: int, depth: int) -> list[np.ndarray]:

@@ -32,7 +32,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._blocks import upsample
+from ._blocks import children_sum, upsample
 from .errors import InvalidSpecError
 from .grid import GridFunction
 
@@ -110,9 +110,7 @@ def _child_rank(shape: tuple[int, ...]) -> np.ndarray:
 
 def _zero_sum_adjust(inc: np.ndarray, n: int) -> np.ndarray:
     """Shift integer increments so every 2^n sibling block sums to zero."""
-    m = inc.shape[0] // 2
-    blocks = inc.reshape(sum(((m, 2) for _ in range(n)), ()))
-    totals = blocks.sum(axis=tuple(range(1, 2 * n, 2)))
+    totals = children_sum(inc, n)
     q, r = np.divmod(totals, 1 << n)  # totals = q*2^n + r, 0 <= r < 2^n
     rank = _child_rank(inc.shape)
     return inc - upsample(q, n) - (rank < upsample(r, n))

@@ -11,17 +11,18 @@ axis, matching C order).  Two value modes:
 * ``"f64"`` — plain float64 cells; the same operations run in floating
   point and exactness claims are off.
 
-Fixed-mode arrays live in int64 while a bit-length guard proves that no
-internal intermediate (cell numerators scaled by up to 2^{Ln}, block
-sums over up to 2*2^{Ln} cells) can overflow; past the guard they fall
-back to object dtype holding Python ints, which is exact at any
-magnitude.  Integer and boolean numpy input goes to int64 in one
-vectorized cast once its magnitude max(max, -min) passes the guard, so
-no Python int is made per cell; only object input (Python-int lists
-with big entries, JSON grids) is converted cell by cell.  Every int64
-decision in the package goes through :func:`int64_fits`.  Instances
-are immutable: the value buffer is write-locked and per-level block
-sums and the prefix table are memoized (idempotent, so concurrent
+Fixed-mode arrays have one of two dtypes, and :func:`exact` alone picks
+it: int64 while :func:`int64_fits` proves that the largest magnitude a
+computation reaches stays below 2^62, object dtype holding Python ints
+(exact at any magnitude) past that.  A grid's cells use the bound
+|value| * 2^{2Ln+3}, which covers every block sum and scaled comparison
+made on it; each derived grid (offset, scale, shift) runs one numpy
+expression on the dtype that ``exact`` picks for its own bound.
+Integer and boolean numpy input is cast in one step.  Float and object
+input (lists, JSON grids) is read cell by cell: an integral float is
+kept exactly, and a fraction, inf or nan is a GridFormatError.
+Instances are immutable: the value buffer is write-locked and per-level
+block sums and the prefix table are memoized (idempotent, so concurrent
 readers are fine).
 """
 
@@ -34,6 +35,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 
+from ._blocks import blocked, in_block, root_box
 from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, OutOfDomainError
 
@@ -55,14 +57,14 @@ Mode = Literal["fixed", "f64"]
 _GUARD_BITS = 62
 
 
-def int64_fits(magnitude: int, headroom_bits: int = 0) -> bool:
-    """True when magnitude * 2^headroom_bits stays below 2^62.
+def int64_fits(magnitude: int) -> bool:
+    """True when |magnitude| stays below 2^62.
 
     The one overflow rule for fixed-mode int64 arithmetic: a grid keeps
     int64 cells while |value| * 2^{2Ln+3} fits, which bounds every
     block sum and scaled comparison made on it.
     """
-    return int(magnitude).bit_length() + headroom_bits <= _GUARD_BITS
+    return int(magnitude).bit_length() <= _GUARD_BITS
 
 
 def _magnitude(arr: np.ndarray) -> int:
@@ -70,15 +72,27 @@ def _magnitude(arr: np.ndarray) -> int:
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
 
 
+def exact(arr: np.ndarray, bound: int) -> np.ndarray:
+    """``arr`` as int64 when int64_fits(bound), else as Python ints (object dtype).
+
+    ``bound`` is the largest magnitude the caller will compute from
+    ``arr``, scalar operands included.
+    """
+    return arr.astype(np.int64 if int64_fits(bound) else object)
+
+
+def _affine(arr: np.ndarray, mul: int, add: int) -> np.ndarray:
+    """arr * mul + add for integer cells, exact on the dtype :func:`exact` picks."""
+    bound = max(_magnitude(arr), 1) * abs(mul) + abs(add)
+    return exact(arr, bound) * mul + add
+
+
 def _cube_slices(n: int, L: int, cube: DyadicCube) -> tuple[slice, ...]:
     if cube.n != n:
         raise OutOfDomainError(f"cube dimension {cube.n} != grid dimension {n}")
     if cube.level > L:
         raise OutOfDomainError(f"cube level {cube.level} is below grid resolution {L}")
-    w = 1 << (L - cube.level)
-    sl = [slice(s * w, (s + 1) * w) for s in cube.spatial]
-    sl.append(slice(cube.time * w, (cube.time + 1) * w))
-    return tuple(sl)
+    return root_box(cube, L)
 
 
 class GridFunction:
@@ -113,21 +127,20 @@ class GridFunction:
             if denom is None or int(denom) <= 0:
                 raise GridFormatError("fixed mode requires a positive denominator")
             self.denom = int(denom)
-            if arr.dtype.kind == "f" and not isinstance(values, np.ndarray):
-                # numpy reads a list holding an int in [2^63, 2^64) as float64
-                arr = np.array(values, dtype=object)
-            if arr.dtype.kind == "f":
-                if not np.all(arr == np.trunc(arr)):
-                    raise GridFormatError("fixed mode requires integer numerators")
-                arr = arr.astype(np.int64)
             if arr.dtype.kind not in "biu":
+                if not isinstance(values, np.ndarray):
+                    # numpy reads a list holding an int in [2^63, 2^64) as float64
+                    arr = np.array(values, dtype=object)
                 flat = arr.ravel().tolist()
-                ints = [int(v) for v in flat]
+                try:
+                    ints = [int(v) for v in flat]
+                except (TypeError, ValueError, OverflowError) as exc:
+                    raise GridFormatError("fixed mode requires integer numerators") from exc
                 if ints != flat:
                     raise GridFormatError("fixed mode requires integer numerators")
                 arr = np.array(ints, dtype=object)
-            fits = int64_fits(_magnitude(arr), 2 * self.L * self.n + 3)
-            self.values = arr.astype(np.int64 if fits else object).reshape(shape)
+            bound = _magnitude(arr) << (2 * self.L * self.n + 3)
+            self.values = exact(arr, bound).reshape(shape)
         else:
             if denom is not None:
                 raise GridFormatError("f64 mode takes no denominator")
@@ -208,14 +221,7 @@ class GridFunction:
         cached = self._block_sums_cache.get(k)
         if cached is not None:
             return cached
-        w = self.side >> k
-        shape: list[int] = []
-        for _ in range(self.n - 1):
-            shape += [1 << k, w]
-        shape += [3 << k, w]
-        inter = self.values.reshape(shape)
-        within = tuple(range(1, 2 * self.n, 2))
-        sums = inter.sum(axis=within)
+        sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
         sums.setflags(write=False)
         self._block_sums_cache[k] = sums
         return sums
@@ -338,9 +344,7 @@ def _count_above(f: GridFunction, arr: np.ndarray, ref_avg, lam) -> int:
     # and for integer a*rd that holds iff a*rd > floor of the right side
     thr_num = lam.numerator * d * rd + rn * d * lam.denominator
     thr = thr_num // lam.denominator  # a*rd > thr  <=>  strict inequality
-    if arr.dtype == np.int64 and int64_fits(_magnitude(arr) * rd, 1) and int64_fits(thr):
-        return int((arr * rd > thr).sum())
-    return sum(1 for a in arr.ravel().tolist() if a * rd > thr)
+    return int((_affine(arr, rd, -thr) > 0).sum())
 
 
 def distribution_measure(f: GridFunction, root: DyadicCube | None, lam) -> Fraction:
@@ -378,11 +382,7 @@ def offset_positive_part(f: GridFunction, ref: DyadicCube) -> GridFunction:
         d = f.denom
         new_denom = math.lcm(d, ravg.denominator)
         sa, sr = new_denom // d, ravg.numerator * (new_denom // ravg.denominator)
-        arr = f.values
-        if arr.dtype == np.int64 and int64_fits(_magnitude(arr) * sa + abs(sr), 1):
-            vals = np.maximum(arr * sa - sr, 0)
-        else:
-            vals = [max(a * sa - sr, 0) for a in arr.ravel().tolist()]
+        vals = np.maximum(_affine(f.values, sa, -sr), 0)
         return GridFunction(f.n, f.L, vals, "fixed", new_denom)
     return GridFunction(f.n, f.L, np.maximum(f.values - ravg, 0.0), "f64")
 
@@ -393,7 +393,7 @@ def scale_values(f: GridFunction, c) -> GridFunction:
         c = Fraction(c)
         if c < 0:
             raise OutOfDomainError("scaling factor must be >= 0")
-        vals = [int(a) * c.numerator for a in f.values.ravel().tolist()]
+        vals = _affine(f.values, c.numerator, 0)
         return GridFunction(f.n, f.L, vals, "fixed", f.denom * c.denominator)
     return GridFunction(f.n, f.L, f.values * float(c), "f64")
 
@@ -402,10 +402,7 @@ def shift_values(f: GridFunction, s) -> GridFunction:
     """f + s for a rational (fixed) or float (f64) constant s."""
     if f.is_fixed:
         s = Fraction(s)
-        vals = [
-            int(a) * s.denominator + s.numerator * f.denom
-            for a in f.values.ravel().tolist()
-        ]
+        vals = _affine(f.values, s.denominator, s.numerator * f.denom)
         return GridFunction(f.n, f.L, vals, "fixed", f.denom * s.denominator)
     return GridFunction(f.n, f.L, f.values + float(s), "f64")
 

@@ -87,16 +87,12 @@ def save_grid(f: GridFunction, path: str) -> None:
             fh.write("\n")
         return
     if f.is_fixed:
-        if f.values.dtype == object:
-            flat = f.values.ravel().tolist()
-            if any(not (_INT64_MIN <= v <= _INT64_MAX) for v in flat):
-                raise GridFormatError(
-                    "values: fixed-mode numerators exceed int64; "
-                    "use the .json form for big-integer grids"
-                )
-            payload = np.array(flat, dtype="<i8")
-        else:
-            payload = f.values.astype("<i8").ravel()
+        if int(f.values.min()) < _INT64_MIN or int(f.values.max()) > _INT64_MAX:
+            raise GridFormatError(
+                "values: fixed-mode numerators exceed int64; "
+                "use the .json form for big-integer grids"
+            )
+        payload = f.values.astype("<i8").ravel()
     else:
         payload = f.values.astype("<f8").ravel()
     with open_for_write(path, binary=True) as fh:

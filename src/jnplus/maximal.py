@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._blocks import block_count, covering_sweep, level_sums, root_box, upsample
+from ._blocks import block_count, block_cubes, covering_sweep, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward, parent, volume
 from .errors import InvalidParamsError, NegativeInputError
 from .grid import GridFunction, average, int64_fits, resolve_root
@@ -255,10 +255,7 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     lam_n = Fraction(lam) if f.is_fixed else float(lam)
     stopping: list[DyadicCube] = []
     for k, emit in stopping_levels(f, root, lam_n):
-        sh = k - root.level
-        for idx in np.argwhere(emit).tolist():
-            sp = tuple(root.spatial[i] * (1 << sh) + idx[i] for i in range(f.n - 1))
-            stopping.append(DyadicCube(k, sp, root.time * (1 << sh) + idx[-1]))
+        stopping += block_cubes(root, k, np.argwhere(emit))
     subfamily, groups = select_subfamily(stopping)
     return Decomposition(root, lam_n, stopping, subfamily, groups)
 

@@ -53,6 +53,7 @@ from ._blocks import (
     _shift_time,
     absdev_sums,
     block_count,
+    block_cubes,
     children_sum,
     clamped_sums,
     covering_sweep,
@@ -221,10 +222,7 @@ class Witness:
             cubes: list[DyadicCube] = []
             weights: list = []
             for k, idx, raw in self._levels:
-                sh = k - root.level
-                base = np.array(root.spatial + (root.time,), dtype=np.int64) << sh
-                for row in (idx + base).tolist():
-                    cubes.append(DyadicCube(k, tuple(row[:-1]), row[-1]))
+                cubes += block_cubes(root, k, idx)
                 weights += [to_weight(w) for w in raw.tolist()]
             self._lists = (cubes, weights)
             self._levels = []
@@ -306,13 +304,6 @@ def _tree_dp(
     return best[(0,) * n], levels
 
 
-def _as_objects(arr: np.ndarray) -> np.ndarray:
-    # Python-int elements so powering cannot overflow
-    out = np.empty(arr.shape, dtype=object)
-    out[...] = arr.tolist()
-    return out
-
-
 def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
     # per block Q: sum over Q ∪ Q+ of max(value*N - sum over Q++, 0)
     return clamped_sums(f, k, 2) + _shift_time(clamped_sums(f, k, 1), 1)
@@ -337,7 +328,8 @@ def _level_weights(
             T = absdev_sums(f, k)[root_box(root, k)]
             half = 1
         if exact:
-            phi[k] = _as_objects(T) ** p_int * (1 << (k * f.n * (2 * p_int - 1)))
+            # Python-int elements so powering cannot overflow
+            phi[k] = T.astype(object) ** p_int * (1 << (k * f.n * (2 * p_int - 1)))
         else:
             N = block_count(f, k)
             scale = float(half * N * N * (f.denom if f.is_fixed else 1))
@@ -397,7 +389,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
     root = resolve_root(f, root)
     best_num: object | None = None
     best_den = 1
-    best_at: tuple[int, tuple[int, ...]] | None = None
+    best_at: tuple[int, np.ndarray] | None = None
     for k in range(root.level, f.L + 1):
         if kind == "bmo-plus":
             arr = clamped_sums(f, k, 1)[root_box(root, k)]
@@ -414,13 +406,9 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
             num, den = m / (half * N * N), 1
         if best_num is None or num * best_den > best_num * den:
             best_num, best_den = num, den
-            loc = np.argwhere(arr == arr.max())[0]
-            best_at = (k, tuple(int(i) for i in loc))
+            best_at = (k, np.argwhere(arr == arr.max())[:1])
     assert best_at is not None
-    k, idx = best_at
-    sh = k - root.level
-    sp = tuple(root.spatial[i] * (1 << sh) + idx[i] for i in range(f.n - 1))
-    cube = DyadicCube(k, sp, root.time * (1 << sh) + idx[-1])
+    cube = block_cubes(root, *best_at)[0]
     val = Fraction(best_num, best_den) if f.is_fixed else float(best_num)
     return SeminormResult(
         functional=kind,

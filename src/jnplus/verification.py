@@ -45,7 +45,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._blocks import level_sums
+from ._blocks import block_cubes, level_sums
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
@@ -59,6 +59,7 @@ from .maximal import (
     MaximalField,
     maximal_function,
     positive_part_field,
+    rel_slices,
     stopping_levels,
 )
 from .reports import VerificationReport, jsonify, scalar_json
@@ -209,15 +210,8 @@ def good_lambda_check(
         one_minus = (1 - (1 << f.n) * b) * lamN
         for (k, chosen), h in zip(stopping, hits):
             # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
-            sh = k - root.level
-            w = 1 << (f.L - k)
-            for idx in np.argwhere(chosen & (h > 0)).tolist():
-                sub = E_mask[tuple(slice(i * w, (i + 1) * w) for i in idx)]
-                c = DyadicCube(
-                    k,
-                    tuple((s << sh) + i for s, i in zip(root.spatial, idx)),
-                    (root.time << sh) + idx[-1],
-                )
+            for c in block_cubes(root, k, np.argwhere(chosen & (h > 0))):
+                sub = E_mask[rel_slices(f, root, c)]
                 local = maximal_function(ctx.g, c, "grid")
                 if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
                     p6_ok = False

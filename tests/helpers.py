@@ -54,6 +54,13 @@ def naive_pos_part_average(f: GridFunction, domain, base: DyadicCube, ref: Dyadi
     return sum(vals) / len(vals)
 
 
+def naive_distribution_measure(f: GridFunction, root: DyadicCube, lam) -> Fraction:
+    """|{x in root : f(x) - mean(f over root++) > lam}|, cell by cell."""
+    r = naive_average(f, forward(root, 2))
+    count = sum(1 for idx in cells_of(f, root) if cell_value(f, idx) - r > lam)
+    return Fraction(count, 1 << (f.L * f.n))
+
+
 def ancestors_within(f: GridFunction, idx: tuple[int, ...], root: DyadicCube):
     """Dyadic cubes Q with root ⊇ Q ∋ cell idx, one per level."""
     out = []

@@ -24,14 +24,25 @@ from jnplus import (
     shift_values,
     subcubes,
 )
+from jnplus.grid import exact
 
 from helpers import (
     cell_value,
     naive_average,
     naive_block_sum,
+    naive_distribution_measure,
     naive_pos_part_average,
     random_fixed_grid,
 )
+
+
+def both_dtypes(f):
+    """An int64 grid and the same function on Python-int numerators 2^60 times larger."""
+    assert f.values.dtype == np.int64
+    big = 1 << 60
+    g = GridFunction(f.n, f.L, f.values.astype(object) * big, "fixed", f.denom * big)
+    assert g.values.dtype == object or not f.values.any()
+    return [f, g]
 
 
 @st.composite
@@ -56,6 +67,10 @@ def test_construction_validation():
         GridFunction(1, 1, [0] * 6, "fixed", 0)
     with pytest.raises(GridFormatError):
         GridFunction(1, 1, [0.5] * 6, "fixed", 4)  # non-integer numerators
+    for bad in (np.inf, -np.inf, np.nan, 0.5):
+        for given in ([bad] + [0] * 5, np.array([bad] + [0] * 5)):
+            with pytest.raises(GridFormatError):
+                GridFunction(1, 1, given, "fixed", 1)
     with pytest.raises(GridFormatError):
         GridFunction(1, 1, [0] * 6, "f64", 4)  # denom is fixed-mode only
 
@@ -110,20 +125,22 @@ def test_prefix_box_sums():
 def test_distribution_measure_counts_cells():
     # f = 4 on [3/4,1), reference box is [2,3) where f = 0
     vals = [0, 0, 0, 4] + [0] * 8
-    f = GridFunction(1, 2, np.array(vals), "fixed", 1)
     root = root_cube(1)
-    assert distribution_measure(f, root, Fraction(1)) == Fraction(1, 4)
-    assert distribution_measure(f, root, Fraction(4)) == 0  # strict
-    assert distribution_measure(f, root, Fraction(7, 2)) == Fraction(1, 4)
+    for f in both_dtypes(GridFunction(1, 2, np.array(vals), "fixed", 1)):
+        # strict: at lam = 4 the cell of value 4 does not count
+        for lam, want in ((1, Fraction(1, 4)), (4, 0), (Fraction(7, 2), Fraction(1, 4))):
+            assert distribution_measure(f, root, lam) == want
+            assert naive_distribution_measure(f, root, lam) == want
 
 
 def test_distribution_measure_with_offset_reference():
     # reference mean is 1, so cells count when f > lam + 1
     vals = [0, 2, 3, 4] + [0] * 4 + [1] * 4
-    f = GridFunction(1, 2, np.array(vals), "fixed", 1)
     root = root_cube(1)
-    assert distribution_measure(f, root, Fraction(1)) == Fraction(2, 4)
-    assert distribution_measure(f, root, Fraction(3)) == 0
+    for f in both_dtypes(GridFunction(1, 2, np.array(vals), "fixed", 1)):
+        for lam, want in ((1, Fraction(2, 4)), (3, 0)):
+            assert distribution_measure(f, root, lam) == want
+            assert naive_distribution_measure(f, root, lam) == want
 
 
 @settings(max_examples=25, deadline=None)
@@ -131,28 +148,31 @@ def test_distribution_measure_with_offset_reference():
 def test_offset_positive_part_matches_cells(f):
     root = root_cube(f.n)
     ref = forward(root, 2)
-    g = offset_positive_part(f, ref)
-    r = naive_average(f, ref)
-    assert g.is_fixed
-    for idx in np.ndindex(*f.shape):
-        assert cell_value(g, idx) == max(cell_value(f, idx) - r, 0)
+    for f in both_dtypes(f):
+        g = offset_positive_part(f, ref)
+        r = naive_average(f, ref)
+        assert g.is_fixed
+        for idx in np.ndindex(*f.shape):
+            assert cell_value(g, idx) == max(cell_value(f, idx) - r, 0)
 
 
 def test_scale_shift_refine_exact():
     rng = np.random.default_rng(5)
-    f = random_fixed_grid(rng, 1, 2)
     root = root_cube(1)
+    for f in both_dtypes(random_fixed_grid(rng, 1, 2)):
+        g = scale_values(f, Fraction(3, 2))
+        assert average(g, root) == Fraction(3, 2) * naive_average(f, root)
 
-    g = scale_values(f, Fraction(3, 2))
-    assert average(g, root) == Fraction(3, 2) * average(f, root)
+        h = shift_values(f, Fraction(1, 3))
+        assert average(h, root) == naive_average(f, root) + Fraction(1, 3)
+        for idx in np.ndindex(*f.shape):
+            assert cell_value(g, idx) == Fraction(3, 2) * cell_value(f, idx)
+            assert cell_value(h, idx) == cell_value(f, idx) + Fraction(1, 3)
 
-    h = shift_values(f, Fraction(1, 3))
-    assert average(h, root) == average(f, root) + Fraction(1, 3)
-
-    r = refine(f)
-    assert r.L == f.L + 1
-    for c in grid_cubes(f):
-        assert average(r, c) == average(f, c)
+        r = refine(f)
+        assert r.L == f.L + 1
+        for c in grid_cubes(f):
+            assert average(r, c) == average(f, c)
 
 
 def test_block_sums_match_prefix():
@@ -221,6 +241,8 @@ def test_int64_guard_boundary_from_both_sides(n, L):
             vals[1] = sign * top
             for given in (vals.astype(np.int64), vals.tolist()):
                 f = GridFunction(n, L, given, "fixed", 3)
+                # the constructor's bound is |cell| * 2^{2Ln+3}
+                assert exact(np.array(given), top << (2 * L * n + 3)).dtype == want
                 assert f.values.dtype == want, (top, sign, type(given))
                 assert [int(v) for v in f.values.ravel().tolist()] == vals.tolist()
                 _assert_block_sums_naive(f)
@@ -253,6 +275,13 @@ def test_int64_extremes_and_unsigned_input():
         _assert_block_sums_naive(f)
     with pytest.raises(GridFormatError):
         GridFunction(n, L, [2**63, 0.5, 0, 0, 0, 0], "fixed", 1)
+
+    # integral floats are kept exactly, past int64 too
+    for top in (float(limit - 1), 1e20, 2.0**63, -(2.0**63)):
+        for given in ([top, 0, 0, 0, 0, 1], np.array([top, 0, 0, 0, 0, 1])):
+            f = GridFunction(n, L, given, "fixed", 1)
+            assert f.values.tolist() == [int(top), 0, 0, 0, 0, 1]
+            assert f.values.dtype == (np.int64 if top == limit - 1 else object)
 
 
 def test_offset_positive_part_on_lcm_denominator_stays_int64():

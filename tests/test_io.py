@@ -143,6 +143,17 @@ def test_non_integer_fixed_values_rejected(tmp_path):
 
 
 def test_big_integers_need_json(tmp_path):
+    # object-dtype grids whose numerators fit int64 still use the binary form
+    int64_max, int64_min = (1 << 63) - 1, -(1 << 63)
+    for fits in ([int64_max, 0, 1], [int64_min, 0, 1], [1 << 62, -(1 << 62), 5]):
+        f = GridFunction(1, 0, fits, "fixed", 1)
+        assert f.values.dtype == object
+        save_grid(f, str(tmp_path / "fits.bin"))
+        assert load_grid(str(tmp_path / "fits.bin")).equals(f)
+    for over in ([1 << 63, 0, 0], [0, 0, int64_min - 1]):
+        with pytest.raises(GridFormatError, match="int64"):
+            save_grid(GridFunction(1, 0, over, "fixed", 1), str(tmp_path / "over.bin"))
+
     big = 1 << 70
     f = GridFunction(1, 0, [big, 0, 0], "fixed", 1)
     with pytest.raises(GridFormatError, match="int64"):
