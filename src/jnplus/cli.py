@@ -30,11 +30,11 @@ from fractions import Fraction
 
 from . import __version__
 from .corpus import GeneratorSpec, gen as generate
-from .errors import JnplusError
+from .errors import InvalidParamsError, JnplusError
 from .grid import GridFunction
 from .gridio import load_grid, open_for_write, save_grid
 from .maximal import cz_decompose, maximal_function
-from .reports import canonical_json, jsonify, scalar_json
+from .reports import canonical_json, jsonify
 from .seminorms import (
     antichain_oracle,
     bmo_plus_dyadic,
@@ -42,13 +42,7 @@ from .seminorms import (
     jnp_classical_dyadic,
     jnp_plus_dyadic,
 )
-from .verification import (
-    LemmaContext,
-    default_lambda_grid,
-    good_lambda_check,
-    lemma_params,
-    theorem_check,
-)
+from .verification import default_lambda_grid, lemma_params, lemma_sweep, theorem_check
 
 __all__ = ["main", "build_parser"]
 
@@ -79,10 +73,11 @@ def _parse_lambdas(text: str, f: GridFunction):
         return None
     out = []
     for tok in text.split(","):
-        lam = Fraction(tok.strip())
-        out.append(lam if f.is_fixed else float(lam))
-    if not out:
-        raise JnplusError("empty lambda list")
+        try:
+            lam = Fraction(tok)
+            out.append(lam if f.is_fixed else float(lam))
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise InvalidParamsError(f"bad --lambda value {tok!r}") from None
     return out
 
 
@@ -115,11 +110,11 @@ def _cmd_gen(args) -> int:
     save_grid(f, args.out)
     _emit(
         {
-            "spec": spec.to_json_dict(),
+            "spec": spec,
             "out": args.out,
             "cells": int(f.values.size),
-            "min": scalar_json(f.min_value()),
-            "max": scalar_json(f.max_value()),
+            "min": f.min_value(),
+            "max": f.max_value(),
         },
         None,
     )
@@ -132,14 +127,13 @@ def _cmd_seminorm(args) -> int:
     classical = jnp_classical_dyadic(f, args.p)
     bmo = bmo_plus_dyadic(f)
     limit = bmo_plus_limit_form(f)
-    ratio = bmo.value / limit.value if limit.value > 0 else None
     _emit(
         {
-            "jnp-plus": plus.to_json_dict(),
-            "jnp-classical": classical.to_json_dict(),
-            "bmo-plus": bmo.to_json_dict(),
-            "bmo-limit": limit.to_json_dict(),
-            "bmo-over-limit": scalar_json(ratio) if ratio is not None else None,
+            "jnp-plus": plus,
+            "jnp-classical": classical,
+            "bmo-plus": bmo,
+            "bmo-limit": limit,
+            "bmo-over-limit": bmo.value / limit.value if limit.value > 0 else None,
         },
         args.out,
     )
@@ -153,11 +147,11 @@ def _cmd_maximal(args) -> int:
         "variant": field.variant,
         "mode": field.mode,
         "cells": int(field.values.size),
-        "max": scalar_json(field.max_value()),
-        "min": scalar_json(field.min_value()),
+        "max": field.max_value(),
+        "min": field.min_value(),
     }
     if args.out:
-        doc = dict(summary)
+        doc = jsonify(summary)
         doc["denom-scale"] = field.denom_scale
         doc["values"] = field.values.tolist()
         with open_for_write(args.out) as fh:
@@ -175,7 +169,7 @@ def _cmd_decompose(args) -> int:
         b = args.b if args.b is not None else Fraction(1, 1 << (f.n + 1))
         lambdas = default_lambda_grid(f, p, b)
     decs = [cz_decompose(f, None, lam) for lam in lambdas]
-    _emit({"decompositions": [d.to_json_dict() for d in decs]}, args.out)
+    _emit({"decompositions": decs}, args.out)
     return 0
 
 
@@ -187,20 +181,16 @@ def _fail(ids) -> int:
 def _cmd_good_lambda(args) -> int:
     f = load_grid(args.input)
     params = lemma_params(f.n, args.p, args.b)
-    ctx = LemmaContext(f, None, params.p)
     lambdas = _parse_lambdas(args.lambdas, f)
-    if lambdas is None:
-        lambdas = default_lambda_grid(
-            f, args.p, args.b, root=ctx.root, seminorm=ctx.seminorm, g=ctx.g
-        )
-    reports = [good_lambda_check(f, params, lam, ctx=ctx) for lam in lambdas]
+    K = jnp_plus_dyadic(f, params.p)
+    reports = lemma_sweep(f, params.p, params.b, lambdas, seminorm=K)
 
     failed = [i for r in reports for i in r.details.get("failed-ids", [])]
     _emit(
         {
-            "params": params.to_json_dict(),
-            "K": scalar_json(ctx.seminorm.value),
-            "reports": [r.to_json_dict() for r in reports],
+            "params": params,
+            "K": K.value,
+            "reports": reports,
             "admissible-count": sum(1 for r in reports if r.admissible),
             "pass": not failed,
             "failed": sorted(set(failed)),
@@ -217,14 +207,14 @@ def _cmd_theorem(args) -> int:
     if args.csv:
         with open_for_write(args.csv) as fh:
             fh.write(run.to_csv())
-    _emit(run.to_json_dict(), args.out)
+    _emit(run, args.out)
     return _fail(run.failed_ids()) if not run.passed else 0
 
 
 def _cmd_oracle(args) -> int:
     f = load_grid(args.input)
     res = antichain_oracle(f, args.p, functional=args.functional)
-    _emit(res.to_json_dict(), args.out)
+    _emit(res, args.out)
     return 0
 
 

@@ -145,7 +145,10 @@ class GridFunction:
             if denom is not None:
                 raise GridFormatError("f64 mode takes no denominator")
             self.denom = None
-            buf = arr.astype(np.float64).reshape(shape)
+            try:
+                buf = arr.astype(np.float64).reshape(shape)
+            except OverflowError as exc:  # a Python int past the float64 range
+                raise GridFormatError("f64 values must be finite") from exc
             if not np.all(np.isfinite(buf)):
                 raise GridFormatError("f64 values must be finite")
             self.values = buf.copy()

@@ -105,20 +105,22 @@ def save_grid(f: GridFunction, path: str) -> None:
 def _check_header(doc: dict, where: str) -> tuple[int, int, str, int | None]:
     if not isinstance(doc, dict):
         raise GridFormatError(f"{where}: header must be a JSON object")
-    if doc.get("version") != 1:
-        raise GridFormatError(f"version: expected 1, got {doc.get('version')!r}")
+    # exact type checks: JSON true/false load as bool, a subclass of int
+    version = doc.get("version")
+    if type(version) is not int or version != 1:
+        raise GridFormatError(f"version: expected 1, got {version!r}")
     n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise GridFormatError(f"n: expected a positive integer, got {n!r}")
     L = doc.get("L")
-    if not isinstance(L, int) or L < 0:
+    if type(L) is not int or L < 0:
         raise GridFormatError(f"L: expected a nonnegative integer, got {L!r}")
     mode = doc.get("mode")
     if mode not in ("f64", "fixed"):
         raise GridFormatError(f"mode: expected 'f64' or 'fixed', got {mode!r}")
     denom = doc.get("denom")
     if mode == "fixed":
-        if not isinstance(denom, int) or denom <= 0:
+        if type(denom) is not int or denom <= 0:
             raise GridFormatError(
                 f"denom: fixed mode requires a positive integer, got {denom!r}"
             )
@@ -142,14 +144,13 @@ def load_grid(path: str) -> GridFunction:
         if "values" not in doc:
             raise GridFormatError("values: missing from JSON grid")
         try:
-            arr = np.asarray(doc["values"], dtype=object if mode == "fixed" else np.float64)
+            flat = np.asarray(doc["values"], dtype=object).ravel()
         except (TypeError, ValueError) as exc:
             raise GridFormatError(f"values: not a numeric array ({exc})") from exc
-        if mode == "fixed":
-            flat = arr.ravel().tolist()
-            if any(not isinstance(v, int) for v in flat):
-                raise GridFormatError("values: fixed mode requires integer numerators")
-        return GridFunction(n, L, arr.ravel(), mode, denom)
+        kinds = (int,) if mode == "fixed" else (int, float)
+        if not all(type(v) in kinds for v in flat.tolist()):
+            raise GridFormatError("values: expected numbers, integer numerators in fixed mode")
+        return GridFunction(n, L, flat, mode, denom)
 
     sidecar = path + ".json"
     if not os.path.exists(sidecar):

@@ -203,15 +203,13 @@ class Decomposition:
         return sum((volume(self.stopping[j]) for j in self.subfamily), Fraction(0))
 
     def to_json_dict(self) -> dict:
-        from .reports import jsonify, scalar_json
-
         return {
-            "root": jsonify(self.root),
-            "lambda": scalar_json(self.threshold),
-            "stopping": jsonify(self.stopping),
-            "subfamily": list(self.subfamily),
-            "groups": {str(j): sorted(ids) for j, ids in sorted(self.groups.items())},
-            "total-volume": scalar_json(self.total_volume()),
+            "root": self.root,
+            "lambda": self.threshold,
+            "stopping": self.stopping,
+            "subfamily": self.subfamily,
+            "groups": {j: sorted(ids) for j, ids in self.groups.items()},
+            "total-volume": self.total_volume(),
         }
 
 

@@ -3,6 +3,9 @@
 Failed mathematical assertions are reported, not raised: every check
 returns a :class:`VerificationReport` whose ``inequality_id`` names the
 claim being tested, so a CLI exit can say exactly which link broke.
+A report object's ``to_json_dict`` returns its fields by report key as
+plain values; :func:`jsonify` is the only converter, and
+:func:`canonical_json` runs it once over the whole document.
 Serialization is canonical (sorted keys, stable float repr, exact
 rational strings alongside decimals in fixed mode) so identical inputs
 produce byte-identical reports.
@@ -12,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, is_dataclass, asdict
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
@@ -42,7 +45,7 @@ def scalar_json(x: Any) -> Any:
 
 
 def jsonify(obj: Any) -> Any:
-    """Recursively convert package objects to JSON-serializable values."""
+    """Recursively convert package and report objects to JSON-serializable values."""
     if isinstance(obj, (Fraction, float)):
         return scalar_json(obj)
     if isinstance(obj, DyadicCube):
@@ -51,10 +54,8 @@ def jsonify(obj: Any) -> Any:
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonify(v) for v in obj]
-    if is_dataclass(obj) and not isinstance(obj, type):
-        if hasattr(obj, "to_json_dict"):
-            return obj.to_json_dict()
-        return jsonify(asdict(obj))
+    if hasattr(obj, "to_json_dict"):
+        return jsonify(obj.to_json_dict())
     return obj
 
 
@@ -84,12 +85,12 @@ class VerificationReport:
     def to_json_dict(self) -> dict:
         out = {
             "inequality-id": self.inequality_id,
-            "lhs": scalar_json(self.lhs),
-            "rhs": scalar_json(self.rhs),
+            "lhs": self.lhs,
+            "rhs": self.rhs,
             "admissible": self.admissible,
             "pass": self.passed,
             "exact": self.exact,
-            "details": jsonify(self.details),
+            "details": self.details,
         }
         if self.lhs_exact is not None:
             out["lhs-exact"] = self.lhs_exact

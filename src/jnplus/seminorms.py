@@ -62,7 +62,6 @@ from ._blocks import (
 from .cubes import DyadicCube, children, contains, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, average, pos_part_average, resolve_root
-from .reports import jsonify, scalar_json
 
 __all__ = [
     "CubeFamily",
@@ -265,15 +264,15 @@ class SeminormResult:
     def to_json_dict(self) -> dict:
         return {
             "functional": self.functional,
-            "p": scalar_json(self.p) if self.p is not None else None,
-            "value": scalar_json(self.value),
-            "weight": scalar_json(self.weight),
+            "p": self.p,
+            "value": self.value,
+            "weight": self.weight,
             "exact": self.exact,
             "mode": self.mode,
-            "root": jsonify(self.root),
-            "witness": jsonify(self.witness),
-            "witness-weights": [scalar_json(w) for w in self.witness_weights],
-            "details": jsonify(self.details),
+            "root": self.root,
+            "witness": self.witness,
+            "witness-weights": self.witness_weights,
+            "details": self.details,
         }
 
 

@@ -62,7 +62,7 @@ from .maximal import (
     rel_slices,
     stopping_levels,
 )
-from .reports import VerificationReport, jsonify, scalar_json
+from .reports import VerificationReport
 from .seminorms import SeminormResult, jnp_plus_dyadic, _norm_exponent
 
 __all__ = [
@@ -100,10 +100,10 @@ class LemmaParams:
     def to_json_dict(self) -> dict:
         return {
             "n": self.n,
-            "p": scalar_json(self.p),
-            "q": scalar_json(self.q),
-            "b": scalar_json(self.b),
-            "a": scalar_json(self.a),
+            "p": self.p,
+            "q": self.q,
+            "b": self.b,
+            "a": self.a,
         }
 
 
@@ -386,22 +386,22 @@ class TheoremRun:
 
     def to_json_dict(self) -> dict:
         return {
-            "p": scalar_json(self.p),
-            "b": scalar_json(self.b),
-            "root": jsonify(self.root),
-            "K": scalar_json(self.K),
-            "K-weight": scalar_json(self.K_weight),
-            "lambda0": scalar_json(self.lam0),
-            "C-proof": scalar_json(self.C_proof),
-            "C-empirical-grid": scalar_json(self.C_emp_grid),
-            "C-empirical-augmented": scalar_json(self.C_emp_aug),
-            "p11-lhs": scalar_json(self.p11_lhs),
-            "p11-rhs": scalar_json(self.p11_rhs),
+            "p": self.p,
+            "b": self.b,
+            "root": self.root,
+            "K": self.K,
+            "K-weight": self.K_weight,
+            "lambda0": self.lam0,
+            "C-proof": self.C_proof,
+            "C-empirical-grid": self.C_emp_grid,
+            "C-empirical-augmented": self.C_emp_aug,
+            "p11-lhs": self.p11_lhs,
+            "p11-rhs": self.p11_rhs,
             "pass": self.passed,
             "pass-p9": self.passed_p9,
             "pass-p11": self.passed_p11,
             "pass-dist": self.passed_dist,
-            "records": jsonify(self.records),
+            "records": self.records,
         }
 
     def to_csv(self) -> str:
@@ -437,10 +437,8 @@ def theorem_check(
     distribution <= |E_aug| comparison is exact.
     """
     params = lemma_params(f.n, p, b)
-    root = resolve_root(f, root)
-    K = seminorm or jnp_plus_dyadic(f, p, root)
-    g = offset_positive_part(f, forward(root, 2))
-    field_g = maximal_function(g, root, "grid")
+    ctx = LemmaContext(f, root, params.p, seminorm)
+    root, K, g, field_g = ctx.root, ctx.seminorm, ctx.g, ctx.field
     field_a = maximal_function(g, root, "augmented")
     if lambdas is None:
         lambdas = default_lambda_grid(f, p, b, root=root, seminorm=K, g=g)

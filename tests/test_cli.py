@@ -182,7 +182,7 @@ def test_exit_2_on_bad_input(tmp_path, capsys):
     assert "error" in stderr.lower()
 
 
-def test_exit_2_on_bad_params(example_path, capsys):
+def test_exit_2_on_bad_params(example_path, tmp_path, capsys):
     # p <= 1 is outside the exponent domain
     code, _, stderr = run(
         capsys, "verify", "theorem", "--input", example_path, "--p", "1", "--b", "1/4"
@@ -193,6 +193,22 @@ def test_exit_2_on_bad_params(example_path, capsys):
         capsys, "verify", "theorem", "--input", example_path, "--p", "2", "--b", "1/2"
     )
     assert code == 2
+    # a malformed --lambda is an input error naming the bad token
+    f64_path = str(tmp_path / "f64.grid")
+    save_grid(gen(GeneratorSpec(kind="uniform-random", n=1, L=2, mode="f64")), f64_path)
+    params = ("--p", "2", "--b", "1/8")
+    verify = (("verify", "good-lambda") + params, ("verify", "theorem") + params)
+    for cmd in verify + (("decompose",),):
+        for path, lambdas, token in (
+            (example_path, "abc", "'abc'"),
+            (example_path, "1/0", "'1/0'"),
+            (example_path, "", "''"),
+            (example_path, "1,,2", "''"),
+            (f64_path, "1e400", "'1e400'"),
+        ):
+            code, _, stderr = run(capsys, *cmd, "--input", path, "--lambda", lambdas)
+            assert code == 2, (cmd, lambdas)
+            assert stderr.startswith("error: ") and token in stderr, (cmd, lambdas, stderr)
 
 
 def test_exit_2_on_oversized_oracle(tmp_path, capsys):

@@ -84,6 +84,12 @@ def test_header_field_errors(tmp_path):
         ("mode", "f32"),
         ("denom", 0),
         ("order", "space-fastest"),
+        # JSON booleans load as Python bools, which are ints
+        ("version", True),
+        ("version", 1.0),
+        ("n", True),
+        ("L", False),
+        ("denom", True),
     ]
     for key, value in bad:
         doc = dict(base)
@@ -128,18 +134,20 @@ def test_payload_size_mismatch(tmp_path):
 
 
 def test_non_integer_fixed_values_rejected(tmp_path):
-    doc = {
-        "version": 1,
-        "n": 1,
-        "L": 0,
-        "mode": "fixed",
-        "denom": 2,
-        "values": [0.5, 0, 0],
-    }
+    fixed = {"version": 1, "n": 1, "L": 0, "mode": "fixed", "denom": 2}
+    f64 = {"version": 1, "n": 1, "L": 0, "mode": "f64"}
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(GridFormatError, match="values"):
-        load_grid(str(path))
+    for header, values in (
+        (fixed, [0.5, 0, 0]),
+        (fixed, [True, False, True]),
+        (f64, [True, False, True]),
+        (f64, ["1.5", 0, 0]),
+        (f64, [None, 0, 0]),
+        (f64, [10**400, 0, 0]),
+    ):
+        path.write_text(json.dumps(dict(header, values=values)))
+        with pytest.raises(GridFormatError, match="values"):
+            load_grid(str(path))
 
 
 def test_big_integers_need_json(tmp_path):

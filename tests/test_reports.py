@@ -18,10 +18,20 @@ def test_scalar_json_forms():
 
 
 def test_jsonify_cube_and_nested():
-    doc = jsonify({"cube": DyadicCube(2, (1,), 5), "vals": [Fraction(1, 2), 7]})
+    class Report:
+        def to_json_dict(self):
+            return {"root": DyadicCube(0, (0,), 0), "weight": Fraction(1, 4)}
+
+    doc = jsonify(
+        {"cube": DyadicCube(2, (1,), 5), "vals": [Fraction(1, 2), 7], "report": Report()}
+    )
     assert doc == {
         "cube": {"level": 2, "spatial": [1], "time": 5},
         "vals": [{"decimal": "0.5", "exact": "1/2"}, 7],
+        "report": {
+            "root": {"level": 0, "spatial": [0], "time": 0},
+            "weight": {"decimal": "0.25", "exact": "1/4"},
+        },
     }
 
 
