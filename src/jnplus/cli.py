@@ -123,10 +123,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_seminorm(args) -> int:
     f = load_grid(args.input)
-    plus = jnp_plus_dyadic(f, args.p)
-    classical = jnp_classical_dyadic(f, args.p)
-    bmo = bmo_plus_dyadic(f)
-    limit = bmo_plus_limit_form(f)
+    with f.sharing_clamped_sums():  # jnp-plus and both bmo forms read the same sums
+        plus = jnp_plus_dyadic(f, args.p)
+        classical = jnp_classical_dyadic(f, args.p)
+        bmo = bmo_plus_dyadic(f)
+        limit = bmo_plus_limit_form(f)
     _emit(
         {
             "jnp-plus": plus,

@@ -36,7 +36,7 @@ from ._blocks import children_sum, upsample
 from .errors import InvalidSpecError
 from .grid import GridFunction
 
-__all__ = ["GeneratorSpec", "gen", "default_manifest", "bundled_example", "KINDS"]
+__all__ = ["GeneratorSpec", "gen", "default_manifest", "bundled_example", "KINDS", "MAX_CELLS"]
 
 KINDS = (
     "constant",
@@ -45,6 +45,10 @@ KINDS = (
     "time-step",
     "one-sided-power",
 )
+
+# Largest grid a spec may ask for: 3 * 2^(nL) cells over the extended domain.
+# It admits n=2, L=10 (3 * 2^20 cells, 24 MiB as int64).
+MAX_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,12 @@ class GeneratorSpec:
             raise InvalidSpecError(f"n must be >= 1, got {self.n}")
         if self.L < 0:
             raise InvalidSpecError(f"L must be >= 0, got {self.L}")
+        # compare exponents first so a huge L never builds a huge integer
+        if self.n * self.L >= MAX_CELLS.bit_length() or 3 << (self.n * self.L) > MAX_CELLS:
+            raise InvalidSpecError(
+                f"grid of 3*2^{self.n * self.L} cells (n={self.n}, L={self.L}) "
+                f"exceeds the limit of {MAX_CELLS} cells"
+            )
         if self.mode not in ("fixed", "f64"):
             raise InvalidSpecError(f"mode must be 'fixed' or 'f64', got {self.mode!r}")
         if self.denom <= 0:

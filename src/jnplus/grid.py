@@ -28,14 +28,15 @@ readers are fine).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from fractions import Fraction
-from typing import Iterable, Literal
+from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from ._blocks import blocked, in_block, root_box
+from ._blocks import blocked, clamped_sums, in_block, root_box
 from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, OutOfDomainError
 
@@ -154,6 +155,7 @@ class GridFunction:
             self.values = buf.copy()
         self.values.setflags(write=False)
         self._block_sums_cache: dict[int, np.ndarray] = {}
+        self._clamped_sums_cache: dict[tuple[int, int], np.ndarray] | None = None
         self._prefix: PrefixTable | None = None
 
     # -- basic geometry -------------------------------------------------
@@ -228,6 +230,31 @@ class GridFunction:
         sums.setflags(write=False)
         self._block_sums_cache[k] = sums
         return sums
+
+    def clamped_sums(self, k: int, offset: int) -> np.ndarray:
+        """:func:`_blocks.clamped_sums` of this grid at level k.
+
+        Memoized per (k, offset) only inside :meth:`sharing_clamped_sums`:
+        the arrays of all levels take several times the grid's memory, and
+        a caller that reads each one once should not keep them alive.
+        """
+        cache = self._clamped_sums_cache
+        if cache is None:
+            return clamped_sums(self, k, offset)
+        sums = cache.get((k, offset))
+        if sums is None:
+            sums = cache[k, offset] = clamped_sums(self, k, offset)
+            sums.setflags(write=False)
+        return sums
+
+    @contextlib.contextmanager
+    def sharing_clamped_sums(self) -> Iterator[None]:
+        """Memoize :meth:`clamped_sums` while several seminorms of this grid run."""
+        self._clamped_sums_cache = {}
+        try:
+            yield
+        finally:
+            self._clamped_sums_cache = None
 
     def prefix(self) -> "PrefixTable":
         if self._prefix is None:

@@ -55,7 +55,6 @@ from ._blocks import (
     block_count,
     block_cubes,
     children_sum,
-    clamped_sums,
     covering_sweep,
     root_box,
 )
@@ -305,7 +304,7 @@ def _tree_dp(
 
 def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
     # per block Q: sum over Q ∪ Q+ of max(value*N - sum over Q++, 0)
-    return clamped_sums(f, k, 2) + _shift_time(clamped_sums(f, k, 1), 1)
+    return f.clamped_sums(k, 2) + _shift_time(f.clamped_sums(k, 1), 1)
 
 
 def _level_weights(
@@ -391,7 +390,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
     best_at: tuple[int, np.ndarray] | None = None
     for k in range(root.level, f.L + 1):
         if kind == "bmo-plus":
-            arr = clamped_sums(f, k, 1)[root_box(root, k)]
+            arr = f.clamped_sums(k, 1)[root_box(root, k)]
             half = 1
         else:
             arr = _plus_numerators(f, k)[root_box(root, k)]

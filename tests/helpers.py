@@ -10,11 +10,13 @@ tests.
 from __future__ import annotations
 
 import itertools
+import json
 from fractions import Fraction
 
 import numpy as np
 
 from jnplus import DyadicCube, GridFunction, children, forward, root_cube
+from jnplus.reports import jsonify
 
 
 def cell_value(f: GridFunction, idx: tuple[int, ...]) -> Fraction | float:
@@ -203,3 +205,8 @@ def random_fixed_grid(rng: np.random.Generator, n: int, L: int, denom: int = 8) 
 
 def unit_root(n: int) -> DyadicCube:
     return root_cube(n)
+
+
+def oracle_canonical_json(doc) -> str:
+    """Report text from json's own encoder: the jsonify tree, sorted keys, indent 2."""
+    return json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"

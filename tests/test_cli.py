@@ -7,8 +7,11 @@ from fractions import Fraction
 
 import pytest
 
+from helpers import oracle_canonical_json
 from jnplus import bundled_example, gen, GeneratorSpec, load_grid, save_grid
+from jnplus import cli
 from jnplus.cli import main
+from jnplus.corpus import MAX_CELLS
 
 
 @pytest.fixture
@@ -217,6 +220,47 @@ def test_exit_2_on_oversized_oracle(tmp_path, capsys):
     save_grid(f, path)
     code, _, stderr = run(capsys, "oracle", "--input", path, "--p", "2")
     assert code == 2
+
+
+def test_exit_2_on_oversized_gen(tmp_path, capsys):
+    out = tmp_path / "big.bin"
+    code, stdout, stderr = run(
+        capsys, "gen", "--kind", "constant", "--n", "1", "--L", "40", "--out", str(out)
+    )
+    assert code == 2
+    assert stdout == ""
+    assert "3*2^40 cells" in stderr and str(MAX_CELLS) in stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mode", ["fixed:64", "f64"])
+def test_n3_reports_match_json_encoder(tmp_path, capsys, monkeypatch, mode):
+    # the corpus stops at n=2, so no digest covers a cube with two spatial indices
+    written = []
+    writer = cli.canonical_json
+
+    def checked(doc):
+        text = writer(doc)
+        assert text == oracle_canonical_json(doc)
+        written.append(text)
+        return text
+
+    monkeypatch.setattr(cli, "canonical_json", checked)
+    path = str(tmp_path / "n3.grid")
+    run(capsys, "gen", "--kind", "uniform-random", "--n", "3", "--L", "2", "--seed", "4",
+        "--mode", mode, "--out", path)
+    for argv in (
+        ("seminorm", "--p", "2"),
+        ("seminorm", "--p", "3/2"),
+        ("verify", "theorem", "--p", "2", "--b", "1/16"),
+        ("decompose", "--lambda", "auto"),
+    ):
+        code, stdout, _ = run(capsys, *argv, "--input", path)
+        assert code == 0
+        assert stdout == written[-1]
+    assert len(written) == 5
+    witness = json.loads(written[1])["jnp-plus"]["witness"]
+    assert witness and all(len(c["spatial"]) == 2 for c in witness)
 
 
 def test_usage_error_exit_2():

@@ -17,6 +17,7 @@ from jnplus import (
     root_cube,
     subcubes,
 )
+from jnplus.corpus import MAX_CELLS
 
 
 def test_determinism():
@@ -118,6 +119,17 @@ def test_invalid_specs():
         GeneratorSpec(kind="constant", n=1, L=1, denom=0)
     with pytest.raises(InvalidSpecError):
         GeneratorSpec.from_json_dict({"kind": "constant"})
+
+
+def test_spec_cell_limit():
+    # n*L = 20 is the largest admitted grid: n=2 L=10 and n=1 L=20
+    assert 3 << 20 <= MAX_CELLS < 3 << 21
+    GeneratorSpec(kind="uniform-random", n=2, L=10)
+    GeneratorSpec(kind="constant", n=1, L=20)
+    assert all(3 << (s.n * s.L) <= MAX_CELLS for s in default_manifest())
+    for n, L in ((1, 21), (3, 7), (2, 11), (1, 40), (2, 10**12)):
+        with pytest.raises(InvalidSpecError, match=f"n={n}, L={L}.*limit of {MAX_CELLS}"):
+            GeneratorSpec(kind="constant", n=n, L=L)
 
 
 def test_manifest_contents():

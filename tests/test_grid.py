@@ -187,6 +187,28 @@ def test_block_sums_match_prefix():
             assert int(S[idx]) == int(f.values[sl].sum())
 
 
+def test_clamped_sums_shared_and_exact():
+    rng = np.random.default_rng(12)
+    for f in both_dtypes(random_fixed_grid(rng, 2, 2)):
+        for k in range(f.L + 1):
+            N = 1 << ((f.L - k) * f.n)
+            for offset in (1, 2):
+                C = f.clamped_sums(k, offset)
+                assert f.clamped_sums(k, offset) is not C  # nothing kept outside sharing
+                with f.sharing_clamped_sums():
+                    shared = f.clamped_sums(k, offset)
+                    assert f.clamped_sums(k, offset) is shared
+                    assert not shared.flags.writeable
+                    assert np.array_equal(shared, C)
+                assert f.clamped_sums(k, offset) is not shared
+                for idx in np.ndindex(*C.shape):
+                    if idx[-1] + offset >= C.shape[-1]:
+                        continue  # no forward reference block
+                    c = DyadicCube(k, idx[:-1], idx[-1])
+                    want = naive_pos_part_average(f, "cube", c, forward(c, offset))
+                    assert Fraction(int(C[idx]), N * N * f.denom) == want
+
+
 def test_big_numerators_fall_back_to_objects():
     big = 1 << 70
     vals = [big, 0, 0, 0, 0, 0]

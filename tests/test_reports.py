@@ -1,9 +1,15 @@
 """Canonical serialization of reports."""
 
+import enum
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
+import numpy as np
+import pytest
+
+from helpers import oracle_canonical_json
 from jnplus import DyadicCube, VerificationReport, canonical_json
 from jnplus.reports import jsonify, scalar_json
 
@@ -56,3 +62,99 @@ def test_canonical_json_stable():
     assert doc["details"]["threshold"] == {"decimal": "0.5", "exact": "1/2"}
     # keys are sorted for byte-stable output
     assert list(doc) == sorted(doc)
+
+
+class _Nested:
+    """A report object whose to_json_dict holds another report object."""
+
+    def __init__(self, depth):
+        self.depth = depth
+
+    def to_json_dict(self):
+        inner = _Nested(self.depth - 1) if self.depth else {"leaf": (DyadicCube(1, (), 2),)}
+        return {"depth": self.depth, "inner": inner, "w": Fraction(-7, 3)}
+
+
+class _DictReport(dict):
+    # jsonify treats a dict subclass as a dict, even with to_json_dict
+    def to_json_dict(self):
+        return {"never": "used"}
+
+
+class _Level(enum.IntEnum):
+    TOP = 3
+
+
+class _Tag(str):
+    pass
+
+
+WRITER_CASES = [
+    {},
+    [],
+    (),
+    {"empty-dict": {}, "empty-list": [], "empty-tuple": ()},
+    [[], [[]], {}, [{}]],
+    "",
+    0,
+    None,
+    True,
+    False,
+    [True, 1, False, 0, None, 1.0, 0.0, -0.0],
+    {"b": True, "a": 1, "c": 2**70, "d": -(2**70)},
+    DyadicCube(0, (), 0),
+    [DyadicCube(3, (), 17), DyadicCube(2, (1,), 5), DyadicCube(2, (3, 0), 11)],
+    {"spatial-1d": DyadicCube(1, (), 0), "spatial-3d": DyadicCube(1, (0, 1, 1), 4)},
+    [math.inf, -math.inf, math.nan, 1e308, 5e-324, 0.1, 1e16, 123456789.0],
+    [Fraction(3, 4), Fraction(-1, 3), Fraction(0), Fraction(5), Fraction(1, 10**400)],
+    [Fraction(10**400), Fraction(-(10**400), 3), Fraction(2**1024 - 1)],
+    [np.float64(0.5), np.float64(-1e-300), np.float64(np.inf), np.float64(np.nan)],
+    {"np": {"x": np.float64(2.0), "y": [np.float64(-np.inf)]}},
+    ["é", "日本語", "\U0001f600", "tab\there", "nl\n", "nul\x00", "\x1f\x7f", 'q"\\/'],
+    {"é-key": 1, "\x00": 2, "日": 3, "A": 4, "a": 5, "": 6, "Z": 7},
+    {1: "int key", "2": "str key", None: "none key", 2.5: "float key", True: "bool key"},
+    (1, (2, (3, [4, (5,)])), ()),
+    {"t": (Fraction(1, 2), DyadicCube(0, (0,), 2)), "l": [Fraction(1, 2)]},
+    _Nested(0),
+    _Nested(3),
+    [_Nested(1), {"report": _Nested(2)}],
+    _DictReport(z=1, a=[Fraction(1, 8)]),
+    {"int-subclass": _Level.TOP, "str-subclass": _Tag("tag\u00e9"), _Tag("k"): [_Level.TOP]},
+    VerificationReport("p6", math.inf, 0.5, False, True, False, details={"k": [1, 2]}),
+]
+
+
+@pytest.mark.parametrize("doc", WRITER_CASES, ids=range(len(WRITER_CASES)))
+def test_canonical_json_matches_json_encoder(doc):
+    assert canonical_json(doc) == oracle_canonical_json(doc)
+
+
+class _Holder:
+    def __init__(self, value):
+        self.value = value
+
+    def to_json_dict(self):
+        return {"value": self.value}
+
+
+REJECTED = {
+    "int64": np.int64(3),
+    "float32": np.float32(0.5),
+    "bool_": np.bool_(True),
+    "Decimal": Decimal("1.5"),
+    "set": {1, 2},
+    "object": object(),
+    "bytes": b"x",
+    "cube-int64-level": DyadicCube(np.int64(1), (), 0),
+    "cube-int64-spatial": DyadicCube(1, (np.int64(0),), 0),
+}
+
+
+@pytest.mark.parametrize("bad", REJECTED.values(), ids=REJECTED.keys())
+def test_canonical_json_rejects_what_json_rejects(bad):
+    for doc in (bad, [bad], {"k": bad}, _Holder(bad)):
+        with pytest.raises(TypeError) as oracle:
+            oracle_canonical_json(doc)
+        with pytest.raises(TypeError) as writer:
+            canonical_json(doc)
+        assert str(writer.value) == str(oracle.value)
