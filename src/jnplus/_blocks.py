@@ -5,7 +5,8 @@ shared by the maximal scan and the seminorm DP.
 cell-in-block) axes: summing over the :func:`in_block` axes gives block
 sums, and a per-block array blocked with side 1 broadcasts over the
 cells of each block.  :func:`root_box` maps a cube to its level-k block
-indices and :func:`block_cubes` maps such indices back to cubes.
+indices, :func:`box_origin` gives the first of them, and
+:func:`block_cubes` maps such indices back to cubes.
 
 Everything here works on raw cell entries: integer numerators in fixed
 mode (where sums and clamps stay exact) or float64 values.  Callers own
@@ -36,6 +37,7 @@ __all__ = [
     "in_block",
     "block_count",
     "root_box",
+    "box_origin",
     "block_cubes",
     "clamped_sums",
     "absdev_sums",
@@ -68,13 +70,18 @@ def block_count(gf: GridFunction, k: int) -> int:
     return 1 << ((gf.L - k) * gf.n)
 
 
+def box_origin(root: DyadicCube, k: int) -> list[int]:
+    """Level-k block index of ``root``'s first corner: spatial indices, then time."""
+    sh = k - root.level
+    return [s << sh for s in root.spatial] + [root.time << sh]
+
+
 def root_box(root: DyadicCube, k: int, time_shift: int = 0) -> tuple[slice, ...]:
     """Level-k block indices covered by ``root``, optionally shifted in time."""
-    sh = k - root.level
-    sl = [slice(s << sh, (s + 1) << sh) for s in root.spatial]
-    t0 = (root.time << sh) + time_shift
-    sl.append(slice(t0, t0 + (1 << sh)))
-    return tuple(sl)
+    side = 1 << (k - root.level)
+    *lo, t0 = box_origin(root, k)
+    t0 += time_shift
+    return tuple(slice(s, s + side) for s in lo) + (slice(t0, t0 + side),)
 
 
 def block_cubes(root: DyadicCube, k: int, idx: np.ndarray) -> list[DyadicCube]:
@@ -85,9 +92,8 @@ def block_cubes(root: DyadicCube, k: int, idx: np.ndarray) -> list[DyadicCube]:
     """
     if not len(idx):  # most levels of a stopping family hold no cubes
         return []
-    sh = k - root.level
-    base = [s << sh for s in root.spatial] + [root.time << sh]
-    return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in (idx + base).tolist()]
+    rows = (idx + box_origin(root, k)).tolist()
+    return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in rows]
 
 
 def _shift_time(blocks: np.ndarray, offset: int) -> np.ndarray:
@@ -106,22 +112,33 @@ def _shift_time(blocks: np.ndarray, offset: int) -> np.ndarray:
 
 
 def clamped_sums(gf: GridFunction, k: int, offset: int) -> np.ndarray:
-    """Per level-k block: sum of max(value*N - S[t+offset], 0) over its cells.
+    """Per level-k block of Q0 and of the one block after it in time:
+    sum of max(value*N - S[t+offset], 0) over its cells.
 
     S is the per-block sum array at level k, so S[t+offset]/(N*denom) is
     the mean over the block ``offset`` steps forward in time.  offset=1
     references the block's forward translate, offset=2 the two-step one.
+    The result has time extent 2^k + 1: every seminorm root lies in Q0
+    (time blocks [0, 2^k)), and its forward-shifted term reads one block
+    more.  Only those cells are multiplied and clamped.
     """
-    ref = blocked(_shift_time(gf.block_sums(k), offset), 1)
-    diff = blocked(gf.values, gf.side >> k) * block_count(gf, k) - ref
+    T = (1 << k) + 1
+    w = gf.side >> k
+    ref = blocked(_shift_time(gf.block_sums(k), offset)[..., :T], 1)
+    diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - ref
     zero = 0.0 if gf.mode == "f64" else 0
     return np.maximum(diff, zero).sum(axis=in_block(gf.n))
 
 
 def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
-    """Per level-k block: sum of |value*N - S| over its cells (S = own sum)."""
-    ref = blocked(gf.block_sums(k), 1)
-    diff = blocked(gf.values, gf.side >> k) * block_count(gf, k) - ref
+    """Per level-k block of Q0: sum of |value*N - S| over its cells (S = own sum).
+
+    The result has time extent 2^k, the blocks of Q0.
+    """
+    T = 1 << k
+    w = gf.side >> k
+    ref = blocked(gf.block_sums(k)[..., :T], 1)
+    diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - ref
     return np.abs(diff).sum(axis=in_block(gf.n))
 
 

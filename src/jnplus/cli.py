@@ -291,8 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# parse_args keeps no state between calls, so one parser serves every main call
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
     except JnplusError as exc:

@@ -68,6 +68,14 @@ def int64_fits(magnitude: int) -> bool:
     return int(magnitude).bit_length() <= _GUARD_BITS
 
 
+def is_grid_size(n: int, L: int, size: int) -> bool:
+    """True when ``size`` is the 3*2^(nL) cells of an n-dimensional level-L grid.
+
+    Exponents are compared first, so a huge L never builds a huge integer.
+    """
+    return n * L < size.bit_length() and 3 << (n * L) == size
+
+
 def _magnitude(arr: np.ndarray) -> int:
     """max |cell| of an integer array; np.abs would overflow on INT64_MIN."""
     return max(int(arr.max()), -int(arr.min())) if arr.size else 0
@@ -116,14 +124,13 @@ class GridFunction:
         self.n = int(n)
         self.L = int(L)
         self.mode: Mode = mode
+        arr = np.asarray(values)
+        if not is_grid_size(self.n, self.L, arr.size):
+            raise GridFormatError(
+                f"expected 3*2^{self.n * self.L} cells for n={n}, L={L}, got {arr.size}"
+            )
         side = 1 << self.L
         shape = (side,) * (self.n - 1) + (3 * side,)
-
-        arr = np.asarray(values)
-        if arr.size != int(np.prod(shape)):
-            raise GridFormatError(
-                f"expected {int(np.prod(shape))} cells for n={n}, L={L}, got {arr.size}"
-            )
         if mode == "fixed":
             if denom is None or int(denom) <= 0:
                 raise GridFormatError("fixed mode requires a positive denominator")
@@ -235,8 +242,9 @@ class GridFunction:
         """:func:`_blocks.clamped_sums` of this grid at level k.
 
         Memoized per (k, offset) only inside :meth:`sharing_clamped_sums`:
-        the arrays of all levels take several times the grid's memory, and
-        a caller that reads each one once should not keep them alive.
+        the arrays of all levels take memory on the order of the grid's
+        own, and a caller that reads each one once should not keep them
+        alive.
         """
         cache = self._clamped_sums_cache
         if cache is None:

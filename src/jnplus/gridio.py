@@ -36,7 +36,7 @@ import stat
 import numpy as np
 
 from .errors import GridFormatError
-from .grid import GridFunction
+from .grid import GridFunction, is_grid_size
 
 __all__ = ["save_grid", "load_grid", "open_for_write"]
 
@@ -163,10 +163,9 @@ def load_grid(path: str) -> GridFunction:
     if "values" in doc:
         raise GridFormatError("values: belongs in pure-JSON grids, not sidecars")
     n, L, mode, denom = _check_header(doc, sidecar)
-    expected = 3 * (1 << (L * n))
     raw = np.fromfile(path, dtype="<i8" if mode == "fixed" else "<f8")
-    if raw.size != expected:
+    if not is_grid_size(n, L, raw.size):
         raise GridFormatError(
-            f"payload: expected {expected} 64-bit values for n={n}, L={L}, got {raw.size}"
+            f"payload: expected 3*2^{n * L} 64-bit values for n={n}, L={L}, got {raw.size}"
         )
     return GridFunction(n, L, raw, mode, denom)

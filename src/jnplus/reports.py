@@ -4,9 +4,12 @@ Failed mathematical assertions are reported, not raised: every check
 returns a :class:`VerificationReport` whose ``inequality_id`` names the
 claim being tested, so a CLI exit can say exactly which link broke.
 A report object's ``to_json_dict`` returns its fields by report key as
-plain values; this module alone turns them into JSON.
-:func:`canonical_json` writes a whole document in one walk, and
-:func:`jsonify` builds the same plain-value tree for compact dumps.
+plain values; this module alone turns them into JSON.  Long lists of
+cubes and of rationals can come as :class:`CubeRows` and
+:class:`RatioRows`, per-level arrays that :func:`canonical_json` writes
+without making an object per item.  :func:`canonical_json` writes a
+whole document in one walk, and :func:`jsonify` builds the same
+plain-value tree (expanding the row views to lists) for compact dumps.
 Serialization is canonical (sorted keys, stable float repr, exact
 rational strings alongside decimals in fixed mode) so identical inputs
 produce byte-identical reports.
@@ -20,9 +23,70 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any
 
+import numpy as np
+
 from .cubes import DyadicCube
 
-__all__ = ["VerificationReport", "scalar_json", "jsonify", "canonical_json"]
+__all__ = [
+    "VerificationReport",
+    "CubeRows",
+    "RatioRows",
+    "scalar_json",
+    "jsonify",
+    "canonical_json",
+]
+
+
+@dataclass(frozen=True, eq=False)
+class CubeRows:
+    """A list of dyadic cubes held per level as rows of block indices.
+
+    ``levels`` pairs a level k with an (m, n) integer array whose rows
+    are the cubes' absolute level-k indices, spatial ones first and time
+    last, in list order.
+    """
+
+    levels: list[tuple[int, np.ndarray]]
+
+    def __len__(self) -> int:
+        return sum(len(rows) for _, rows in self.levels)
+
+    def expand(self) -> list[DyadicCube]:
+        return [
+            DyadicCube(k, tuple(r[:-1]), r[-1]) for k, rows in self.levels for r in rows.tolist()
+        ]
+
+
+@dataclass(frozen=True, eq=False)
+class RatioRows:
+    """A list of numbers held as arrays of raw values, one array per level.
+
+    With an integer ``denom`` the items are the rationals raw/denom (the
+    arrays hold Python ints); with ``denom`` None they are the raw floats.
+    """
+
+    raws: list[np.ndarray]
+    denom: int | None
+
+    def __len__(self) -> int:
+        return sum(len(raw) for raw in self.raws)
+
+    def expand(self) -> list:
+        D = self.denom
+        if D is None:
+            return [float(w) for raw in self.raws for w in raw.tolist()]
+        return [Fraction(w, D) for raw in self.raws for w in raw.tolist()]
+
+
+def _decimal(num: int, den: int) -> str:
+    """repr(float(num/den)), or "inf"/"-inf" past the float range (den > 0).
+
+    Int true division rounds correctly, as float(Fraction) does.
+    """
+    try:
+        return repr(num / den)
+    except OverflowError:
+        return "inf" if num > 0 else "-inf"
 
 
 def scalar_json(x: Any) -> Any:
@@ -35,11 +99,7 @@ def scalar_json(x: Any) -> Any:
     if isinstance(x, bool) or x is None or isinstance(x, int):
         return x
     if isinstance(x, Fraction):
-        try:
-            dec = repr(float(x))
-        except OverflowError:
-            dec = "inf" if x > 0 else "-inf"
-        return {"decimal": dec, "exact": str(x)}
+        return {"decimal": _decimal(x.numerator, x.denominator), "exact": str(x)}
     if isinstance(x, float):
         return x if math.isfinite(x) else repr(x)
     return x
@@ -51,6 +111,8 @@ def jsonify(obj: Any) -> Any:
         return scalar_json(obj)
     if isinstance(obj, DyadicCube):
         return {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
+    if isinstance(obj, (CubeRows, RatioRows)):
+        return jsonify(obj.expand())
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -98,6 +160,10 @@ def _write(obj: Any, put, nl: str) -> None:
         _write_scalar(scalar_json(obj), put, nl)
     elif isinstance(obj, DyadicCube):
         _write_cube(obj, put, nl)
+    elif isinstance(obj, CubeRows):
+        _write_items(_cube_items(obj, nl + "  "), put, nl)
+    elif isinstance(obj, RatioRows):
+        _write_items(_ratio_items(obj, nl + "  "), put, nl)
     elif isinstance(obj, dict):
         _write_dict(obj, put, nl)
     elif isinstance(obj, (list, tuple)):
@@ -126,16 +192,62 @@ def _write_scalar(x: Any, put, nl: str) -> None:
         put(float.__repr__(x))
 
 
+def _cube_template(level: int, n: int, nl: str) -> str:
+    """%-template of an n-dimensional cube at ``level`` and indent ``nl``: spatial indices, time."""
+    ind = nl + "  "
+    spatial = "[" + ind + "  " + f",{ind}  ".join(["%d"] * (n - 1)) + ind + "]" if n > 1 else "[]"
+    return f'{{{ind}"level": {level},{ind}"spatial": {spatial},{ind}"time": %d{nl}}}'
+
+
 def _write_cube(c: DyadicCube, put, nl: str) -> None:
     if {type(c.level), type(c.time), *map(type, c.spatial)} != {int}:
         _write_dict(jsonify(c), put, nl)  # json's rules for odd field types
         return
+    put(_cube_template(c.level, c.n, nl) % (*c.spatial, c.time))
+
+
+def _write_items(pieces, put, nl: str) -> None:
+    """Write a list from text pieces at indent nl + "  ", each holding one
+    item or a run of items already joined as list items.
+
+    Each piece is put on its own, as :func:`_write_list` puts items, rather
+    than joined into one string for the list first, which would hold a
+    second copy of the list's text.
+    """
     ind = nl + "  "
-    if c.spatial:
-        spatial = "[" + ind + "  " + f",{ind}  ".join(map(str, c.spatial)) + ind + "]"
-    else:
-        spatial = "[]"
-    put(f'{{{ind}"level": {c.level},{ind}"spatial": {spatial},{ind}"time": {c.time}{nl}}}')
+    sep = "[" + ind
+    for piece in pieces:
+        put(sep + piece)
+        sep = "," + ind
+    put("[]" if sep[0] == "[" else nl + "]")  # sep still opens the list if it is empty
+
+
+_RUN = 256  # cubes formatted by one % call
+
+
+def _cube_items(rows: CubeRows, nl: str):
+    # runs of cubes as _write_cube writes them at indent nl, joined as list
+    # items; one % call formats a run from its level's template
+    for k, idx in rows.levels:
+        tmpl = _cube_template(k, idx.shape[1], nl)
+        for start in range(0, len(idx), _RUN):
+            run = idx[start : start + _RUN]
+            yield f",{nl}".join([tmpl] * len(run)) % tuple(run.ravel().tolist())
+
+
+def _ratio_items(rows: RatioRows, nl: str):
+    # each item as _write_scalar writes scalar_json of raw/denom, or of the float
+    D = rows.denom
+    ind = nl + "  "
+    head, mid, tail = "{" + ind + '"decimal": "', '",' + ind + '"exact": "', '"' + nl + "}"
+    for raw in rows.raws:
+        for w in raw.tolist():
+            if D is None:
+                yield float.__repr__(w) if math.isfinite(w) else f'"{w!r}"'
+            else:
+                g = math.gcd(w, D)
+                exact = f"{w // g}/{D // g}" if g != D else str(w // g)
+                yield head + _decimal(w, D) + mid + exact + tail
 
 
 def _write_list(seq, put, nl: str) -> None:

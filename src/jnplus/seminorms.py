@@ -18,9 +18,13 @@ over antichains of the subcube tree, which a bottom-up pass computes
 exactly: best(Q) = max(phi(Q), sum of best over children), ties resolved
 toward the children so the extracted witness is a full partition.  The
 witness comes out of a top-down covering sweep as one index array per
-level; its ``DyadicCube`` and weight lists are built only when a caller
-first reads ``witness`` or ``witness_weights``, so the verification
-chain, which never reads them, makes no per-cube objects.
+level, with the chosen cubes' raw weights.  The report hands those
+arrays to :mod:`jnplus.reports` as row views, which writes them without
+a per-cube object; the ``DyadicCube`` and weight lists are built only
+when a caller reads ``witness`` or ``witness_weights``.
+
+The weights are read only inside the root, which lies in Q0, so the
+block reductions cover Q0 and the one time block after it.
 
 Two cube-wise suprema with no exponent:
 
@@ -54,6 +58,7 @@ from ._blocks import (
     absdev_sums,
     block_count,
     block_cubes,
+    box_origin,
     children_sum,
     covering_sweep,
     root_box,
@@ -61,6 +66,7 @@ from ._blocks import (
 from .cubes import DyadicCube, children, contains, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, average, pos_part_average, resolve_root
+from .reports import CubeRows, RatioRows
 
 __all__ = [
     "CubeFamily",
@@ -184,46 +190,34 @@ class CubeFamily:
 class Witness:
     """The cubes attaining a seminorm, with their weights.
 
-    The tree pass hands over the chosen cubes of each level as an index
-    array over the root box, plus their raw weights on one scale and
-    the map from a raw weight to its value.  The first read of either
-    list builds both the ``DyadicCube`` and the weight list, caches
-    them and drops the arrays; the length needs no list.
+    ``cubes`` and ``weights`` are what the report writes.  The tree pass
+    hands them over as row views: the chosen cubes of each level as
+    index rows (:class:`~jnplus.reports.CubeRows`) and their raw weights
+    over one denominator (:class:`~jnplus.reports.RatioRows`).
+    :meth:`lists` expands them into ``DyadicCube`` and weight lists on
+    first call and caches those next to the views, so the report is the
+    same whether or not a caller read the lists first.  A witness made
+    by :meth:`listed` holds plain lists.
     """
 
-    def __init__(
-        self,
-        root: DyadicCube | None,
-        levels: list[tuple[int, np.ndarray, np.ndarray]],
-        to_weight,
-    ) -> None:
-        self._root = root
-        self._levels = levels
-        self._to_weight = to_weight
+    def __init__(self, cubes: CubeRows | list, weights: RatioRows | list) -> None:
+        self.cubes = cubes
+        self.weights = weights
         self._lists: tuple[list[DyadicCube], list] | None = None
 
     @classmethod
     def listed(cls, cubes: list[DyadicCube], weights: list) -> "Witness":
-        w = cls(None, [], None)
-        w._lists = (list(cubes), list(weights))
+        w = cls(list(cubes), list(weights))
+        w._lists = (w.cubes, w.weights)
         return w
 
     def __len__(self) -> int:
-        if self._lists is not None:
-            return len(self._lists[0])
-        return sum(len(idx) for _, idx, _ in self._levels)
+        return len(self.cubes)
 
     def lists(self) -> tuple[list[DyadicCube], list]:
         """The witness cubes in canonical order and their weights."""
         if self._lists is None:
-            root, to_weight = self._root, self._to_weight
-            cubes: list[DyadicCube] = []
-            weights: list = []
-            for k, idx, raw in self._levels:
-                cubes += block_cubes(root, k, idx)
-                weights += [to_weight(w) for w in raw.tolist()]
-            self._lists = (cubes, weights)
-            self._levels = []
+            self._lists = (self.cubes.expand(), self.weights.expand())
         return self._lists
 
 
@@ -237,9 +231,9 @@ class SeminormResult:
     ``witness`` attains ``weight`` (for the jnp functionals a full
     partition of the root; for the bmo functionals a single cube), with
     per-cube weights alongside in ``witness_weights``.  Both are plain
-    lists, built from ``family`` on first read, so computations that
-    never look at the witness (the verification chain) make no
-    per-cube objects.
+    lists, built from ``family`` on first read; the report writes
+    ``family``'s row views instead, so neither the report nor the
+    verification chain makes per-cube objects.
     """
 
     functional: str
@@ -269,8 +263,8 @@ class SeminormResult:
             "exact": self.exact,
             "mode": self.mode,
             "root": self.root,
-            "witness": self.witness,
-            "witness-weights": self.witness_weights,
+            "witness": self.family.cubes,
+            "witness-weights": self.family.weights,
             "details": self.details,
         }
 
@@ -347,10 +341,13 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         power = Fraction(int(num), D)
         if sum(int(raw.sum()) for _, _, raw in levels) != int(num):
             raise AssertionError("witness weights do not add up to the optimum")
-        family = Witness(root, levels, lambda w: Fraction(int(w), D))
     else:
         power = float(num)
-        family = Witness(root, levels, float)
+        D = None
+    family = Witness(
+        CubeRows([(k, idx + box_origin(root, k)) for k, idx, _ in levels]),
+        RatioRows([raw for _, _, raw in levels], D),
+    )
     functional = "jnp-plus" if variant == "plus" else "jnp-classical"
     value = _pth_root(power, q)
     return SeminormResult(

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import oracle_canonical_json
-from jnplus import bundled_example, gen, GeneratorSpec, load_grid, save_grid
+from jnplus import DyadicCube, bundled_example, gen, GeneratorSpec, load_grid, save_grid
 from jnplus import cli
 from jnplus.cli import main
 from jnplus.corpus import MAX_CELLS
@@ -261,6 +261,58 @@ def test_n3_reports_match_json_encoder(tmp_path, capsys, monkeypatch, mode):
     assert len(written) == 5
     witness = json.loads(written[1])["jnp-plus"]["witness"]
     assert witness and all(len(c["spatial"]) == 2 for c in witness)
+
+
+@pytest.mark.parametrize("L", [32, 40, 1 << 62])
+@pytest.mark.parametrize("form", ["json", "binary"])
+def test_exit_2_on_header_past_cell_count(tmp_path, capsys, form, L):
+    # 3*2^64 wraps to 0 in int64, and 1 << 2^62 does not fit in memory
+    header = {"version": 1, "n": 2, "L": L, "mode": "fixed", "denom": 1,
+              "order": "time-fastest"}
+    if form == "json":
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({**header, "values": []}))
+    else:
+        path = tmp_path / "grid.bin"
+        path.write_bytes(b"")
+        (tmp_path / "grid.bin.json").write_text(json.dumps(header))
+    code, stdout, stderr = run(capsys, "seminorm", "--input", str(path), "--p", "2")
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and f"3*2^{2 * L} " in stderr
+
+
+def test_main_calls_parse_independently(example_path, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_parser", None)  # main reuses its one parser
+    out = tmp_path / "seminorm.json"
+    code, stdout, _ = run(capsys, "seminorm", "--input", example_path, "--p", "2",
+                          "--out", str(out))
+    assert code == 0 and stdout == "" and out.exists()
+    code, stdout, _ = run(capsys, "maximal", "--input", example_path, "--variant", "augmented")
+    assert code == 0 and json.loads(stdout)["variant"] == "augmented"
+    code, stdout, _ = run(capsys, "maximal", "--input", example_path)
+    assert code == 0 and json.loads(stdout)["variant"] == "grid"
+    code, stdout, _ = run(capsys, "seminorm", "--input", example_path, "--p", "3/2")
+    assert code == 0  # written to stdout: no --out carried over
+    assert json.loads(stdout)["jnp-plus"]["p"] == {"decimal": "1.5", "exact": "3/2"}
+
+
+def test_seminorm_makes_no_cube_per_witness_cube(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "grid.bin")
+    save_grid(gen(GeneratorSpec(kind="uniform-random", n=2, L=5, seed=3)), path)
+    created = []
+    init = DyadicCube.__init__
+
+    def counted(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DyadicCube, "__init__", counted)
+    code, stdout, _ = run(capsys, "seminorm", "--input", path, "--p", "2")
+    assert code == 0
+    assert len(json.loads(stdout)["jnp-plus"]["witness"]) > 100
+    # the four roots and the two bmo cubes, with a little slack
+    assert len(created) <= 8
 
 
 def test_usage_error_exit_2():

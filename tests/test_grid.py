@@ -24,6 +24,7 @@ from jnplus import (
     shift_values,
     subcubes,
 )
+from jnplus._blocks import absdev_sums
 from jnplus.grid import exact
 
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     naive_average,
     naive_block_sum,
     naive_distribution_measure,
+    naive_phi_classical,
     naive_pos_part_average,
     random_fixed_grid,
 )
@@ -201,12 +203,28 @@ def test_clamped_sums_shared_and_exact():
                     assert not shared.flags.writeable
                     assert np.array_equal(shared, C)
                 assert f.clamped_sums(k, offset) is not shared
+                # Q0 plus the one time block after it
+                assert C.shape == (1 << k,) * (f.n - 1) + ((1 << k) + 1,)
                 for idx in np.ndindex(*C.shape):
                     if idx[-1] + offset >= C.shape[-1]:
                         continue  # no forward reference block
                     c = DyadicCube(k, idx[:-1], idx[-1])
                     want = naive_pos_part_average(f, "cube", c, forward(c, offset))
                     assert Fraction(int(C[idx]), N * N * f.denom) == want
+
+
+def test_absdev_sums_match_cellwise_classical_weights():
+    rng = np.random.default_rng(13)
+    for f in both_dtypes(random_fixed_grid(rng, 2, 2)):
+        for k in range(f.L + 1):
+            N = 1 << ((f.L - k) * f.n)
+            A = absdev_sums(f, k)
+            assert A.shape == (1 << k,) * f.n  # the blocks of Q0
+            for idx in np.ndindex(*A.shape):
+                c = DyadicCube(k, idx[:-1], idx[-1])
+                # phi_classical with p=1 is |Q| * mean over Q of |f - f_Q|
+                mean_dev = naive_phi_classical(f, c, 1) * (1 << (k * f.n))
+                assert Fraction(int(A[idx]), N * N * f.denom) == mean_dev
 
 
 def test_big_numerators_fall_back_to_objects():

@@ -9,9 +9,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from helpers import oracle_canonical_json
-from jnplus import DyadicCube, VerificationReport, canonical_json
-from jnplus.reports import jsonify, scalar_json
+from helpers import oracle_canonical_json, random_fixed_grid
+from jnplus import (
+    DyadicCube,
+    GridFunction,
+    VerificationReport,
+    canonical_json,
+    jnp_classical_dyadic,
+    jnp_plus_dyadic,
+    root_cube,
+    scale_values,
+)
+from jnplus.reports import CubeRows, RatioRows, jsonify, scalar_json
 
 
 def test_scalar_json_forms():
@@ -158,3 +167,50 @@ def test_canonical_json_rejects_what_json_rejects(bad):
         with pytest.raises(TypeError) as writer:
             canonical_json(doc)
         assert str(writer.value) == str(oracle.value)
+
+
+def _seminorm_grids(n, L):
+    """A fixed grid constant on the first half of Q0 in time (zero classical
+    weights there), its f64 copy, copies scaled by 2^40 (Python-int
+    numerators) and 2^600 (weights past the float range), and an f64 copy
+    whose weights overflow to inf."""
+    f = random_fixed_grid(np.random.default_rng(20 + n), n, L)
+    vals = np.array(f.values)
+    vals[..., : 1 << (L - 1)] = 3
+    f = GridFunction(n, L, vals, "fixed", f.denom)
+    yield f
+    yield GridFunction(n, L, vals / f.denom, "f64")
+    yield scale_values(f, 1 << 40)
+    yield scale_values(f, 1 << 600)
+    yield GridFunction(n, L, vals * 1e300, "f64")
+
+
+@pytest.mark.parametrize("n,L", [(1, 3), (1, 9), (2, 2), (3, 1)])
+def test_seminorm_witness_rows_match_json_encoder(n, L):
+    rational, plain = set(), set()  # the "decimal" of each rational weight; float weights
+    for f in _seminorm_grids(n, L):
+        for root in (root_cube(n), DyadicCube(1, (1,) * (n - 1), 1)):
+            for functional in (jnp_plus_dyadic, jnp_classical_dyadic):
+                for p in (2, Fraction(3, 2)):
+                    with np.errstate(over="ignore"):
+                        fresh, listed = functional(f, p, root), functional(f, p, root)
+                    cubes, weights = listed.witness, listed.witness_weights  # before writing
+                    texts = []
+                    for r in (fresh, listed):
+                        assert isinstance(r.family.cubes, CubeRows)
+                        assert isinstance(r.family.weights, RatioRows)
+                        nested = {"result": [r], "size": len(r.family)}
+                        assert canonical_json(nested) == oracle_canonical_json(nested)
+                        texts.append(canonical_json(r))
+                        assert texts[-1] == oracle_canonical_json(r)
+                    assert texts[0] == texts[1]
+                    assert listed.witness is cubes and cubes == fresh.family.cubes.expand()
+                    assert len(weights) == len(cubes) == fresh.details["witness-size"]
+                    for w in jsonify(fresh)["witness-weights"]:
+                        if isinstance(w, dict):
+                            rational.add(w["decimal"])
+                        else:
+                            plain.add(w)
+    # zero weights, finite ones, and weights past the float range, in both forms
+    assert {"0.0", "inf"} < rational
+    assert {0.0, "inf"} < plain
