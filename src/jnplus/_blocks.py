@@ -6,7 +6,8 @@ cell-in-block) axes: summing over the :func:`in_block` axes gives block
 sums, and a per-block array blocked with side 1 broadcasts over the
 cells of each block.  :func:`root_box` maps a cube to its level-k block
 indices, :func:`box_origin` gives the first of them, and
-:func:`block_cubes` maps such indices back to cubes.
+:func:`block_cubes` maps such indices back to cubes (:func:`cubes_at`
+does it for absolute indices).
 
 Everything here works on raw cell entries: integer numerators in fixed
 mode (where sums and clamps stay exact) or float64 values.  Callers own
@@ -39,6 +40,7 @@ __all__ = [
     "root_box",
     "box_origin",
     "block_cubes",
+    "cubes_at",
     "clamped_sums",
     "absdev_sums",
     "upsample",
@@ -92,8 +94,12 @@ def block_cubes(root: DyadicCube, k: int, idx: np.ndarray) -> list[DyadicCube]:
     """
     if not len(idx):  # most levels of a stopping family hold no cubes
         return []
-    rows = (idx + box_origin(root, k)).tolist()
-    return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in rows]
+    return cubes_at(k, idx + box_origin(root, k))
+
+
+def cubes_at(k: int, rows: np.ndarray) -> list[DyadicCube]:
+    """The level-k cubes whose absolute block indices are the rows of ``rows``."""
+    return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in rows.tolist()]
 
 
 def _shift_time(blocks: np.ndarray, offset: int) -> np.ndarray:
