@@ -78,11 +78,11 @@ from .seminorms import (
 from .corpus import GeneratorSpec, bundled_example, default_manifest, gen
 from .reports import VerificationReport, canonical_json
 from .verification import (
+    LemmaContext,
     LemmaParams,
     TheoremRun,
     default_lambda_grid,
     good_lambda_check,
-    lambda0,
     lemma_params,
     lemma_sweep,
     proof_constant,
@@ -154,9 +154,9 @@ __all__ = [
     "canonical_json",
     "LemmaParams",
     "lemma_params",
+    "LemmaContext",
     "good_lambda_check",
     "lemma_sweep",
-    "lambda0",
     "proof_constant",
     "default_lambda_grid",
     "TheoremRun",

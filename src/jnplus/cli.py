@@ -6,7 +6,8 @@ Subcommands::
                       [--alpha A] [--value V] --out FILE
     jnplus seminorm   --input FILE --p P
     jnplus maximal    --input FILE [--variant grid|augmented] [--out FILE]
-    jnplus decompose  --input FILE --lambda LIST|auto [--p P] [--b B]
+    jnplus decompose  --input FILE --lambda LIST
+    jnplus decompose  --input FILE --lambda auto [--p P] [--b B]
     jnplus verify good-lambda --input FILE --p P --b B [--lambda LIST|auto]
                               [--out FILE]
     jnplus verify theorem     --input FILE --p P --b B [--lambda LIST|auto]
@@ -18,7 +19,10 @@ Exit status: 0 when every asserted inequality held, 1 when one failed
 or input errors.  Reports are canonical JSON on stdout, or written to
 ``--out``.  Rational arguments accept both ``3/2`` and ``1.5``;
 ``--lambda`` takes a comma-separated list or ``auto`` for the built-in
-log-spaced grid plus the threshold ladder.
+log-spaced grid plus the threshold ladder.  A flag that would change
+nothing is an input error: ``--p``/``--b`` of ``decompose`` without
+``--lambda auto``, and a ``gen`` ``--alpha``/``--value`` the kind does
+not read.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from .seminorms import (
     jnp_classical_dyadic,
     jnp_plus_dyadic,
 )
-from .verification import default_lambda_grid, lemma_params, lemma_sweep, theorem_check
+from .verification import LemmaContext, default_lambda_grid, lemma_sweep, theorem_check
 
 __all__ = ["main", "build_parser"]
 
@@ -163,12 +167,14 @@ def _cmd_maximal(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.lambdas != "auto" and (args.p is not None or args.b is not None):
+        raise InvalidParamsError("--p and --b apply only with --lambda auto")
     f = load_grid(args.input)
     lambdas = _parse_lambdas(args.lambdas, f)
     if lambdas is None:
         p = args.p if args.p is not None else Fraction(2)
         b = args.b if args.b is not None else Fraction(1, 1 << (f.n + 1))
-        lambdas = default_lambda_grid(f, p, b)
+        lambdas = default_lambda_grid(LemmaContext(f, p, b))
     decs = [cz_decompose(f, None, lam) for lam in lambdas]
     _emit({"decompositions": decs}, args.out)
     return 0
@@ -181,16 +187,15 @@ def _fail(ids) -> int:
 
 def _cmd_good_lambda(args) -> int:
     f = load_grid(args.input)
-    params = lemma_params(f.n, args.p, args.b)
     lambdas = _parse_lambdas(args.lambdas, f)
-    K = jnp_plus_dyadic(f, params.p)
-    reports = lemma_sweep(f, params.p, params.b, lambdas, seminorm=K)
+    ctx = LemmaContext(f, args.p, args.b)
+    reports = lemma_sweep(ctx, lambdas)
 
     failed = [i for r in reports for i in r.details.get("failed-ids", [])]
     _emit(
         {
-            "params": params,
-            "K": K.value,
+            "params": ctx.params,
+            "K": ctx.seminorm.value,
             "reports": reports,
             "admissible-count": sum(1 for r in reports if r.admissible),
             "pass": not failed,
@@ -204,7 +209,7 @@ def _cmd_good_lambda(args) -> int:
 def _cmd_theorem(args) -> int:
     f = load_grid(args.input)
     lambdas = _parse_lambdas(args.lambdas, f)
-    run = theorem_check(f, args.p, args.b, lambdas=lambdas)
+    run = theorem_check(LemmaContext(f, args.p, args.b), lambdas)
     if args.csv:
         with open_for_write(args.csv) as fh:
             fh.write(run.to_csv())

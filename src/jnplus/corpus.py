@@ -18,6 +18,10 @@ grid.  Kinds:
   each time cell (scaled by the denominator and rounded), nonincreasing
   in time; ``params["alpha"]`` defaults to 1/2.
 
+A spec may carry only the params its kind reads (``value`` for
+``constant``, ``alpha`` for ``one-sided-power``); any other is an
+:class:`InvalidSpecError`.
+
 ``default_manifest()`` returns the bundled 50-spec corpus and
 ``bundled_example()`` the small worked example used throughout the
 tests (one spatial dimension, L = 2, a single spike of height 4 in the
@@ -50,6 +54,9 @@ KINDS = (
 # It admits n=2, L=10 (3 * 2^20 cells, 24 MiB as int64).
 MAX_CELLS = 1 << 22
 
+# The only params a kind reads; a spec giving any other is rejected.
+_KIND_PARAMS = {"constant": ("value",), "one-sided-power": ("alpha",)}
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
@@ -80,6 +87,9 @@ class GeneratorSpec:
             raise InvalidSpecError(f"mode must be 'fixed' or 'f64', got {self.mode!r}")
         if self.denom <= 0:
             raise InvalidSpecError(f"denom must be positive, got {self.denom}")
+        unread = sorted(set(self.params) - set(_KIND_PARAMS.get(self.kind, ())))
+        if unread:
+            raise InvalidSpecError(f"kind {self.kind!r} reads no param {', '.join(unread)}")
 
     def to_json_dict(self) -> dict:
         return {

@@ -45,6 +45,7 @@ __all__ = [
     "PrefixTable",
     "resolve_root",
     "average",
+    "union_sum",
     "pos_part_average",
     "distribution_measure",
     "offset_positive_part",
@@ -204,10 +205,6 @@ class GridFunction:
             return Fraction(int(numer), count * self.denom)
         return float(numer) / count
 
-    def value_at(self, index: tuple[int, ...]):
-        v = self.values[index]
-        return Fraction(int(v), self.denom) if self.is_fixed else float(v)
-
     def min_value(self):
         m = self.values.min()
         return Fraction(int(m), self.denom) if self.is_fixed else float(m)
@@ -337,6 +334,12 @@ def average(f: GridFunction, cube: DyadicCube):
     """Mean of f over a cube (exact Fraction in fixed mode)."""
     s = f.prefix().cube_sum(cube)
     return f.ratio(s, f.cells_in(cube))
+
+
+def union_sum(f: GridFunction, cube: DyadicCube):
+    """Sum of the cell entries of f over cube ∪ cube+ (int in fixed mode, else float)."""
+    pre = f.prefix()
+    return pre.cube_sum(cube) + pre.cube_sum(forward(cube))
 
 
 def _domain_regions(f: GridFunction, domain: str, base: DyadicCube) -> list[np.ndarray]:

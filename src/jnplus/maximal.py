@@ -32,7 +32,7 @@ import numpy as np
 from ._blocks import block_count, block_cubes, covering_sweep, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward, parent, volume
 from .errors import InvalidParamsError, NegativeInputError
-from .grid import GridFunction, average, int64_fits, resolve_root
+from .grid import GridFunction, average, int64_fits, resolve_root, union_sum
 from .reports import VerificationReport
 
 __all__ = [
@@ -414,8 +414,7 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
     identity_ok = measure_grid == sum_qj
 
     cellvol = f.cell_volume
-    pre = f.prefix()
-    total = pre.cube_sum(root) + pre.cube_sum(forward(root))
+    total = union_sum(f, root)
     integral = (
         Fraction(total, f.denom) * cellvol if f.is_fixed else float(total) * float(cellvol)
     )

@@ -7,8 +7,12 @@ grid maximal field M of g over the root, writing
 
 and with the family seminorm K = jnp_plus_dyadic(f, p, root).value.
 
-* ``good_lambda_check`` — the decay step: for admissible lam (meaning
-  b*lam >= mean of g over root+),
+``LemmaContext(f, p, b, root=None)`` builds these once per tuple
+(f, p, b, root).  Every check below takes the context, so a sweep over
+many lam recomputes none of it.
+
+* ``good_lambda_check(ctx, lam)`` — the decay step: for admissible lam
+  (meaning b*lam >= mean of g over root+),
 
       |E(lam)| <= (a*K/lam) * |E(b*lam)|^{1/q},
 
@@ -19,11 +23,14 @@ and with the family seminorm K = jnp_plus_dyadic(f, p, root).value.
   {M_{Q_j} g_j > (1-2^n b)*lam} where g_j = (f - mean(f over Q_j++))^+
   ("p8").
 
-* ``proof_constant`` — the explicit constant C(n,p,b) produced by
+* ``lemma_sweep(ctx, lambdas=None)`` — the decay step at every lam of
+  ``default_lambda_grid(ctx)`` (or of the given list).
+
+* ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
   combined with the trivial bound (2/b)^p for small lam.
 
-* ``theorem_check`` — for a grid of lam values: asserts
+* ``theorem_check(ctx, lambdas=None)`` — for a grid of lam values: asserts
   lam^p * |E(lam)| <= C * K^p ("p9"), the single-cube consequence
   (1/|root|) * integral of g over root ∪ root+ <= 2K/|root|^{1/p}
   ("p11"), and the constructional domination of the plain distribution
@@ -54,6 +61,7 @@ from .grid import (
     distribution_measure,
     offset_positive_part,
     resolve_root,
+    union_sum,
 )
 from .maximal import (
     MaximalField,
@@ -71,7 +79,6 @@ __all__ = [
     "LemmaContext",
     "good_lambda_check",
     "lemma_sweep",
-    "lambda0",
     "proof_constant",
     "default_lambda_grid",
     "TheoremRun",
@@ -79,6 +86,12 @@ __all__ = [
 ]
 
 _REL_TOL = 1e-9
+# default_lambda_grid: log-spaced values, then ladder points b^{-k} lambda0
+_GRID_COUNT = 64
+_LADDER = 8
+# proof_constant's running max stops once successive terms agree to this
+_SERIES_TOL = 1e-12
+_SERIES_MAX_TERMS = 100000
 
 
 @dataclass(frozen=True)
@@ -120,21 +133,26 @@ def lemma_params(n: int, p, b) -> LemmaParams:
 
 
 class LemmaContext:
-    """Shared per-(f, root, p) precomputation for lambda sweeps."""
+    """What every lambda of a sweep over (f, p, b, root) shares.
 
-    def __init__(
-        self,
-        f: GridFunction,
-        root: DyadicCube | None,
-        p,
-        seminorm: SeminormResult | None = None,
-    ) -> None:
+    Built once per sweep: the validated ``params``, the resolved
+    ``root``, the seminorm K (``seminorm``), g = (f - mean(f over
+    root++))^+, g's grid maximal ``field`` over the root, g's mean over
+    root+ (``g_fwd_avg``) and the ladder base ``lam0`` = 2K / (b *
+    |root|^{1/p}).
+    """
+
+    def __init__(self, f: GridFunction, p, b, root: DyadicCube | None = None) -> None:
         self.f = f
+        self.params = lemma_params(f.n, p, b)
         self.root = resolve_root(f, root)
-        self.seminorm = seminorm or jnp_plus_dyadic(f, p, self.root)
+        self.seminorm: SeminormResult = jnp_plus_dyadic(f, self.params.p, self.root)
         self.g = offset_positive_part(f, forward(self.root, 2))
         self.field: MaximalField = maximal_function(self.g, self.root, "grid")
         self.g_fwd_avg = average(self.g, forward(self.root))
+        K, params = self.seminorm, self.params
+        vol = float(volume(self.root))
+        self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
 
 
 def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
@@ -145,13 +163,7 @@ def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
     return lhs <= prod
 
 
-def good_lambda_check(
-    f: GridFunction,
-    params: LemmaParams,
-    lam,
-    root: DyadicCube | None = None,
-    ctx: LemmaContext | None = None,
-) -> VerificationReport:
+def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     """One decay step |E(lam)| <= (a*K/lam)*|E(b*lam)|^{1/q} plus p6/p8.
 
     Inadmissible lam (b*lam below the forward mean of g over root+) is
@@ -159,11 +171,7 @@ def good_lambda_check(
     is decided exactly on u-th powers (p = u/v) whenever the seminorm
     weight K^p is exact; otherwise floats at 1e-9 relative tolerance.
     """
-    if ctx is None:
-        ctx = LemmaContext(f, root, params.p)
-    root = ctx.root
-    if f.n != params.n:
-        raise InvalidParamsError(f"params built for n={params.n}, grid has n={f.n}")
+    f, params, root = ctx.f, ctx.params, ctx.root
     lamN = Fraction(lam) if f.is_fixed else float(lam)
     if not (lamN > 0):
         raise InvalidParamsError("lambda must be positive")
@@ -249,46 +257,22 @@ def good_lambda_check(
     )
 
 
-def lemma_sweep(
-    f: GridFunction,
-    p,
-    b,
-    lambdas=None,
-    root: DyadicCube | None = None,
-    seminorm: SeminormResult | None = None,
-) -> list[VerificationReport]:
-    """good_lambda_check across a lambda grid, sharing all precomputation."""
-    params = lemma_params(f.n, p, b)
-    ctx = LemmaContext(f, root, params.p, seminorm)
+def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
+    """good_lambda_check across a lambda grid (default: ``default_lambda_grid``)."""
     if lambdas is None:
-        lambdas = default_lambda_grid(f, p, b, root=ctx.root, seminorm=ctx.seminorm, g=ctx.g)
-    return [good_lambda_check(f, params, lam, root=ctx.root, ctx=ctx) for lam in lambdas]
+        lambdas = default_lambda_grid(ctx)
+    return [good_lambda_check(ctx, lam) for lam in lambdas]
 
 
-def lambda0(
-    f: GridFunction,
-    p,
-    b,
-    root: DyadicCube | None = None,
-    seminorm: SeminormResult | None = None,
-) -> float:
-    """The ladder base 2K / (b * |root|^{1/p})."""
-    params = lemma_params(f.n, p, b)
-    root = resolve_root(f, root)
-    K = seminorm or jnp_plus_dyadic(f, p, root)
-    vol = float(volume(root))
-    return 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
-
-
-def proof_constant(n: int, p, b, tol: float = 1e-12, max_terms: int = 100000) -> float:
+def proof_constant(n: int, p, b) -> float:
     """The explicit constant C(n, p, b) of the iterated decay bound.
 
     C = max( (2/b)^p , sup_{N>=1} a^{p - p/q^N}
              * b^{-S_N + q^{-N} - (N+2) p q^{-N}} * 2^{(1+p) q^{-N}} ),
     with S_N = sum_{k=1}^{N} k q^{-(k-1)}.  The terms converge (S_N ->
     p^2), so the sup is a running max iterated until successive terms
-    change by less than ``tol`` relative, joined with the limit term
-    a^p * b^{-p^2}.
+    change by less than ``_SERIES_TOL`` relative, joined with the limit
+    term a^p * b^{-p^2}.
     """
     params = lemma_params(n, p, b)
     pf = float(params.p)
@@ -300,53 +284,38 @@ def proof_constant(n: int, p, b, tol: float = 1e-12, max_terms: int = 100000) ->
     SN = 0.0
     best = -math.inf
     prev = None
-    for N in range(1, max_terms + 1):
+    for N in range(1, _SERIES_MAX_TERMS + 1):
         SN += N * qinv ** (N - 1)
         qN = qinv**N
         term = af ** (pf - pf * qN) * bf ** (-SN + qN - (N + 2) * pf * qN) * 2.0 ** (
             (1 + pf) * qN
         )
         best = max(best, term)
-        if prev is not None and abs(term - prev) <= tol * max(abs(term), 1.0):
+        if prev is not None and abs(term - prev) <= _SERIES_TOL * max(abs(term), 1.0):
             break
         prev = term
     limit = af**pf * bf ** (-pf * pf)
     return max(small, best, limit)
 
 
-def default_lambda_grid(
-    f: GridFunction,
-    p,
-    b,
-    root: DyadicCube | None = None,
-    seminorm: SeminormResult | None = None,
-    count: int = 64,
-    ladder: int = 8,
-    g: GridFunction | None = None,
-) -> list[float]:
+def default_lambda_grid(ctx: LemmaContext) -> list[float]:
     """Log-spaced lambdas spanning both proof branches.
 
-    ``count`` values from (max f - min f) * 2^{-10} up to max g + 1,
-    plus the ladder points lambda0 and b^{-k} lambda0 for k = 1..ladder.
-    ``g`` = (f - mean(f over root++))^+ is built unless the caller
-    already has it.
+    ``_GRID_COUNT`` values from (max f - min f) * 2^{-10} up to max g + 1,
+    plus the ladder points lambda0 and b^{-k} lambda0 for k = 1.._LADDER.
     """
-    params = lemma_params(f.n, p, b)
-    root = resolve_root(f, root)
-    K = seminorm or jnp_plus_dyadic(f, p, root)
-    if g is None:
-        g = offset_positive_part(f, forward(root, 2))
-    hi = float(g.max_value()) + 1.0
+    f = ctx.f
+    hi = float(ctx.g.max_value()) + 1.0
     lo = (float(f.max_value()) - float(f.min_value())) * 2.0**-10
     if lo <= 0.0:
         lo = hi * 2.0**-10
     if hi <= lo:
         hi = 2.0 * lo
-    grid = list(np.logspace(math.log10(lo), math.log10(hi), count))
-    lam0 = lambda0(f, p, b, root=root, seminorm=K)
+    grid = list(np.logspace(math.log10(lo), math.log10(hi), _GRID_COUNT))
+    lam0 = ctx.lam0
     if lam0 > 0.0:
         grid.append(lam0)
-        grid.extend(lam0 * float(params.b) ** -k for k in range(1, ladder + 1))
+        grid.extend(lam0 * float(ctx.params.b) ** -k for k in range(1, _LADDER + 1))
     return sorted({float(x) for x in grid if x > 0.0})
 
 
@@ -420,14 +389,7 @@ class TheoremRun:
         return "\n".join(lines) + "\n"
 
 
-def theorem_check(
-    f: GridFunction,
-    p,
-    b,
-    root: DyadicCube | None = None,
-    lambdas=None,
-    seminorm: SeminormResult | None = None,
-) -> TheoremRun:
+def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     """Check lam^p |E(lam)| <= C K^p over a lambda grid, plus p11 and
     the distribution-vs-augmented domination.
 
@@ -436,14 +398,11 @@ def theorem_check(
     relative tolerance; C and the p-th powers are floats).  The
     distribution <= |E_aug| comparison is exact.
     """
-    params = lemma_params(f.n, p, b)
-    ctx = LemmaContext(f, root, params.p, seminorm)
-    root, K, g, field_g = ctx.root, ctx.seminorm, ctx.g, ctx.field
-    field_a = maximal_function(g, root, "augmented")
+    f, params, root, K, g, lam0 = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g, ctx.lam0
+    field_g, field_a = ctx.field, maximal_function(g, root, "augmented")
     if lambdas is None:
-        lambdas = default_lambda_grid(f, p, b, root=root, seminorm=K, g=g)
-    C = proof_constant(f.n, p, b)
-    lam0 = lambda0(f, p, b, root=root, seminorm=K)
+        lambdas = default_lambda_grid(ctx)
+    C = proof_constant(f.n, params.p, params.b)
     Kp = float(K.weight) if K.exact else K.value ** float(params.p)
 
     records: list[dict] = []
@@ -485,8 +444,7 @@ def theorem_check(
         )
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
-    pre = g.prefix()
-    total = pre.cube_sum(root) + pre.cube_sum(forward(root))
+    total = union_sum(g, root)
     V = volume(root)
     if f.is_fixed:
         p11_lhs = Fraction(total, g.denom) * g.cell_volume / V

@@ -27,6 +27,7 @@ from jnplus import (
     gen,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
+    LemmaContext,
     lemma_sweep,
     maximal_function,
     scale_values,
@@ -56,7 +57,8 @@ def pinned_sweeps(corpus):
     """(f, lambda-grid, per-lambda decompositions) at the pinned params."""
     out = []
     for f in corpus:
-        lambdas = [Fraction(x) for x in default_lambda_grid(f, PINNED_P, pinned_b(f.n))]
+        ctx = LemmaContext(f, PINNED_P, pinned_b(f.n))
+        lambdas = [Fraction(x) for x in default_lambda_grid(ctx)]
         decs = [cz_decompose(f, None, lam) for lam in lambdas]
         out.append((f, lambdas, decs))
     return out
@@ -64,7 +66,7 @@ def pinned_sweeps(corpus):
 
 @pytest.fixture(scope="module")
 def theorem_runs(corpus):
-    return [theorem_check(f, PINNED_P, pinned_b(f.n)) for f in corpus]
+    return [theorem_check(LemmaContext(f, PINNED_P, pinned_b(f.n))) for f in corpus]
 
 
 def test_criterion_01_tree_dp_matches_exhaustive_oracle():
@@ -151,9 +153,8 @@ def test_criterion_05_decay_step_full_sweep(corpus):
     admissible = 0
     for f in corpus:
         for p in (Fraction(3, 2), 2, 3):
-            K = jnp_plus_dyadic(f, p)
             for b in (Fraction(1, 1 << (f.n + 1)), Fraction(1, 1 << (f.n + 2))):
-                reports = lemma_sweep(f, p, b, seminorm=K)
+                reports = lemma_sweep(LemmaContext(f, p, b))
                 assert any(r.admissible for r in reports)
                 for r in reports:
                     assert r.passed, (f.n, f.L, p, b, r.details["failed-ids"])

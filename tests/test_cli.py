@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import jnplus
 from helpers import oracle_canonical_json
 from jnplus import DyadicCube, bundled_example, gen, GeneratorSpec, load_grid, save_grid
 from jnplus import cli
@@ -54,6 +56,24 @@ def test_gen_with_params(tmp_path, capsys):
     assert f.n == 1 and f.L == 3
 
 
+@pytest.mark.parametrize(
+    "kind, flags",
+    [
+        ("uniform-random", ("--alpha", "3", "--value", "9")),
+        ("constant", ("--alpha", "3")),
+        ("one-sided-power", ("--value", "9")),
+    ],
+)
+def test_gen_rejects_params_its_kind_does_not_read(tmp_path, capsys, kind, flags):
+    out = tmp_path / "g.grid"
+    code, stdout, stderr = run(
+        capsys, "gen", "--kind", kind, "--n", "1", "--L", "2", *flags, "--out", str(out)
+    )
+    assert code == 2, (kind, flags)
+    assert stdout == "" and stderr.startswith("error: ")
+    assert not out.exists()
+
+
 def test_seminorm_reports_all_functionals(example_path, capsys):
     code, stdout, _ = run(capsys, "seminorm", "--input", example_path, "--p", "2")
     assert code == 0
@@ -81,7 +101,7 @@ def test_maximal_summary_and_dump(example_path, tmp_path, capsys):
     assert code == 0
     summary = json.loads(stdout)
     assert summary["max"]["exact"] == "4"
-    dumped = json.loads(open(out).read())
+    dumped = json.loads(Path(out).read_text())
     assert dumped["denom-scale"] == 4
     assert dumped["values"] == [8, 8, 16, 0]
 
@@ -106,6 +126,49 @@ def test_decompose_auto_grid(example_path, capsys):
     assert code == 0
     doc = json.loads(stdout)
     assert len(doc["decompositions"]) >= 64
+
+
+def test_decompose_rejects_p_b_without_auto(example_path, capsys):
+    for flags in (("--p", "7", "--b", "1/64"), ("--p", "7"), ("--b", "1/64")):
+        code, stdout, stderr = run(
+            capsys, "decompose", "--input", example_path, "--lambda", "1/2", *flags
+        )
+        assert code == 2, flags
+        assert stdout == ""
+        assert stderr.startswith("error: ") and "--lambda auto" in stderr
+    code, stdout, _ = run(
+        capsys, "decompose", "--input", example_path, "--lambda", "auto", "--p", "3", "--b", "1/8"
+    )
+    assert code == 0
+    assert len(json.loads(stdout)["decompositions"]) >= 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "good-lambda", "--p", "2", "--b", "1/4"),
+        ("verify", "theorem", "--p", "2", "--b", "1/4"),
+        ("decompose", "--lambda", "auto"),
+    ],
+)
+def test_sweep_builds_shared_work_once(example_path, capsys, monkeypatch, argv):
+    calls = {}
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "jnplus"]
+    for name in ("jnp_plus_dyadic", "offset_positive_part", "default_lambda_grid"):
+        orig = getattr(jnplus, name)
+        calls[name] = 0
+
+        def counted(*args, _name=name, _orig=orig, **kwargs):
+            calls[_name] += 1
+            return _orig(*args, **kwargs)
+
+        for mod in modules:  # every binding, as a tracer would see them
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    code, _, _ = run(capsys, *argv, "--input", example_path)
+    assert code == 0
+    assert calls == dict.fromkeys(calls, 1), argv
 
 
 def test_verify_good_lambda_pass(example_path, capsys):
@@ -139,9 +202,9 @@ def test_verify_theorem_pass_and_csv(example_path, tmp_path, capsys):
         "--p", "2", "--b", "1/4", "--csv", csv, "--out", out,
     )
     assert code == 0
-    doc = json.loads(open(out).read())
+    doc = json.loads(Path(out).read_text())
     assert doc["pass"] is True
-    lines = open(csv).read().strip().splitlines()
+    lines = Path(csv).read_text().strip().splitlines()
     assert lines[0] == "lambda,E_grid,E_aug,dist,bound,pass"
     assert len(lines) == len(doc["records"]) + 1
 

@@ -98,6 +98,23 @@ def test_one_sided_power_alpha_validation():
         gen(GeneratorSpec(kind="one-sided-power", n=1, L=2, params={"alpha": -1}))
 
 
+def test_spec_rejects_params_its_kind_does_not_read():
+    for kind, params in (
+        ("uniform-random", {"alpha": 3.0, "value": 9}),
+        ("dyadic-martingale", {"alpha": 0.5}),
+        ("time-step", {"value": 1}),
+        ("constant", {"alpha": 0.5}),
+        ("one-sided-power", {"value": 9}),
+        ("one-sided-power", {"alpha": 0.5, "beta": 1}),
+    ):
+        with pytest.raises(InvalidSpecError):
+            GeneratorSpec(kind=kind, n=1, L=2, params=params)
+        with pytest.raises(InvalidSpecError):
+            GeneratorSpec.from_json_dict({"kind": kind, "n": 1, "L": 2, "params": params})
+    manifest = default_manifest()
+    assert [s.kind for s in manifest if s.params] == ["one-sided-power"] * 12
+
+
 def test_f64_mode():
     spec = GeneratorSpec(kind="uniform-random", n=1, L=2, seed=2, mode="f64", denom=16)
     f = gen(spec)

@@ -25,7 +25,7 @@ from jnplus import (
     subcubes,
 )
 from jnplus._blocks import absdev_sums
-from jnplus.grid import exact
+from jnplus.grid import exact, union_sum
 
 from helpers import (
     cell_value,
@@ -122,6 +122,19 @@ def test_prefix_box_sums():
             slice(i << sh, (i + 1) << sh) for i in (*c.spatial, c.time)
         )
         assert pre.cube_sum(c) == int(f.values[sl].sum())
+
+
+def test_union_sum_matches_cells():
+    rng = np.random.default_rng(4)
+    fixed = random_fixed_grid(rng, 2, 2)
+    for f in both_dtypes(fixed):
+        for c in grid_cubes(f):
+            assert union_sum(f, c) == naive_block_sum(f, c) + naive_block_sum(f, forward(c))
+    f64 = GridFunction(2, 2, fixed.values / fixed.denom, "f64")
+    for c in grid_cubes(f64):
+        got = union_sum(f64, c)
+        assert isinstance(got, float)
+        assert got == pytest.approx(naive_block_sum(f64, c) + naive_block_sum(f64, forward(c)))
 
 
 def test_distribution_measure_counts_cells():

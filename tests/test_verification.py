@@ -10,13 +10,13 @@ from jnplus import (
     GridFunction,
     InvalidExponentError,
     InvalidParamsError,
+    LemmaContext,
     average,
     bundled_example,
     default_lambda_grid,
     forward,
     good_lambda_check,
     jnp_plus_dyadic,
-    lambda0,
     lemma_params,
     lemma_sweep,
     offset_positive_part,
@@ -26,7 +26,7 @@ from jnplus import (
     volume,
 )
 
-from helpers import random_fixed_grid
+from helpers import naive_block_sum, random_fixed_grid
 
 
 def test_lemma_params_validation():
@@ -46,8 +46,7 @@ def test_lemma_params_validation():
 
 def test_good_lambda_worked_example():
     f = bundled_example()
-    params = lemma_params(1, 2, Fraction(1, 4))
-    r = good_lambda_check(f, params, Fraction(2))
+    r = good_lambda_check(LemmaContext(f, 2, Fraction(1, 4)), Fraction(2))
     assert r.admissible and r.passed and r.exact
     assert r.details["p6-pass"] and r.details["p8-pass"]
     assert r.details["failed-ids"] == []
@@ -61,13 +60,13 @@ def test_good_lambda_inadmissible_flagged():
     g = offset_positive_part(f, forward(root_cube(1), 2))
     m = average(g, forward(root_cube(1)))
     assert m > 0
-    params = lemma_params(1, 2, Fraction(1, 4))
+    ctx = LemmaContext(f, 2, Fraction(1, 4))
     lam_bad = Fraction(m) * 2  # b * lam = m/2 < m
-    r = good_lambda_check(f, params, lam_bad)
+    r = good_lambda_check(ctx, lam_bad)
     assert not r.admissible
     assert r.passed  # vacuous: nothing asserted
     lam_ok = Fraction(m) * 8
-    r2 = good_lambda_check(f, params, lam_ok)
+    r2 = good_lambda_check(ctx, lam_ok)
     assert r2.admissible and r2.passed
 
 
@@ -77,7 +76,7 @@ def test_lemma_sweep_all_pass():
         f = random_fixed_grid(rng, n, L, denom=16)
         for p in (2, Fraction(3, 2)):
             for b in (Fraction(1, 1 << (n + 1)), Fraction(1, 1 << (n + 2))):
-                reports = lemma_sweep(f, p, b)
+                reports = lemma_sweep(LemmaContext(f, p, b))
                 assert reports, "sweep must cover the default grid"
                 for r in reports:
                     assert r.passed, r.details["failed-ids"]
@@ -85,18 +84,10 @@ def test_lemma_sweep_all_pass():
                     assert all(r.exact for r in reports)
 
 
-def test_dimension_mismatch_rejected():
-    f = bundled_example()
-    params = lemma_params(2, 2, Fraction(1, 8))
-    with pytest.raises(InvalidParamsError):
-        good_lambda_check(f, params, Fraction(1))
-
-
 def test_nonpositive_lambda_rejected():
     f = bundled_example()
-    params = lemma_params(1, 2, Fraction(1, 4))
     with pytest.raises(InvalidParamsError):
-        good_lambda_check(f, params, Fraction(0))
+        good_lambda_check(LemmaContext(f, 2, Fraction(1, 4)), Fraction(0))
 
 
 def test_proof_constant_reference_values():
@@ -132,15 +123,16 @@ def test_lambda0_formula():
     f = bundled_example()
     K = jnp_plus_dyadic(f, 2)
     want = 2.0 * K.value / (0.25 * float(volume(root_cube(1))) ** 0.5)
-    assert lambda0(f, 2, Fraction(1, 4)) == pytest.approx(want, rel=1e-12)
+    assert LemmaContext(f, 2, Fraction(1, 4)).lam0 == pytest.approx(want, rel=1e-12)
 
 
 def test_default_lambda_grid_shape():
     f = bundled_example()
-    grid = default_lambda_grid(f, 2, Fraction(1, 4))
+    ctx = LemmaContext(f, 2, Fraction(1, 4))
+    grid = default_lambda_grid(ctx)
     assert all(x > 0 for x in grid)
     assert grid == sorted(set(grid))
-    lam0 = lambda0(f, 2, Fraction(1, 4))
+    lam0 = ctx.lam0
     assert any(abs(x - lam0) < 1e-12 for x in grid)
     # ladder points b^-k * lam0
     for k in (1, 4, 8):
@@ -149,13 +141,13 @@ def test_default_lambda_grid_shape():
 
 def test_default_lambda_grid_constant_function():
     f = GridFunction(1, 1, [3] * 6, "fixed", 1)
-    grid = default_lambda_grid(f, 2, Fraction(1, 4))
+    grid = default_lambda_grid(LemmaContext(f, 2, Fraction(1, 4)))
     assert grid and all(x > 0 for x in grid)  # no zero-width span, no ladder
 
 
 def test_theorem_worked_example():
     f = bundled_example()
-    run = theorem_check(f, 2, Fraction(1, 4))
+    run = theorem_check(LemmaContext(f, 2, Fraction(1, 4)))
     assert run.passed and run.passed_p9 and run.passed_p11 and run.passed_dist
     assert run.C_proof == pytest.approx(16384.0, rel=1e-9)
     assert run.K == pytest.approx(float(Fraction(5, 2)) ** 0.5, rel=1e-12)
@@ -170,12 +162,11 @@ def test_theorem_p11_single_cube_guarantee():
     rng = np.random.default_rng(57)
     for _ in range(10):
         f = random_fixed_grid(rng, 1, 3, denom=16)
-        run = theorem_check(f, 2, Fraction(1, 4))
+        run = theorem_check(LemmaContext(f, 2, Fraction(1, 4)))
         assert run.passed_p11
         # cross-check the two sides directly
         g = offset_positive_part(f, forward(root_cube(1), 2))
-        pre = g.prefix()
-        total = pre.cube_sum(root_cube(1)) + pre.cube_sum(forward(root_cube(1)))
+        total = naive_block_sum(g, root_cube(1)) + naive_block_sum(g, forward(root_cube(1)))
         lhs = Fraction(total, g.denom) * g.cell_volume
         assert lhs == run.p11_lhs
         assert float(lhs) <= run.p11_rhs * (1 + 1e-9)
@@ -185,7 +176,7 @@ def test_theorem_distribution_dominated():
     rng = np.random.default_rng(59)
     for n, L in ((1, 3), (2, 2)):
         f = random_fixed_grid(rng, n, L)
-        run = theorem_check(f, 2, Fraction(1, 1 << (n + 1)))
+        run = theorem_check(LemmaContext(f, 2, Fraction(1, 1 << (n + 1))))
         assert run.passed_dist
         for rec in run.records:
             assert rec["dist"] <= rec["E-aug"]
@@ -194,7 +185,7 @@ def test_theorem_distribution_dominated():
 
 def test_theorem_csv_shape():
     f = bundled_example()
-    run = theorem_check(f, 2, Fraction(1, 4))
+    run = theorem_check(LemmaContext(f, 2, Fraction(1, 4)))
     lines = run.to_csv().strip().splitlines()
     assert lines[0] == "lambda,E_grid,E_aug,dist,bound,pass"
     assert len(lines) == len(run.records) + 1
@@ -207,7 +198,7 @@ def test_theorem_csv_shape():
 
 def test_theorem_json_keys():
     f = bundled_example()
-    run = theorem_check(f, 2, Fraction(1, 4))
+    run = theorem_check(LemmaContext(f, 2, Fraction(1, 4)))
     doc = run.to_json_dict()
     for key in (
         "p", "b", "root", "K", "K-weight", "lambda0", "C-proof",
