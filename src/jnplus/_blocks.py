@@ -132,8 +132,7 @@ def clamped_sums(gf: GridFunction, k: int, offset: int) -> np.ndarray:
     w = gf.side >> k
     ref = blocked(_shift_time(gf.block_sums(k), offset)[..., :T], 1)
     diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - ref
-    zero = 0.0 if gf.mode == "f64" else 0
-    return np.maximum(diff, zero).sum(axis=in_block(gf.n))
+    return np.maximum(diff, 0).sum(axis=in_block(gf.n))
 
 
 def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:

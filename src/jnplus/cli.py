@@ -78,8 +78,7 @@ def _parse_lambdas(text: str, f: GridFunction):
     out = []
     for tok in text.split(","):
         try:
-            lam = Fraction(tok)
-            out.append(lam if f.is_fixed else float(lam))
+            out.append(f.scalar(Fraction(tok)))
         except (ValueError, ZeroDivisionError, OverflowError):
             raise InvalidParamsError(f"bad --lambda value {tok!r}") from None
     return out

@@ -10,17 +10,16 @@ translates, which the one-sided operators consume.
 
 All boxes are half-open, so "non-overlapping" means literal set
 disjointness.  Because every instance is aligned to the 2^{-level} grid
-on every axis, two valid cubes are always nested or disjoint; the
-PARTIAL_OVERLAP relation value exists for completeness but is not
-reachable from aligned inputs.
+on every axis, two valid cubes are always nested or disjoint.
 """
 
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import OutOfDomainError, RefinementBelowGridError
 
@@ -34,6 +33,7 @@ __all__ = [
     "relation",
     "contains",
     "volume",
+    "volume_sum",
     "subcubes",
 ]
 
@@ -87,7 +87,6 @@ class CubeRelation(enum.Enum):
     EQUAL = "equal"
     A_CONTAINS_B = "a-contains-b"
     B_CONTAINS_A = "b-contains-a"
-    PARTIAL_OVERLAP = "partial-overlap"
 
 
 def root_cube(n: int) -> DyadicCube:
@@ -152,22 +151,16 @@ def _scaled_intervals(cube: DyadicCube, level: int) -> list[tuple[int, int]]:
 
 
 def relation(a: DyadicCube, b: DyadicCube) -> CubeRelation:
-    """Set relation between two half-open boxes."""
+    """Set relation between two half-open boxes; aligned boxes that meet are nested."""
     if a.n != b.n:
         raise OutOfDomainError(f"dimension mismatch: {a.n} vs {b.n}")
     m = max(a.level, b.level)
     ia, ib = _scaled_intervals(a, m), _scaled_intervals(b, m)
     if any(ha <= lb or hb <= la for (la, ha), (lb, hb) in zip(ia, ib)):
         return CubeRelation.DISJOINT
-    a_in_b = all(lb <= la and ha <= hb for (la, ha), (lb, hb) in zip(ia, ib))
-    b_in_a = all(la <= lb and hb <= ha for (la, ha), (lb, hb) in zip(ia, ib))
-    if a_in_b and b_in_a:
+    if a.level == b.level:
         return CubeRelation.EQUAL
-    if b_in_a:
-        return CubeRelation.A_CONTAINS_B
-    if a_in_b:
-        return CubeRelation.B_CONTAINS_A
-    return CubeRelation.PARTIAL_OVERLAP
+    return CubeRelation.A_CONTAINS_B if a.level < b.level else CubeRelation.B_CONTAINS_A
 
 
 def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
@@ -178,6 +171,16 @@ def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
 
 def volume(cube: DyadicCube) -> Fraction:
     return Fraction(1, 1 << (cube.level * cube.n))
+
+
+def volume_sum(cubes: Iterable[DyadicCube]) -> Fraction:
+    """Summed volume of ``cubes``: m cubes of level k weigh m * 2^{-kn}.
+
+    Counts the cubes per level first, so it builds one Fraction per
+    level rather than one per cube.
+    """
+    counts = Counter((c.level, c.n) for c in cubes)
+    return sum((Fraction(m, 1 << (k * n)) for (k, n), m in counts.items()), Fraction(0))
 
 
 def subcubes(root: DyadicCube, max_level: int) -> Iterator[DyadicCube]:

@@ -11,6 +11,16 @@ axis, matching C order).  Two value modes:
 * ``"f64"`` — plain float64 cells; the same operations run in floating
   point and exactness claims are off.
 
+This module owns the mode decision for the rest of the package:
+
+* :func:`exceeds` is the one strict-threshold rule, numer/(count*denom)
+  > lam cell by cell.  It is exact on integer numerators and a float
+  compare on float64 cells; every superlevel set, stopping condition
+  and distribution set goes through it.
+* :meth:`GridFunction.scalar` lifts a threshold or constant to the
+  mode's scalar (Fraction or float), and :meth:`GridFunction.ratio`
+  turns a sum of cell entries into a value.
+
 Fixed-mode arrays have one of two dtypes, and :func:`exact` alone picks
 it: int64 while :func:`int64_fits` proves that the largest magnitude a
 computation reaches stays below 2^62, object dtype holding Python ints
@@ -67,6 +77,23 @@ def int64_fits(magnitude: int) -> bool:
     block sum and scaled comparison made on it.
     """
     return int(magnitude).bit_length() <= _GUARD_BITS
+
+
+def exceeds(numer: np.ndarray, count: int, denom: int | None, lam) -> np.ndarray:
+    """Cellwise numer / (count * denom) > lam: the one strict-threshold rule.
+
+    Exact on integer numerators (int64 or object): m > floor(lam*count*denom).
+    int64 cells stay below 2^62 (:func:`int64_fits`), so a threshold past
+    that is clamped to +-2^62.  Float64 cells (f64 mode, ``denom`` None)
+    compare with lam * count, exact because ``count`` is a power of two.
+    """
+    if numer.dtype.kind == "f":
+        return numer > float(lam) * count
+    lam = Fraction(lam)
+    thr = lam.numerator * count * denom // lam.denominator
+    if numer.dtype == np.int64 and not int64_fits(thr):
+        thr = (1 << _GUARD_BITS) if thr > 0 else -(1 << _GUARD_BITS)
+    return numer > thr
 
 
 def is_grid_size(n: int, L: int, size: int) -> bool:
@@ -199,6 +226,10 @@ class GridFunction:
 
     # -- exact/float scalar helpers --------------------------------------
 
+    def scalar(self, x):
+        """``x`` as this grid's scalar: a Fraction in fixed mode, a float in f64."""
+        return Fraction(x) if self.is_fixed else float(x)
+
     def ratio(self, numer, count: int):
         """Value of (sum of cell entries)/count as Fraction or float."""
         if self.is_fixed:
@@ -206,16 +237,10 @@ class GridFunction:
         return float(numer) / count
 
     def min_value(self):
-        m = self.values.min()
-        return Fraction(int(m), self.denom) if self.is_fixed else float(m)
+        return self.ratio(self.values.min(), 1)
 
     def max_value(self):
-        m = self.values.max()
-        return Fraction(int(m), self.denom) if self.is_fixed else float(m)
-
-    def min_over(self, cube: DyadicCube):
-        m = self.region(cube).min()
-        return Fraction(int(m), self.denom) if self.is_fixed else float(m)
+        return self.ratio(self.values.max(), 1)
 
     # -- memoized aggregates ----------------------------------------------
 
@@ -376,18 +401,6 @@ def pos_part_average(f: GridFunction, domain: str, base: DyadicCube, ref: Dyadic
     return total / count
 
 
-def _count_above(f: GridFunction, arr: np.ndarray, ref_avg, lam) -> int:
-    """Exact count of cells with (value - ref_avg) > lam (fixed mode)."""
-    lam = Fraction(lam)
-    rn, rd = ref_avg.numerator, ref_avg.denominator
-    d = f.denom
-    # value - ref = (a*rd - rn*d)/(d*rd) > lam  iff  a*rd > lam*d*rd + rn*d,
-    # and for integer a*rd that holds iff a*rd > floor of the right side
-    thr_num = lam.numerator * d * rd + rn * d * lam.denominator
-    thr = thr_num // lam.denominator  # a*rd > thr  <=>  strict inequality
-    return int((_affine(arr, rd, -thr) > 0).sum())
-
-
 def distribution_measure(f: GridFunction, root: DyadicCube | None, lam) -> Fraction:
     """|{x in root : (f(x) - mean(f over root++))^+ > lam}| for lam >= 0.
 
@@ -398,18 +411,18 @@ def distribution_measure(f: GridFunction, root: DyadicCube | None, lam) -> Fract
         root = f.root
     if not root.in_unit_cube:
         raise OutOfDomainError("distribution root must lie inside the unit cube")
-    ref = forward(root, 2)
-    ravg = average(f, ref)
+    lam = f.scalar(lam)
+    if lam < 0:
+        raise OutOfDomainError("distribution threshold must be >= 0")
+    ravg = average(f, forward(root, 2))
     arr = f.region(root)
     if f.is_fixed:
-        if Fraction(lam) < 0:
-            raise OutOfDomainError("distribution threshold must be >= 0")
-        count = _count_above(f, arr, ravg, lam)
+        # value - ref = (a*rd - rn*d) / (d*rd) for ref = rn/rd
+        rn, rd = ravg.numerator, ravg.denominator
+        above = exceeds(_affine(arr, rd, -rn * f.denom), 1, f.denom * rd, lam)
     else:
-        if float(lam) < 0:
-            raise OutOfDomainError("distribution threshold must be >= 0")
-        count = int((arr - ravg > float(lam)).sum())
-    return Fraction(count, 1 << (f.L * f.n))
+        above = exceeds(arr - ravg, 1, None, lam)
+    return Fraction(int(above.sum()), 1 << (f.L * f.n))
 
 
 # -- derived grids ------------------------------------------------------------

@@ -17,8 +17,10 @@ Two variants:
 
 The stopping-time decomposition of R at threshold lam collects the
 maximal dyadic subcubes Q with mean(f over Q+) > lam (strict).  Their
-union reproduces {M_R f > lam} exactly on the grid.  In fixed mode every
-comparison here is decided in integer arithmetic.
+union reproduces {M_R f > lam} exactly on the grid.  Every such strict
+comparison goes through :func:`jnplus.grid.exceeds`, which decides it in
+integer arithmetic in fixed mode; thresholds are lifted to the grid's
+scalar by :meth:`~jnplus.grid.GridFunction.scalar`.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import Iterator
 import numpy as np
 
 from ._blocks import block_count, block_cubes, covering_sweep, level_sums, root_box, upsample
-from .cubes import DyadicCube, forward, parent, volume
+from .cubes import DyadicCube, forward, parent, volume_sum
 from .errors import InvalidParamsError, NegativeInputError
-from .grid import GridFunction, average, int64_fits, resolve_root, union_sum
+from .grid import GridFunction, average, exceeds, resolve_root, union_sum
 from .reports import VerificationReport
 
 __all__ = [
@@ -50,17 +52,6 @@ __all__ = [
 ]
 
 _VARIANTS = ("grid", "augmented")
-
-
-def _threshold_int(lam: Fraction, denom_scale: int) -> int:
-    # integers m satisfy m/denom_scale > lam  iff  m > floor(lam*denom_scale)
-    return (lam.numerator * denom_scale) // lam.denominator
-
-
-def _compare_gt(values: np.ndarray, thr: int) -> np.ndarray:
-    if values.dtype == np.int64 and not int64_fits(thr):
-        thr = (1 << 62) if thr > 0 else -(1 << 62)  # |values| < 2^62 by the storage guard
-    return values > thr
 
 
 @dataclass
@@ -81,10 +72,7 @@ class MaximalField:
     values: np.ndarray = field(repr=False)
 
     def superlevel_mask(self, lam) -> np.ndarray:
-        if self.mode == "fixed":
-            lam = Fraction(lam)
-            return _compare_gt(self.values, _threshold_int(lam, self.denom_scale))
-        return self.values > float(lam)
+        return exceeds(self.values, 1, self.denom_scale, lam)
 
     def superlevel_count(self, lam) -> int:
         return int(self.superlevel_mask(lam).sum())
@@ -92,19 +80,17 @@ class MaximalField:
     def superlevel_measure(self, lam) -> Fraction:
         return Fraction(self.superlevel_count(lam), 1 << (self.L * self.n))
 
+    def _value(self, v):
+        return Fraction(int(v), self.denom_scale) if self.mode == "fixed" else float(v)
+
     def value_at(self, index: tuple[int, ...]):
-        v = self.values[index]
-        if self.mode == "fixed":
-            return Fraction(int(v), self.denom_scale)
-        return float(v)
+        return self._value(self.values[index])
 
     def max_value(self):
-        m = self.values.max()
-        return Fraction(int(m), self.denom_scale) if self.mode == "fixed" else float(m)
+        return self._value(self.values.max())
 
     def min_value(self):
-        m = self.values.min()
-        return Fraction(int(m), self.denom_scale) if self.mode == "fixed" else float(m)
+        return self._value(self.values.min())
 
 
 def _running_max(fwd: list[np.ndarray], n: int, fixed: bool) -> np.ndarray:
@@ -197,10 +183,10 @@ class Decomposition:
     groups: dict[int, list[int]]
 
     def total_volume(self) -> Fraction:
-        return sum((volume(c) for c in self.stopping), Fraction(0))
+        return volume_sum(self.stopping)
 
     def subfamily_volume(self) -> Fraction:
-        return sum((volume(self.stopping[j]) for j in self.subfamily), Fraction(0))
+        return volume_sum(self.stopping[j] for j in self.subfamily)
 
     def to_json_dict(self) -> dict:
         return {
@@ -214,10 +200,9 @@ class Decomposition:
 
 
 def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
-    zero = 0 if f.is_fixed else 0.0
-    if f.min_value() >= zero:
+    if f.values.min() >= 0:
         return
-    if f.region(root).min() < zero or f.region(forward(root)).min() < zero:
+    if f.region(root).min() < 0 or f.region(forward(root)).min() < 0:
         raise NegativeInputError(
             "stopping-time decomposition requires f >= 0 on root and its forward translate"
         )
@@ -228,15 +213,11 @@ def stopping_levels(f: GridFunction, root: DyadicCube, lam) -> Iterator[tuple[in
 
     The mask covers the level-k blocks of the root box; a block is set
     when its forward mean exceeds lam (strict) and no ancestor is set.
-    ``lam`` is a Fraction in fixed mode and a float in f64 mode.
     """
     def conds():
         for k in range(root.level, f.L + 1):
             fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
-            if f.is_fixed:
-                yield _compare_gt(fwd, _threshold_int(lam, block_count(f, k) * f.denom))
-            else:
-                yield fwd > lam * block_count(f, k)
+            yield exceeds(fwd, block_count(f, k), f.denom, lam)
 
     return zip(range(root.level, f.L + 1), covering_sweep(conds(), f.n))
 
@@ -250,7 +231,7 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     """
     root = resolve_root(f, root)
     _require_nonneg(f, root)
-    lam_n = Fraction(lam) if f.is_fixed else float(lam)
+    lam_n = f.scalar(lam)
     stopping: list[DyadicCube] = []
     for k, emit in stopping_levels(f, root, lam_n):
         stopping += block_cubes(root, k, np.argwhere(emit))
@@ -335,7 +316,7 @@ def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
     passed = strict_ok and parent_ok and identity_ok
     return VerificationReport(
         inequality_id="p1",
-        lhs=float(sum((volume(c) for c in dec.stopping), Fraction(0))),
+        lhs=float(dec.total_volume()),
         rhs=float(field.superlevel_measure(lam)),
         admissible=True,
         passed=passed,
@@ -372,7 +353,7 @@ def check_p2(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
                 worst, worst_cube = v, c
             if v > bound:
                 passed = False
-    lhs = worst if worst is not None else (Fraction(0) if f.is_fixed else 0.0)
+    lhs = worst if worst is not None else f.scalar(0)
     return VerificationReport(
         inequality_id="p2",
         lhs=float(lhs),
@@ -402,7 +383,7 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
     """
     root = resolve_root(f, root)
     _require_nonneg(f, root)
-    lam_n = Fraction(lam) if f.is_fixed else float(lam)
+    lam_n = f.scalar(lam)
     if not (lam_n > 0):
         raise InvalidParamsError("weak-type threshold must be positive")
     dec = cz_decompose(f, root, lam_n)
@@ -413,20 +394,11 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
     measure_grid = field_grid.superlevel_measure(lam_n)
     identity_ok = measure_grid == sum_qj
 
-    cellvol = f.cell_volume
-    total = union_sum(f, root)
-    integral = (
-        Fraction(total, f.denom) * cellvol if f.is_fixed else float(total) * float(cellvol)
-    )
-
-    if f.is_fixed:
-        rhs = 2 * integral / lam_n
-        link1 = sum_qj <= 2 * sum_sel
-        link2 = 2 * sum_sel <= rhs
-    else:
-        rhs = 2.0 * integral / lam_n
-        link1 = float(sum_qj) <= 2.0 * float(sum_sel)
-        link2 = 2.0 * float(sum_sel) <= rhs
+    integral = f.ratio(union_sum(f, root), 1 << (f.L * f.n))
+    rhs = 2 * integral / lam_n
+    # the volumes are exact in both modes; a Fraction compares exactly with a float
+    link1 = sum_qj <= 2 * sum_sel
+    link2 = 2 * sum_sel <= rhs
     passed = identity_ok and link1 and link2
 
     field_aug = maximal_function(f, root, "augmented")

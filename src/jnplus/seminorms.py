@@ -63,7 +63,7 @@ from ._blocks import (
     covering_sweep,
     root_box,
 )
-from .cubes import DyadicCube, children, contains, forward, volume
+from .cubes import DyadicCube, children, contains, forward, volume, volume_sum
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, average, pos_part_average, resolve_root
 from .reports import CubeRows, RatioRows
@@ -166,7 +166,7 @@ class CubeFamily:
                     )
 
     def total_volume(self) -> Fraction:
-        return sum((volume(c) for c in self.cubes), Fraction(0))
+        return volume_sum(self.cubes)
 
     def is_partition_of(self, root: DyadicCube) -> bool:
         """True when the family tiles ``root`` exactly."""
@@ -382,8 +382,7 @@ def jnp_classical_dyadic(
 def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
     """Shared sweep for the two cube-wise suprema."""
     root = resolve_root(f, root)
-    best_num: object | None = None
-    best_den = 1
+    val = None
     best_at: tuple[int, np.ndarray] | None = None
     for k in range(root.level, f.L + 1):
         if kind == "bmo-plus":
@@ -392,19 +391,14 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         else:
             arr = _plus_numerators(f, k)[root_box(root, k)]
             half = 2
+        # a mean over half*N cells of entries on the scale N*denom
         N = block_count(f, k)
-        if f.is_fixed:
-            m = int(arr.max())
-            num, den = m * (1 << (2 * k * f.n)), half * f.denom * (1 << (2 * f.L * f.n))
-        else:
-            m = float(arr.max())
-            num, den = m / (half * N * N), 1
-        if best_num is None or num * best_den > best_num * den:
-            best_num, best_den = num, den
+        top = f.ratio(arr.max(), half * N * N)
+        if val is None or top > val:
+            val = top
             best_at = (k, np.argwhere(arr == arr.max())[:1])
     assert best_at is not None
     cube = block_cubes(root, *best_at)[0]
-    val = Fraction(best_num, best_den) if f.is_fixed else float(best_num)
     return SeminormResult(
         functional=kind,
         p=None,

@@ -8,8 +8,8 @@ grid maximal field M of g over the root, writing
 and with the family seminorm K = jnp_plus_dyadic(f, p, root).value.
 
 ``LemmaContext(f, p, b, root=None)`` builds these once per tuple
-(f, p, b, root).  Every check below takes the context, so a sweep over
-many lam recomputes none of it.
+(f, p, b, root), the field on first read.  Every check below takes the
+context, so a sweep over many lam recomputes none of it.
 
 * ``good_lambda_check(ctx, lam)`` — the decay step: for admissible lam
   (meaning b*lam >= mean of g over root+),
@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -137,9 +138,10 @@ class LemmaContext:
 
     Built once per sweep: the validated ``params``, the resolved
     ``root``, the seminorm K (``seminorm``), g = (f - mean(f over
-    root++))^+, g's grid maximal ``field`` over the root, g's mean over
-    root+ (``g_fwd_avg``) and the ladder base ``lam0`` = 2K / (b *
-    |root|^{1/p}).
+    root++))^+ and the ladder base ``lam0`` = 2K / (b * |root|^{1/p}).
+    g's grid maximal ``field`` over the root and g's mean over root+
+    (``g_fwd_avg``) are built on first read, since a caller that only
+    wants the lambda grid reads neither.
     """
 
     def __init__(self, f: GridFunction, p, b, root: DyadicCube | None = None) -> None:
@@ -148,11 +150,17 @@ class LemmaContext:
         self.root = resolve_root(f, root)
         self.seminorm: SeminormResult = jnp_plus_dyadic(f, self.params.p, self.root)
         self.g = offset_positive_part(f, forward(self.root, 2))
-        self.field: MaximalField = maximal_function(self.g, self.root, "grid")
-        self.g_fwd_avg = average(self.g, forward(self.root))
         K, params = self.seminorm, self.params
         vol = float(volume(self.root))
         self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
+
+    @cached_property
+    def field(self) -> MaximalField:
+        return maximal_function(self.g, self.root, "grid")
+
+    @cached_property
+    def g_fwd_avg(self):
+        return average(self.g, forward(self.root))
 
 
 def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
@@ -172,10 +180,10 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     weight K^p is exact; otherwise floats at 1e-9 relative tolerance.
     """
     f, params, root = ctx.f, ctx.params, ctx.root
-    lamN = Fraction(lam) if f.is_fixed else float(lam)
+    lamN = f.scalar(lam)
     if not (lamN > 0):
         raise InvalidParamsError("lambda must be positive")
-    b = params.b if f.is_fixed else float(params.b)
+    b = f.scalar(params.b)
     blam = b * lamN
     admissible = not (ctx.g_fwd_avg > blam)
 
@@ -183,7 +191,7 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     E_blam = ctx.field.superlevel_measure(blam)
     K = ctx.seminorm
 
-    exact_main = f.is_fixed and K.exact
+    exact_main = K.exact  # an exact seminorm implies a fixed-mode grid
     rhs_float = (
         float(params.a) * K.value / float(lamN) * float(E_blam) ** (1.0 / float(params.q))
     )
@@ -239,7 +247,7 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
         rhs=rhs_float,
         admissible=admissible,
         passed=passed,
-        exact=exact_main and f.is_fixed,
+        exact=exact_main,
         lhs_exact=str(E_lam) if f.is_fixed else None,
         details={
             "lambda": lamN,
@@ -411,7 +419,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     emp_grid = 0.0
     emp_aug = 0.0
     for lam in lambdas:
-        lamN = Fraction(lam) if f.is_fixed else float(lam)
+        lamN = f.scalar(lam)
         if not (lamN > 0):
             raise InvalidParamsError("lambda grid must be positive")
         Eg = field_g.superlevel_measure(lamN)
@@ -444,16 +452,12 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         )
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
-    total = union_sum(g, root)
     V = volume(root)
-    if f.is_fixed:
-        p11_lhs = Fraction(total, g.denom) * g.cell_volume / V
-    else:
-        p11_lhs = float(total) * float(g.cell_volume) / float(V)
+    p11_lhs = g.ratio(union_sum(g, root), g.cells_in(root))
     p11_rhs = 2.0 * K.value / float(V) ** (1.0 / float(params.p))
-    if f.is_fixed and K.exact:
+    if K.exact:
         u, v = params.p.numerator, params.p.denominator
-        passed_p11 = Fraction(p11_lhs) ** u * V**v <= Fraction(2) ** u * K.weight**v
+        passed_p11 = _pow_le(p11_lhs**u * V**v, [(Fraction(2), u), (K.weight, v)])
     else:
         passed_p11 = float(p11_lhs) <= p11_rhs * (1.0 + _REL_TOL) + 1e-18
 

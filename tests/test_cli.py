@@ -171,6 +171,27 @@ def test_sweep_builds_shared_work_once(example_path, capsys, monkeypatch, argv):
     assert calls == dict.fromkeys(calls, 1), argv
 
 
+def test_decompose_auto_builds_no_maximal_field(example_path, capsys, monkeypatch):
+    """The lambda grid reads neither g's maximal field nor its forward mean."""
+    calls = []
+    orig = jnplus.maximal_function
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "jnplus"]:
+        for key, value in list(vars(mod).items()):
+            if value is orig:
+                monkeypatch.setattr(mod, key, counted)
+    code, _, _ = run(capsys, "decompose", "--input", example_path, "--lambda", "auto")
+    assert code == 0
+    assert calls == []
+    code, _, _ = run(capsys, "verify", "theorem", "--input", example_path, "--p", "2", "--b", "1/4")
+    assert code == 0
+    assert len(calls) == 2  # the grid field once, the augmented one once
+
+
 def test_verify_good_lambda_pass(example_path, capsys):
     code, stdout, _ = run(
         capsys, "verify", "good-lambda", "--input", example_path,

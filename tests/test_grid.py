@@ -25,7 +25,7 @@ from jnplus import (
     subcubes,
 )
 from jnplus._blocks import absdev_sums
-from jnplus.grid import exact, union_sum
+from jnplus.grid import exact, exceeds, union_sum
 
 from helpers import (
     cell_value,
@@ -135,6 +135,38 @@ def test_union_sum_matches_cells():
         got = union_sum(f64, c)
         assert isinstance(got, float)
         assert got == pytest.approx(naive_block_sum(f64, c) + naive_block_sum(f64, forward(c)))
+
+
+def _between(points):
+    return [(a + b) / 2 for a, b in zip(points, points[1:])]
+
+
+def test_exceeds_is_value_over_scale_above_lambda():
+    """grid.exceeds against Fraction(v, scale) > lam, cell by cell, on int64,
+    object and float64 cells, at thresholds on and between the values, and
+    with lam * scale past 2^63 on int64 cells (the clamp)."""
+    top = (1 << 62) - 1
+    ints = [-top, -12, -1, 0, 1, 5, 6, top]
+    cases = [
+        (np.array(ints, dtype=np.int64), [(1, 1), (4, 3), (1, 7)]),
+        (np.array([v << 70 for v in ints], dtype=object), [(1, 1), (4, 3)]),
+    ]
+    for numer, scales in cases:
+        for count, denom in scales:
+            scale = count * denom
+            on = sorted({Fraction(int(v), scale) for v in numer})
+            past = [Fraction(s * ((1 << 63) + 5), scale) for s in (1, -1)]
+            past += [Fraction(1 << 62, scale), Fraction(-(1 << 62), scale)]
+            for lam in on + _between(on) + past:
+                want = [Fraction(int(v), scale) > lam for v in numer]
+                assert exceeds(numer, count, denom, lam).tolist() == want, (scale, lam)
+
+    cells = np.array([-3.5, -0.25, 0.0, 0.75, 1.5, 2.0, 1e300])
+    for count in (1, 8):
+        on = sorted({v / count for v in cells.tolist()})
+        for lam in on + _between(on) + [1e308, -1e308]:
+            want = [Fraction(v) / count > Fraction(lam) for v in cells.tolist()]
+            assert exceeds(cells, count, None, lam).tolist() == want, (count, lam)
 
 
 def test_distribution_measure_counts_cells():
@@ -254,7 +286,6 @@ def test_value_bounds_and_equals():
     f = GridFunction(1, 1, [0, 1, 2, 3, 4, 5], "fixed", 2)
     assert f.min_value() == 0
     assert f.max_value() == Fraction(5, 2)
-    assert f.min_over(forward(root_cube(1))) == 1
     g = GridFunction(1, 1, [0, 1, 2, 3, 4, 5], "fixed", 2)
     assert f.equals(g)
     assert not f.equals(GridFunction(1, 1, [0, 1, 2, 3, 4, 6], "fixed", 2))

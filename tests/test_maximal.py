@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from jnplus import (
     DyadicCube,
+    LemmaContext,
     GeneratorSpec,
     GridFunction,
     InvalidParamsError,
@@ -18,6 +19,7 @@ from jnplus import (
     check_p2,
     contains,
     cz_decompose,
+    default_lambda_grid,
     default_manifest,
     forward,
     gen,
@@ -30,6 +32,7 @@ from jnplus import (
     volume,
     weak_type_check,
 )
+from jnplus.cubes import volume_sum
 from jnplus.maximal import positive_part_field
 
 from helpers import naive_cz, naive_maximal, random_fixed_grid
@@ -258,6 +261,38 @@ def test_positive_part_field_matches_full_grid_offset(mode):
                 assert np.array_equal(local.superlevel_mask(lam), full.superlevel_mask(lam))
                 pairs += 1
     assert pairs >= 2000
+
+
+def test_volume_sum_matches_per_cube_sum():
+    """The per-level volume rule equals the per-cube Fraction sum on a
+    mixed-level family and on every stopping family of the corpus, at the
+    lambda grid that ``decompose --lambda auto`` uses."""
+
+    def per_cube(cubes):
+        return sum((volume(c) for c in cubes), Fraction(0))
+
+    mixed = [
+        DyadicCube(0, (0,), 0),
+        DyadicCube(1, (1,), 0),
+        DyadicCube(2, (0,), 3),
+        DyadicCube(2, (3,), 1),
+        DyadicCube(5, (17,), 40),
+    ]
+    assert volume_sum(mixed) == per_cube(mixed) == Fraction(11, 8) + Fraction(1, 1024)
+    assert volume_sum([]) == 0
+    families = 0
+    for spec in default_manifest():
+        f = gen(spec)
+        ctx = LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1)))
+        for lam in default_lambda_grid(ctx):
+            try:
+                dec = cz_decompose(f, None, lam)
+            except NegativeInputError:
+                break
+            assert dec.total_volume() == per_cube(dec.stopping)
+            assert dec.subfamily_volume() == per_cube(dec.stopping[j] for j in dec.subfamily)
+            families += 1
+    assert families >= 1000
 
 
 def test_maximal_function_field_matches_naive_on_subcube_roots():
