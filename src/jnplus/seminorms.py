@@ -18,10 +18,14 @@ over antichains of the subcube tree, which a bottom-up pass computes
 exactly: best(Q) = max(phi(Q), sum of best over children), ties resolved
 toward the children so the extracted witness is a full partition.  The
 witness comes out of a top-down covering sweep as one index array per
-level, with the chosen cubes' raw weights.  The report hands those
-arrays to :mod:`jnplus.reports` as row views, which writes them without
-a per-cube object; the ``DyadicCube`` and weight lists are built only
-when a caller reads ``witness`` or ``witness_weights``.
+level, with the chosen cubes' raw weights.
+
+Every result here holds its witness in one form, the row views of
+:mod:`jnplus.reports`: the cubes per level as index rows
+(:class:`~jnplus.reports.CubeRows`) and their weights as raw values over
+one denominator (:class:`~jnplus.reports.RatioRows`).  The report writes
+them without a per-cube object; a caller that wants ``DyadicCube`` and
+weight lists calls ``expand()``.
 
 The weights are read only inside the root, which lies in Q0, so the
 block reductions cover Q0 and the one time block after it.
@@ -57,7 +61,6 @@ from ._blocks import (
     _shift_time,
     absdev_sums,
     block_count,
-    block_cubes,
     box_origin,
     children_sum,
     covering_sweep,
@@ -71,7 +74,6 @@ from .reports import CubeRows, RatioRows
 __all__ = [
     "CubeFamily",
     "SeminormResult",
-    "Witness",
     "phi_plus",
     "phi_classical",
     "jnp_plus_dyadic",
@@ -187,40 +189,6 @@ class CubeFamily:
         return sum(terms, zero)
 
 
-class Witness:
-    """The cubes attaining a seminorm, with their weights.
-
-    ``cubes`` and ``weights`` are what the report writes.  The tree pass
-    hands them over as row views: the chosen cubes of each level as
-    index rows (:class:`~jnplus.reports.CubeRows`) and their raw weights
-    over one denominator (:class:`~jnplus.reports.RatioRows`).
-    :meth:`lists` expands them into ``DyadicCube`` and weight lists on
-    first call and caches those next to the views, so the report is the
-    same whether or not a caller read the lists first.  A witness made
-    by :meth:`listed` holds plain lists.
-    """
-
-    def __init__(self, cubes: CubeRows | list, weights: RatioRows | list) -> None:
-        self.cubes = cubes
-        self.weights = weights
-        self._lists: tuple[list[DyadicCube], list] | None = None
-
-    @classmethod
-    def listed(cls, cubes: list[DyadicCube], weights: list) -> "Witness":
-        w = cls(list(cubes), list(weights))
-        w._lists = (w.cubes, w.weights)
-        return w
-
-    def __len__(self) -> int:
-        return len(self.cubes)
-
-    def lists(self) -> tuple[list[DyadicCube], list]:
-        """The witness cubes in canonical order and their weights."""
-        if self._lists is None:
-            self._lists = (self.cubes.expand(), self.weights.expand())
-        return self._lists
-
-
 @dataclass
 class SeminormResult:
     """Outcome of a seminorm computation.
@@ -230,10 +198,9 @@ class SeminormResult:
     functionals.  ``value`` is always the seminorm as a float.
     ``witness`` attains ``weight`` (for the jnp functionals a full
     partition of the root; for the bmo functionals a single cube), with
-    per-cube weights alongside in ``witness_weights``.  Both are plain
-    lists, built from ``family`` on first read; the report writes
-    ``family``'s row views instead, so neither the report nor the
-    verification chain makes per-cube objects.
+    per-cube weights alongside in ``witness_weights``.  Both are row
+    views, written by the report as they are; ``expand()`` turns them
+    into a ``DyadicCube`` list and a list of Fractions (exact) or floats.
     """
 
     functional: str
@@ -243,16 +210,9 @@ class SeminormResult:
     exact: bool
     mode: str
     root: DyadicCube
-    family: Witness = field(repr=False)
+    witness: CubeRows = field(repr=False)
+    witness_weights: RatioRows = field(repr=False)
     details: dict = field(default_factory=dict)
-
-    @property
-    def witness(self) -> list[DyadicCube]:
-        return self.family.lists()[0]
-
-    @property
-    def witness_weights(self) -> list:
-        return self.family.lists()[1]
 
     def to_json_dict(self) -> dict:
         return {
@@ -263,8 +223,8 @@ class SeminormResult:
             "exact": self.exact,
             "mode": self.mode,
             "root": self.root,
-            "witness": self.family.cubes,
-            "witness-weights": self.family.weights,
+            "witness": self.witness,
+            "witness-weights": self.witness_weights,
             "details": self.details,
         }
 
@@ -344,10 +304,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
     else:
         power = float(num)
         D = None
-    family = Witness(
-        CubeRows([(k, idx + box_origin(root, k)) for k, idx, _ in levels]),
-        RatioRows([raw for _, _, raw in levels], D),
-    )
+    witness = CubeRows([(k, idx + box_origin(root, k)) for k, idx, _ in levels])
     functional = "jnp-plus" if variant == "plus" else "jnp-classical"
     value = _pth_root(power, q)
     return SeminormResult(
@@ -358,8 +315,9 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         exact=exact,
         mode=f.mode,
         root=root,
-        family=family,
-        details={"levels": f.L - root.level + 1, "witness-size": len(family)},
+        witness=witness,
+        witness_weights=RatioRows([raw for _, _, raw in levels], D),
+        details={"levels": f.L - root.level + 1, "witness-size": len(witness)},
     )
 
 
@@ -383,7 +341,6 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
     """Shared sweep for the two cube-wise suprema."""
     root = resolve_root(f, root)
     val = None
-    best_at: tuple[int, np.ndarray] | None = None
     for k in range(root.level, f.L + 1):
         if kind == "bmo-plus":
             arr = f.clamped_sums(k, 1)[root_box(root, k)]
@@ -393,12 +350,13 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
             half = 2
         # a mean over half*N cells of entries on the scale N*denom
         N = block_count(f, k)
-        top = f.ratio(arr.max(), half * N * N)
+        raw = arr.max()
+        top = f.ratio(raw, half * N * N)
         if val is None or top > val:
             val = top
-            best_at = (k, np.argwhere(arr == arr.max())[:1])
-    assert best_at is not None
-    cube = block_cubes(root, *best_at)[0]
+            at = (k, np.argwhere(arr == raw)[:1] + box_origin(root, k))
+    # the one weight as a raw value over its denominator, or the float itself
+    num, D = (val.numerator, val.denominator) if f.is_fixed else (val, None)
     return SeminormResult(
         functional=kind,
         p=None,
@@ -407,7 +365,8 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         exact=f.is_fixed,
         mode=f.mode,
         root=root,
-        family=Witness.listed([cube], [val]),
+        witness=CubeRows([at]),
+        witness_weights=RatioRows([np.array([num], dtype=object)], D),
     )
 
 
@@ -434,13 +393,16 @@ def _antichain_count(root: DyadicCube, L: int) -> int:
     return 1 + prod
 
 
+# the oracle's bounds on the subtree size and on the antichain count
+ORACLE_MAX_CUBES = 64
+ORACLE_MAX_ANTICHAINS = 1 << 20
+
+
 def antichain_oracle(
     f: GridFunction,
     p,
     root: DyadicCube | None = None,
     functional: str = "jnp-plus",
-    max_cubes: int = 64,
-    max_antichains: int = 1 << 20,
 ) -> SeminormResult:
     """Brute-force family objective: enumerate every antichain.
 
@@ -470,14 +432,14 @@ def antichain_oracle(
         if level_nodes[0].level == f.L:
             break
         level_nodes = [c for par in level_nodes for c in children(par, f.L)]
-    if len(nodes) > max_cubes:
+    if len(nodes) > ORACLE_MAX_CUBES:
         raise InstanceTooLargeError(
-            f"{len(nodes)} subtree cubes exceed the oracle bound {max_cubes}"
+            f"{len(nodes)} subtree cubes exceed the oracle bound {ORACLE_MAX_CUBES}"
         )
     count = _antichain_count(root, f.L)
-    if count > max_antichains:
+    if count > ORACLE_MAX_ANTICHAINS:
         raise InstanceTooLargeError(
-            f"{count} antichains exceed the enumeration bound {max_antichains}"
+            f"{count} antichains exceed the enumeration bound {ORACLE_MAX_ANTICHAINS}"
         )
 
     raw = {c: weigh(f, c, p) for c in nodes}
@@ -527,6 +489,7 @@ def antichain_oracle(
             )
     power = Fraction(best_w, den) if exact else float(best_w)
     witness = sorted(best_cubes, key=lambda c: (c.level, c.spatial, c.time))
+    by_level = [list(cs) for _, cs in itertools.groupby(witness, key=lambda c: c.level)]
     return SeminormResult(
         functional=functional + "-oracle",
         p=q,
@@ -535,6 +498,11 @@ def antichain_oracle(
         exact=exact,
         mode=f.mode,
         root=root,
-        family=Witness.listed(witness, [raw[c] for c in witness]),
+        witness=CubeRows(
+            [(cs[0].level, np.array([[*c.spatial, c.time] for c in cs])) for cs in by_level]
+        ),
+        witness_weights=RatioRows(
+            [np.array([wt[c] for c in cs], dtype=object) for cs in by_level], den
+        ),
         details={"antichains": count, "tree-cubes": len(nodes)},
     )

@@ -103,11 +103,11 @@ class LemmaParams:
     p: Fraction
     b: Fraction
 
-    @property
+    @cached_property
     def q(self) -> Fraction:
         return self.p / (self.p - 1)
 
-    @property
+    @cached_property
     def a(self) -> Fraction:
         return 4 / (1 - (1 << self.n) * self.b)
 

@@ -237,7 +237,7 @@ def test_criterion_09_homogeneity_and_shift_exact():
         s = shifts[trial % len(shifts)]
         shifted = jnp_plus_dyadic(shift_values(f, s), PINNED_P)
         assert shifted.weight == base.weight
-        assert shifted.witness == base.witness
+        assert shifted.witness.expand() == base.witness.expand()
     print("ACCEPTANCE 9 homogeneity-shift: PASS (50 trials, exact weights, "
           "identical witnesses)")
 

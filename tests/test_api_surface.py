@@ -22,7 +22,7 @@ OPTIONAL_PARAMS = {
     "LemmaContext": 1,
     "SeminormResult": 1,
     "VerificationReport": 3,
-    "antichain_oracle": 4,
+    "antichain_oracle": 2,
     "bmo_plus_dyadic": 1,
     "bmo_plus_limit_form": 1,
     "forward": 1,

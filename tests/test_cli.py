@@ -395,8 +395,8 @@ def test_seminorm_makes_no_cube_per_witness_cube(tmp_path, capsys, monkeypatch):
     code, stdout, _ = run(capsys, "seminorm", "--input", path, "--p", "2")
     assert code == 0
     assert len(json.loads(stdout)["jnp-plus"]["witness"]) > 100
-    # the four roots and the two bmo cubes, with a little slack
-    assert len(created) <= 8
+    # the four results' roots, and not one witness cube
+    assert len(created) == 4
 
 
 def test_usage_error_exit_2():

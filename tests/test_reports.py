@@ -5,6 +5,7 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from jnplus import (
     DyadicCube,
     GridFunction,
     VerificationReport,
+    antichain_oracle,
+    bmo_plus_dyadic,
+    bmo_plus_limit_form,
     canonical_json,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
@@ -188,29 +192,35 @@ def _seminorm_grids(n, L):
 @pytest.mark.parametrize("n,L", [(1, 3), (1, 9), (2, 2), (3, 1)])
 def test_seminorm_witness_rows_match_json_encoder(n, L):
     rational, plain = set(), set()  # the "decimal" of each rational weight; float weights
-    for f in _seminorm_grids(n, L):
+    for i, f in enumerate(_seminorm_grids(n, L)):
         for root in (root_cube(n), DyadicCube(1, (1,) * (n - 1), 1)):
-            for functional in (jnp_plus_dyadic, jnp_classical_dyadic):
-                for p in (2, Fraction(3, 2)):
-                    with np.errstate(over="ignore"):
-                        fresh, listed = functional(f, p, root), functional(f, p, root)
-                    cubes, weights = listed.witness, listed.witness_weights  # before writing
-                    texts = []
-                    for r in (fresh, listed):
-                        assert isinstance(r.family.cubes, CubeRows)
-                        assert isinstance(r.family.weights, RatioRows)
-                        nested = {"result": [r], "size": len(r.family)}
-                        assert canonical_json(nested) == oracle_canonical_json(nested)
-                        texts.append(canonical_json(r))
-                        assert texts[-1] == oracle_canonical_json(r)
-                    assert texts[0] == texts[1]
-                    assert listed.witness is cubes and cubes == fresh.family.cubes.expand()
-                    assert len(weights) == len(cubes) == fresh.details["witness-size"]
-                    for w in jsonify(fresh)["witness-weights"]:
-                        if isinstance(w, dict):
-                            rational.add(w["decimal"])
-                        else:
-                            plain.add(w)
+            ps = (2, Fraction(3, 2))
+            runs = [partial(fn, f, p, root) for fn in (jnp_plus_dyadic, jnp_classical_dyadic)
+                    for p in ps]
+            runs += [partial(fn, f, root) for fn in (bmo_plus_dyadic, bmo_plus_limit_form)]
+            if i < 3 and n * L <= 4:  # fixed, f64 and 2^40-scaled grids small enough to enumerate
+                runs += [partial(antichain_oracle, f, p, root, fn)
+                         for fn in ("jnp-plus", "jnp-classical") for p in ps]
+            for run in runs:
+                with np.errstate(over="ignore"):
+                    fresh, expanded = run(), run()
+                cubes, weights = expanded.witness.expand(), expanded.witness_weights.expand()
+                texts = []
+                for r in (fresh, expanded):
+                    assert isinstance(r.witness, CubeRows)
+                    assert isinstance(r.witness_weights, RatioRows)
+                    nested = {"result": [r], "size": len(r.witness)}
+                    assert canonical_json(nested) == oracle_canonical_json(nested)
+                    texts.append(canonical_json(r))
+                    assert texts[-1] == oracle_canonical_json(r)
+                assert texts[0] == texts[1]  # expanding the views first changes nothing
+                assert cubes == fresh.witness.expand() and len(weights) == len(cubes)
+                assert len(cubes) == fresh.details.get("witness-size", len(cubes))
+                for w in jsonify(fresh)["witness-weights"]:
+                    if isinstance(w, dict):
+                        rational.add(w["decimal"])
+                    else:
+                        plain.add(w)
     # zero weights, finite ones, and weights past the float range, in both forms
     assert {"0.0", "inf"} < rational
     assert {0.0, "inf"} < plain

@@ -29,6 +29,7 @@ from jnplus import (
     shift_values,
     volume,
 )
+from jnplus.reports import CubeRows, RatioRows
 from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
@@ -56,10 +57,10 @@ def test_worked_example_values():
     assert r.exact
     assert r.weight == Fraction(5, 2)
     assert r.value == pytest.approx(Fraction(5, 2) ** Fraction(1, 2), rel=1e-12)
-    assert [(c.level, c.time) for c in r.witness] == [(1, 0), (2, 2), (2, 3)]
+    assert [(c.level, c.time) for c in r.witness.expand()] == [(1, 0), (2, 2), (2, 3)]
     # the witness weights decompose the total
-    assert sum(r.witness_weights, Fraction(0)) == Fraction(5, 2)
-    assert r.witness_weights == [Fraction(1, 2), Fraction(1), Fraction(1)]
+    assert sum(r.witness_weights.expand(), Fraction(0)) == Fraction(5, 2)
+    assert r.witness_weights.expand() == [Fraction(1, 2), Fraction(1), Fraction(1)]
 
 
 def test_worked_example_cube_values():
@@ -74,10 +75,10 @@ def test_worked_example_bmo():
     f = bundled_example()
     b = bmo_plus_dyadic(f)
     assert b.weight == 4
-    assert [(c.level, c.time) for c in b.witness] == [(2, 3)]
+    assert [(c.level, c.time) for c in b.witness.expand()] == [(2, 3)]
     lim = bmo_plus_limit_form(f)
     assert lim.weight == 2
-    assert [(c.level, c.time) for c in lim.witness] == [(2, 2)]
+    assert [(c.level, c.time) for c in lim.witness.expand()] == [(2, 2)]
 
 
 def test_worked_example_oracle_agrees():
@@ -119,12 +120,13 @@ def test_oracle_matches_dp(f):
 @given(small_grids())
 def test_witness_is_partition_and_achieves_weight(f):
     r = jnp_plus_dyadic(f, 2)
-    fam = CubeFamily(r.witness)
+    cubes = r.witness.expand()
+    fam = CubeFamily(cubes)
     fam.validate()
     assert fam.is_partition_of(root_cube(f.n))
-    direct = sum((phi_plus(f, c, 2) for c in r.witness), Fraction(0))
+    direct = sum((phi_plus(f, c, 2) for c in cubes), Fraction(0))
     assert direct == r.weight
-    assert r.witness_weights == [phi_plus(f, c, 2) for c in r.witness]
+    assert r.witness_weights.expand() == [phi_plus(f, c, 2) for c in cubes]
 
 
 def test_phi_matches_naive():
@@ -162,7 +164,7 @@ def test_seminorm_over_subcube_root():
     r = jnp_plus_dyadic(f, 2, root=sub)
     want, _ = naive_best_family(f, sub, 2, naive_phi_plus)
     assert r.weight == want
-    for c in r.witness:
+    for c in r.witness.expand():
         assert c.level >= 1
 
 
@@ -174,7 +176,7 @@ def test_homogeneity_and_shift():
     assert r3.weight == 9 * r.weight
     rs = jnp_plus_dyadic(shift_values(f, Fraction(7, 3)), 2)
     assert rs.weight == r.weight
-    assert rs.witness == r.witness
+    assert rs.witness.expand() == r.witness.expand()
 
 
 def test_bad_exponent_rejected():
@@ -261,24 +263,40 @@ def test_array_witness_matches_recursive_walk(variant):
                 raw = [w for _, _, ws in levels for w in ws.tolist()]
                 r = functional(f, p, root)
                 assert r.details["witness-size"] == len(want_cubes)
-                assert r.witness == want_cubes
+                assert r.witness.expand() == want_cubes
                 assert raw == want_raw
                 if r.exact:
                     assert num == want_num
                     base = 2 * f.denom if variant == "plus" else f.denom
                     D = base**p_int * (1 << (2 * f.L * f.n * p_int))
-                    assert r.witness_weights == [Fraction(w, D) for w in want_raw]
+                    assert r.witness_weights.expand() == [Fraction(w, D) for w in want_raw]
                 else:
                     assert float(num) == pytest.approx(float(want_num), rel=1e-12)
-                    assert r.witness_weights == [float(w) for w in want_raw]
+                    assert r.witness_weights.expand() == [float(w) for w in want_raw]
 
 
-def test_witness_lists_built_once_on_first_read():
-    f = random_fixed_grid(np.random.default_rng(8), 2, 3)
-    r = jnp_plus_dyadic(f, 2)
-    size = r.details["witness-size"]
-    assert len(r.family) == size
-    cubes = r.witness
-    assert r.witness is cubes and r.witness_weights is r.witness_weights
-    assert isinstance(cubes, list) and len(cubes) == size == len(r.witness_weights)
-    assert sum(r.witness_weights, Fraction(0)) == r.weight
+def test_witness_is_row_views():
+    """Every producer holds its witness as row views whose expanded
+    weights add up to the reported weight: a partition of the root for
+    the tree pass, non-overlapping cubes for the oracle, one cube for
+    the bmo forms."""
+    rng = np.random.default_rng(8)
+    for f in (random_fixed_grid(rng, 2, 3), random_fixed_grid(rng, 1, 3), bundled_example()):
+        tree = [jnp_plus_dyadic(f, 2), jnp_classical_dyadic(f, 2)]
+        single = [bmo_plus_dyadic(f), bmo_plus_limit_form(f)]
+        oracle = [antichain_oracle(f, 2, functional=fn)
+                  for fn in ("jnp-plus", "jnp-classical") if f.n == 1]
+        for r in tree + single + oracle:
+            assert isinstance(r.witness, CubeRows) and isinstance(r.witness_weights, RatioRows)
+            cubes, weights = r.witness.expand(), r.witness_weights.expand()
+            assert len(r.witness) == len(cubes) == len(weights)
+            assert sum(weights, Fraction(0)) == r.weight
+            CubeFamily(cubes).validate()
+        for r in tree + oracle:
+            phi = phi_plus if r.functional.startswith("jnp-plus") else phi_classical
+            assert r.witness_weights.expand() == [phi(f, c, 2) for c in r.witness.expand()]
+        for r in tree:
+            assert len(r.witness) == r.details["witness-size"]
+            assert CubeFamily(r.witness.expand()).is_partition_of(r.root)
+        for r in single:
+            assert len(r.witness) == 1
