@@ -16,7 +16,8 @@ This module owns the mode decision for the rest of the package:
 * :func:`exceeds` is the one strict-threshold rule, numer/(count*denom)
   > lam cell by cell.  It is exact on integer numerators and a float
   compare on float64 cells; every superlevel set, stopping condition
-  and distribution set goes through it.
+  and distribution set goes through it, and :func:`count_exceeding`
+  counts it for many lam in one pass with the same cuts.
 * :meth:`GridFunction.scalar` lifts a threshold or constant to the
   mode's scalar (Fraction or float), and :meth:`GridFunction.ratio`
   turns a sum of cell entries into a value.
@@ -79,21 +80,48 @@ def int64_fits(magnitude: int) -> bool:
     return int(magnitude).bit_length() <= _GUARD_BITS
 
 
-def exceeds(numer: np.ndarray, count: int, denom: int | None, lam) -> np.ndarray:
-    """Cellwise numer / (count * denom) > lam: the one strict-threshold rule.
+def _threshold(numer: np.ndarray, count: int, denom: int | None, lam):
+    """The cut t with numer / (count * denom) > lam exactly when numer > t.
 
-    Exact on integer numerators (int64 or object): m > floor(lam*count*denom).
-    int64 cells stay below 2^62 (:func:`int64_fits`), so a threshold past
-    that is clamped to +-2^62.  Float64 cells (f64 mode, ``denom`` None)
-    compare with lam * count, exact because ``count`` is a power of two.
+    Integer numerators (int64 or object) get floor(lam*count*denom).
+    int64 cells stay below 2^62 (:func:`int64_fits`), so a cut past that
+    is clamped to +-2^62 and stays an int64.  Float64 cells (f64 mode,
+    ``denom`` None) get lam * count, exact because ``count`` is a power
+    of two.
     """
     if numer.dtype.kind == "f":
-        return numer > float(lam) * count
+        return float(lam) * count
     lam = Fraction(lam)
     thr = lam.numerator * count * denom // lam.denominator
     if numer.dtype == np.int64 and not int64_fits(thr):
         thr = (1 << _GUARD_BITS) if thr > 0 else -(1 << _GUARD_BITS)
-    return numer > thr
+    return thr
+
+
+def exceeds(numer: np.ndarray, count: int, denom: int | None, lam) -> np.ndarray:
+    """Cellwise numer / (count * denom) > lam: the one strict-threshold rule.
+
+    Exact on integer numerators, a float compare on float64 cells; the
+    cut comes from :func:`_threshold`.
+    """
+    return numer > _threshold(numer, count, denom, lam)
+
+
+def count_exceeding(numer: np.ndarray, count: int, denom: int | None, lams) -> list[int]:
+    """Per lam of ``lams``, the number of cells where :func:`exceeds` holds.
+
+    One pass over the cells for all of ``lams``: each cell is binned
+    against the sorted distinct cuts of :func:`_threshold`, and suffix
+    sums of the bin counts give every lam's count.  The cells themselves
+    are not sorted.
+    """
+    thrs = [_threshold(numer, count, denom, lam) for lam in lams]
+    cuts = sorted(set(thrs))
+    # bins[i] = the number of cuts strictly below cell i, i.e. the cuts it exceeds
+    bins = np.searchsorted(np.array(cuts, dtype=numer.dtype), numer.ravel(), side="left")
+    above = np.cumsum(np.bincount(bins, minlength=len(cuts) + 1)[::-1])[::-1].tolist()
+    pos = {t: above[j + 1] for j, t in enumerate(cuts)}
+    return [pos[t] for t in thrs]
 
 
 def is_grid_size(n: int, L: int, size: int) -> bool:
@@ -414,14 +442,8 @@ def distribution_measure(f: GridFunction, root: DyadicCube | None, lam) -> Fract
     lam = f.scalar(lam)
     if lam < 0:
         raise OutOfDomainError("distribution threshold must be >= 0")
-    ravg = average(f, forward(root, 2))
-    arr = f.region(root)
-    if f.is_fixed:
-        # value - ref = (a*rd - rn*d) / (d*rd) for ref = rn/rd
-        rn, rd = ravg.numerator, ravg.denominator
-        above = exceeds(_affine(arr, rd, -rn * f.denom), 1, f.denom * rd, lam)
-    else:
-        above = exceeds(arr - ravg, 1, None, lam)
+    g = offset_positive_part(f, forward(root, 2))
+    above = exceeds(g.region(root), 1, g.denom, lam)
     return Fraction(int(above.sum()), 1 << (f.L * f.n))
 
 

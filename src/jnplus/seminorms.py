@@ -105,6 +105,14 @@ def _pth_root(power, p: Fraction) -> float:
     return base ** (1.0 / float(p))
 
 
+def _float_pow(base, q: Fraction) -> float:
+    """float(base) ** float(q), and inf where the power passes the float range."""
+    try:
+        return float(base) ** float(q)
+    except OverflowError:
+        return math.inf
+
+
 def phi_plus(f: GridFunction, cube: DyadicCube, p):
     """|Q| * (mean over Q ∪ Q+ of (f - mean(f over Q++))^+)^p, one cube.
 
@@ -115,7 +123,7 @@ def phi_plus(f: GridFunction, cube: DyadicCube, p):
     ppa = pos_part_average(f, "union", cube, forward(cube, 2))
     if f.is_fixed and p_int is not None:
         return volume(cube) * ppa**p_int
-    return float(volume(cube)) * float(ppa) ** float(q)
+    return float(volume(cube)) * _float_pow(ppa, q)
 
 
 def phi_classical(f: GridFunction, cube: DyadicCube, p):
@@ -131,9 +139,9 @@ def phi_classical(f: GridFunction, cube: DyadicCube, p):
         dev = Fraction(total, cells * d * ad)
         if p_int is not None:
             return volume(cube) * dev**p_int
-        return float(volume(cube)) * float(dev) ** float(q)
+        return float(volume(cube)) * _float_pow(dev, q)
     dev = float(np.abs(region - avg).sum()) / cells
-    return float(volume(cube)) * dev ** float(q)
+    return float(volume(cube)) * _float_pow(dev, q)
 
 
 @dataclass

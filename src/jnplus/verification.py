@@ -8,8 +8,10 @@ grid maximal field M of g over the root, writing
 and with the family seminorm K = jnp_plus_dyadic(f, p, root).value.
 
 ``LemmaContext(f, p, b, root=None)`` builds these once per tuple
-(f, p, b, root), the field on first read.  Every check below takes the
-context, so a sweep over many lam recomputes none of it.
+(f, p, b, root), the field on first read.  It also keeps the two local
+fields of each stopping cube that p6 and p8 read, from the first of the
+consecutive lam that visit the cube to the last.  Every check below
+takes the context, so a sweep over many lam recomputes none of it.
 
 * ``good_lambda_check(ctx, lam)`` — the decay step: for admissible lam
   (meaning b*lam >= mean of g over root+),
@@ -35,7 +37,9 @@ context, so a sweep over many lam recomputes none of it.
   (1/|root|) * integral of g over root ∪ root+ <= 2K/|root|^{1/p}
   ("p11"), and the constructional domination of the plain distribution
   set by the augmented maximal variant; records empirical constants for
-  both variants.
+  both variants.  It counts |E(lam)|, the augmented measure and the
+  distribution measure of every lam in one pass over each array
+  (``grid.count_exceeding``).
 
 Measures are exact rationals in fixed mode.  The final inequality of
 the lemma and the theorem bound involve p-th roots and the iterated
@@ -59,7 +63,7 @@ from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
     average,
-    distribution_measure,
+    count_exceeding,
     offset_positive_part,
     resolve_root,
     union_sum,
@@ -141,7 +145,9 @@ class LemmaContext:
     root++))^+ and the ladder base ``lam0`` = 2K / (b * |root|^{1/p}).
     g's grid maximal ``field`` over the root and g's mean over root+
     (``g_fwd_avg``) are built on first read, since a caller that only
-    wants the lambda grid reads neither.
+    wants the lambda grid reads neither.  ``local_fields(cubes)`` builds
+    the two lambda-free fields of each stopping cube that p6 and p8 read,
+    and keeps them while consecutive lambdas visit the cube.
     """
 
     def __init__(self, f: GridFunction, p, b, root: DyadicCube | None = None) -> None:
@@ -153,6 +159,7 @@ class LemmaContext:
         K, params = self.seminorm, self.params
         vol = float(volume(self.root))
         self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
+        self._local_fields: dict[DyadicCube, tuple[MaximalField, MaximalField]] = {}
 
     @cached_property
     def field(self) -> MaximalField:
@@ -161,6 +168,24 @@ class LemmaContext:
     @cached_property
     def g_fwd_avg(self):
         return average(self.g, forward(self.root))
+
+    def local_fields(self, cubes: list[DyadicCube]) -> list[tuple[MaximalField, MaximalField]]:
+        """Per cube Q: M_Q g and the grid maximal field of (f - mean(f over Q++))^+ over Q.
+
+        Neither depends on lambda.  The pairs of the last call are kept
+        and all others dropped.  A cube is visited (a stopping cube at
+        b*lam that meets E(lam)) on one interval of lam, so a sweep in
+        ascending lam builds each pair once.  The stopping cubes of one
+        lam are disjoint, so the kept pairs hold at most twice the
+        root's cells.
+        """
+        kept = self._local_fields
+        pairs = [
+            kept.get(c) or (maximal_function(self.g, c, "grid"), positive_part_field(self.f, c))
+            for c in cubes
+        ]
+        self._local_fields = dict(zip(cubes, pairs))
+        return pairs
 
 
 def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
@@ -224,16 +249,18 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
         p6_ok = inside == int(E_mask.sum())
         p8_ok = True
         one_minus = (1 - (1 << f.n) * b) * lamN
-        for (k, chosen), h in zip(stopping, hits):
-            # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
-            for c in block_cubes(root, k, np.argwhere(chosen & (h > 0))):
-                sub = E_mask[rel_slices(f, root, c)]
-                local = maximal_function(ctx.g, c, "grid")
-                if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
-                    p6_ok = False
-                local_j = positive_part_field(f, c)
-                if bool(np.any(sub & ~local_j.superlevel_mask(one_minus))):
-                    p8_ok = False
+        # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
+        visited = [
+            c
+            for (k, chosen), h in zip(stopping, hits)
+            for c in block_cubes(root, k, np.argwhere(chosen & (h > 0)))
+        ]
+        for c, (local, local_j) in zip(visited, ctx.local_fields(visited)):
+            sub = E_mask[rel_slices(f, root, c)]
+            if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
+                p6_ok = False
+            if bool(np.any(sub & ~local_j.superlevel_mask(one_minus))):
+                p8_ok = False
         passed = main_ok and p6_ok and p8_ok
 
     failed = [
@@ -413,18 +440,28 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     C = proof_constant(f.n, params.p, params.b)
     Kp = float(K.weight) if K.exact else K.value ** float(params.p)
 
+    lamNs = [f.scalar(lam) for lam in lambdas]
+    if not all(lamN > 0 for lamN in lamNs):
+        raise InvalidParamsError("lambda grid must be positive")
+
+    def measures(numer: np.ndarray, denom: int | None) -> list[Fraction]:
+        # every lambda's superlevel count of one array in one pass
+        return [Fraction(c, 1 << (f.L * f.n)) for c in count_exceeding(numer, 1, denom, lamNs)]
+
+    # g is (f - mean(f over root++))^+, so on the root it holds the
+    # distribution set of every lambda > 0
+    columns = zip(
+        lamNs,
+        measures(field_g.values, field_g.denom_scale),
+        measures(field_a.values, field_a.denom_scale),
+        measures(g.region(root), g.denom),
+    )
     records: list[dict] = []
     passed_p9 = True
     passed_dist = True
     emp_grid = 0.0
     emp_aug = 0.0
-    for lam in lambdas:
-        lamN = f.scalar(lam)
-        if not (lamN > 0):
-            raise InvalidParamsError("lambda grid must be positive")
-        Eg = field_g.superlevel_measure(lamN)
-        Ea = field_a.superlevel_measure(lamN)
-        dist = distribution_measure(f, root, lamN)
+    for lamN, Eg, Ea, dist in columns:
         lam_p = float(lamN) ** float(params.p)
         bound = math.inf if Kp == 0.0 and lam_p == 0.0 else C * Kp / lam_p
         ok = float(Eg) <= bound * (1.0 + _REL_TOL)

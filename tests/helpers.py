@@ -15,7 +15,17 @@ from fractions import Fraction
 
 import numpy as np
 
-from jnplus import DyadicCube, GridFunction, children, forward, root_cube
+from jnplus import (
+    DyadicCube,
+    GeneratorSpec,
+    GridFunction,
+    children,
+    default_manifest,
+    forward,
+    gen,
+    root_cube,
+    scale_values,
+)
 from jnplus.reports import jsonify
 
 
@@ -210,3 +220,12 @@ def unit_root(n: int) -> DyadicCube:
 def oracle_canonical_json(doc) -> str:
     """Report text from json's own encoder: the jsonify tree, sorted keys, indent 2."""
     return json.dumps(jsonify(doc), sort_keys=True, indent=2) + "\n"
+
+
+def corpus_grids(mode: str):
+    """The bundled corpus as fixed, f64 or "big" grids (fixed, scaled by 2^56)."""
+    for s in default_manifest():
+        kind = "f64" if mode == "f64" else "fixed"
+        f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, kind, s.denom, s.params))
+        # 2^56 puts every cell past the int64 guard, onto Python ints
+        yield scale_values(f, 1 << 56) if mode == "big" else f

@@ -6,9 +6,9 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-import jnplus
 from helpers import oracle_canonical_json
 from jnplus import DyadicCube, bundled_example, gen, GeneratorSpec, load_grid, save_grid
 from jnplus import cli
@@ -143,6 +143,26 @@ def test_decompose_rejects_p_b_without_auto(example_path, capsys):
     assert len(json.loads(stdout)["decompositions"]) >= 64
 
 
+def count_calls(monkeypatch, *names):
+    """Record the positional arguments of every call to the named jnplus
+    functions, through every module binding, as a tracer would see them."""
+    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "jnplus"]
+    calls = {}
+    for name in names:
+        orig = next(vars(m)[name] for m in modules if name in vars(m))
+        calls[name] = []
+
+        def counted(*args, _log=calls[name], _orig=orig, **kwargs):
+            _log.append(args)
+            return _orig(*args, **kwargs)
+
+        for mod in modules:
+            for key, value in list(vars(mod).items()):
+                if value is orig:
+                    monkeypatch.setattr(mod, key, counted)
+    return calls
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -152,38 +172,44 @@ def test_decompose_rejects_p_b_without_auto(example_path, capsys):
     ],
 )
 def test_sweep_builds_shared_work_once(example_path, capsys, monkeypatch, argv):
-    calls = {}
-    modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "jnplus"]
-    for name in ("jnp_plus_dyadic", "offset_positive_part", "default_lambda_grid"):
-        orig = getattr(jnplus, name)
-        calls[name] = 0
-
-        def counted(*args, _name=name, _orig=orig, **kwargs):
-            calls[_name] += 1
-            return _orig(*args, **kwargs)
-
-        for mod in modules:  # every binding, as a tracer would see them
-            for key, value in list(vars(mod).items()):
-                if value is orig:
-                    monkeypatch.setattr(mod, key, counted)
+    names = ("jnp_plus_dyadic", "offset_positive_part", "default_lambda_grid")
+    calls = count_calls(monkeypatch, *names)
     code, _, _ = run(capsys, *argv, "--input", example_path)
     assert code == 0
-    assert calls == dict.fromkeys(calls, 1), argv
+    assert {name: len(log) for name, log in calls.items()} == dict.fromkeys(names, 1), argv
+
+
+def test_lambda_free_work_built_once(example_path, capsys, monkeypatch):
+    """good-lambda builds each stopping cube's two p6/p8 fields on its first
+    visit only; theorem counts its lambda grid with no distribution_measure
+    call and no cube mean per lambda."""
+    calls = count_calls(
+        monkeypatch, "positive_part_field", "maximal_function", "distribution_measure", "average"
+    )
+    code, _, _ = run(capsys, "verify", "good-lambda", "--input", example_path, "--p", "2", "--b", "1/4")
+    assert code == 0
+    cubes = [args[1] for args in calls["positive_part_field"]]
+    assert cubes and len(set(cubes)) == len(cubes)
+    # g's field over the root, then M_Q g once per visited cube
+    assert [args[1] for args in calls["maximal_function"][1:]] == cubes
+
+    averages = []
+    for lams in ("3", "1,2,3,4,5,6,7,8"):
+        for log in calls.values():
+            log.clear()
+        code, _, _ = run(
+            capsys, "verify", "theorem", "--input", example_path,
+            "--p", "2", "--b", "1/4", "--lambda", lams,
+        )
+        assert code == 0
+        assert calls["distribution_measure"] == []
+        averages.append(len(calls["average"]))
+    assert averages[0] == averages[1] > 0
 
 
 def test_decompose_auto_builds_no_maximal_field(example_path, capsys, monkeypatch):
     """The lambda grid reads neither g's maximal field nor its forward mean."""
-    calls = []
-    orig = jnplus.maximal_function
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return orig(*args, **kwargs)
-
-    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "jnplus"]:
-        for key, value in list(vars(mod).items()):
-            if value is orig:
-                monkeypatch.setattr(mod, key, counted)
+    calls = count_calls(monkeypatch, "maximal_function")["maximal_function"]
     code, _, _ = run(capsys, "decompose", "--input", example_path, "--lambda", "auto")
     assert code == 0
     assert calls == []
@@ -236,6 +262,31 @@ def test_oracle_matches_dp(example_path, capsys):
     doc = json.loads(stdout)
     assert doc["weight"]["exact"] == "5/2"
     assert doc["functional"] == "jnp-plus-oracle"
+
+
+def test_verify_theorem_far_lambda_on_int64_grid(example_path, capsys):
+    """lam * scale past 2^63 on an int64 grid: every measure is 0, exit 0."""
+    assert load_grid(example_path).values.dtype == np.int64
+    code, stdout, _ = run(
+        capsys, "verify", "theorem", "--input", example_path,
+        "--p", "2", "--b", "1/4", "--lambda", "1e30",
+    )
+    assert code == 0
+    (rec,) = json.loads(stdout)["records"]
+    assert rec["E-grid"]["exact"] == rec["E-aug"]["exact"] == rec["dist"]["exact"] == "0"
+
+
+@pytest.mark.parametrize("functional", ["jnp-plus", "jnp-classical"])
+def test_oracle_weight_past_float_range_is_inf(tmp_path, capsys, functional):
+    """A float power past the float range is inf, as in the tree pass, not an OverflowError."""
+    path = tmp_path / "big.json"
+    doc = {"version": 1, "n": 1, "L": 1, "mode": "f64", "values": [1e300] + [0.0] * 5}
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run(
+        capsys, "oracle", "--input", str(path), "--p", "2", "--functional", functional
+    )
+    assert code == 0
+    assert json.loads(stdout)["weight"] == "inf"
 
 
 def test_exit_1_names_failed_inequality(example_path, capsys, monkeypatch):

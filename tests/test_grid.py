@@ -25,7 +25,7 @@ from jnplus import (
     subcubes,
 )
 from jnplus._blocks import absdev_sums
-from jnplus.grid import exact, exceeds, union_sum
+from jnplus.grid import count_exceeding, exact, exceeds, union_sum
 
 from helpers import (
     cell_value,
@@ -167,6 +167,46 @@ def test_exceeds_is_value_over_scale_above_lambda():
         for lam in on + _between(on) + [1e308, -1e308]:
             want = [Fraction(v) / count > Fraction(lam) for v in cells.tolist()]
             assert exceeds(cells, count, None, lam).tolist() == want, (count, lam)
+
+
+def test_count_exceeding_matches_exceeds_at_int64_boundary():
+    """Each of count_exceeding's counts is exceeds(...).sum() at that lam,
+    on int64, object and float64 cells, for unsorted lists with duplicates
+    of lams on and between the values and with lam * scale just below and
+    at 2^62, in [2^63, 2^64) and past 2^64.  Without the 2^62 clamp the
+    int64 cuts would not fit an int64 array (numpy makes [2^63 + 5] a
+    uint64 one, and compares it with int64 cells in float64)."""
+    top = (1 << 62) - 1
+    ints = [-top, -(top - 1), -12, -1, 0, 1, 5, 6, top - 1, top]
+    edges = [(1 << 62) - 2, (1 << 62) - 1, 1 << 62, (1 << 63) + 5, (1 << 64) - 1, (1 << 64) + 7]
+    cases = [
+        (np.array(ints, dtype=np.int64).reshape(2, 5), [(1, 1), (4, 3), (1, 7)]),
+        (np.array([v << 70 for v in ints], dtype=object), [(1, 1), (4, 3)]),
+    ]
+    for numer, scales in cases:
+        for count, denom in scales:
+            scale = count * denom
+            on = sorted({Fraction(int(v), scale) for v in numer.ravel()})
+            past = [Fraction(s * e, scale) for e in edges for s in (1, -1)]
+            inner = on[::-1] + _between(on) + on[::3]
+            mixed = past + inner + past[:3]
+            # one far cut with same-sign values: numpy would put unclamped
+            # cuts in a float64 or uint64 array
+            one_edge = [[lam] + [x for x in inner if (x >= 0) == (lam >= 0)] for lam in past]
+            for lams in [mixed] + one_edge:
+                got = count_exceeding(numer, count, denom, lams)
+                want = [int(exceeds(numer, count, denom, lam).sum()) for lam in lams]
+                assert got == want, scale
+                naive = [sum(Fraction(int(v), scale) > lam for v in numer.ravel()) for lam in lams]
+                assert got == naive, scale
+
+    cells = np.array([-3.5, -0.25, 0.0, 0.75, 1.5, 2.0, 1e300])
+    for count in (1, 8):
+        on = sorted({v / count for v in cells.tolist()})
+        lams = [1e308, -1e308] + on[::-1] + _between(on) + on[::2]
+        got = count_exceeding(cells, count, None, lams)
+        assert got == [int(exceeds(cells, count, None, lam).sum()) for lam in lams], count
+    assert count_exceeding(cells, 1, None, []) == []
 
 
 def test_distribution_measure_counts_cells():

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from jnplus import (
     DyadicCube,
     LemmaContext,
-    GeneratorSpec,
     GridFunction,
     InvalidParamsError,
     NegativeInputError,
@@ -26,7 +25,6 @@ from jnplus import (
     maximal_function,
     offset_positive_part,
     root_cube,
-    scale_values,
     select_subfamily,
     subcubes,
     volume,
@@ -35,7 +33,7 @@ from jnplus import (
 from jnplus.cubes import volume_sum
 from jnplus.maximal import positive_part_field
 
-from helpers import naive_cz, naive_maximal, random_fixed_grid
+from helpers import corpus_grids, naive_cz, naive_maximal, random_fixed_grid
 
 
 @st.composite
@@ -231,14 +229,6 @@ def test_weak_type_rejects_nonpositive_lambda():
         weak_type_check(f, None, Fraction(0))
 
 
-def _corpus_grids(mode):
-    for s in default_manifest():
-        kind = "f64" if mode == "f64" else "fixed"
-        f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, kind, s.denom, s.params))
-        # 2^56 puts every cell past the int64 guard, onto Python ints
-        yield scale_values(f, 1 << 56) if mode == "big" else f
-
-
 @pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
 def test_positive_part_field_matches_full_grid_offset(mode):
     """The stopping-cube-local field of (f - mean(f over Q++))^+ equals the
@@ -246,7 +236,7 @@ def test_positive_part_field_matches_full_grid_offset(mode):
     thresholds that hit field values exactly and fall between them, on
     int64, float and big-integer grids."""
     pairs = 0
-    for f in _corpus_grids(mode):
+    for f in corpus_grids(mode):
         cubes = list(subcubes(root_cube(f.n), f.L))
         for c in cubes[:: max(1, len(cubes) // 12)]:
             full = maximal_function(offset_positive_part(f, forward(c, 2)), c)

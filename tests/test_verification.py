@@ -14,11 +14,13 @@ from jnplus import (
     average,
     bundled_example,
     default_lambda_grid,
+    distribution_measure,
     forward,
     good_lambda_check,
     jnp_plus_dyadic,
     lemma_params,
     lemma_sweep,
+    maximal_function,
     offset_positive_part,
     proof_constant,
     root_cube,
@@ -26,7 +28,9 @@ from jnplus import (
     volume,
 )
 
-from helpers import naive_block_sum, random_fixed_grid
+from jnplus.reports import canonical_json
+
+from helpers import corpus_grids, naive_block_sum, random_fixed_grid
 
 
 def test_lemma_params_validation():
@@ -82,6 +86,31 @@ def test_lemma_sweep_all_pass():
                     assert r.passed, r.details["failed-ids"]
                 if p == 2:
                     assert all(r.exact for r in reports)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64"])
+def test_sweep_reports_do_not_depend_on_lambda_order(mode):
+    """The kept stopping-cube fields serve any lambda order: a shuffled
+    sweep and a descending one give the same report at every lambda, on
+    every corpus grid, at lambdas from the default grid and on the
+    values of g's maximal field."""
+    rng = np.random.default_rng(61)
+    checked = 0
+    for f in corpus_grids(mode):
+        b = Fraction(1, 1 << (f.n + 1))
+        ctx = LemmaContext(f, 2, b)
+        ties = sorted({ctx.field.value_at(idx) for idx in np.ndindex(*ctx.field.values.shape)})
+        lams = default_lambda_grid(ctx)[::6] + [lam for lam in ties[::3] if lam > 0]
+        down = sorted(lams, reverse=True)
+        shuffled = [down[i] for i in rng.permutation(len(down))]
+        by_lam = {}
+        for lam, r in zip(down, lemma_sweep(ctx, down)):
+            by_lam[lam] = canonical_json(r.to_json_dict())
+        other = LemmaContext(f, 2, b)
+        for lam, r in zip(shuffled, lemma_sweep(other, shuffled)):
+            assert canonical_json(r.to_json_dict()) == by_lam[lam], lam
+            checked += 1
+    assert checked >= 500
 
 
 def test_nonpositive_lambda_rejected():
@@ -181,6 +210,38 @@ def test_theorem_distribution_dominated():
         for rec in run.records:
             assert rec["dist"] <= rec["E-aug"]
             assert rec["E-grid"] <= rec["E-aug"]
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_theorem_counts_match_one_lambda_functions(mode):
+    """theorem_check counts every lambda in one pass; each record equals
+    the one-lambda superlevel_measure of both fields and
+    distribution_measure, at lambdas on and between the values of the
+    fields and of g, on every corpus grid (int64, float and big-integer)."""
+    records = 0
+    for f in corpus_grids(mode):
+        ctx = LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1)))
+        field_a = maximal_function(ctx.g, ctx.root, "augmented")
+        scale = [ctx.field.denom_scale, field_a.denom_scale, ctx.g.denom]
+        arrays = [ctx.field.values, field_a.values, ctx.g.region(ctx.root)]
+        ties = sorted(
+            {
+                Fraction(int(v), d) if f.is_fixed else float(v)
+                for arr, d in zip(arrays, scale)
+                for v in np.unique(arr).tolist()
+                if v > 0
+            }
+        )
+        on = ties[:: max(1, len(ties) // 6)] + ties[-1:]
+        lams = on + [(a + b) / 2 for a, b in zip(on, on[1:])] + [ties[0] / 2]
+        run = theorem_check(ctx, lams)
+        assert [r["lambda"] for r in run.records] == [f.scalar(lam) for lam in lams]
+        for lam, rec in zip(lams, run.records):
+            assert rec["E-grid"] == ctx.field.superlevel_measure(lam), lam
+            assert rec["E-aug"] == field_a.superlevel_measure(lam), lam
+            assert rec["dist"] == distribution_measure(f, ctx.root, lam), lam
+            records += 1
+    assert records >= 500
 
 
 def test_theorem_csv_shape():
