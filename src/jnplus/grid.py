@@ -384,9 +384,19 @@ def resolve_root(f: GridFunction, root: DyadicCube | None) -> DyadicCube:
 
 
 def average(f: GridFunction, cube: DyadicCube):
-    """Mean of f over a cube (exact Fraction in fixed mode)."""
-    s = f.prefix().cube_sum(cube)
-    return f.ratio(s, f.cells_in(cube))
+    """Mean of f over a cube (exact Fraction in fixed mode).
+
+    An f64 mean whose cell sum leaves the float range raises OutOfDomainError.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = f.ratio(f.prefix().cube_sum(cube), f.cells_in(cube))
+        if f.is_fixed or math.isfinite(mean):
+            return mean
+        # a prefix sum can overflow where the cube's own cells do not
+        mean = float(f.region(cube).sum()) / f.cells_in(cube)
+    if not math.isfinite(mean):
+        raise OutOfDomainError(f"the f64 mean of f over {cube} overflows")
+    return mean
 
 
 def union_sum(f: GridFunction, cube: DyadicCube):

@@ -21,6 +21,10 @@ union reproduces {M_R f > lam} exactly on the grid.  Every such strict
 comparison goes through :func:`jnplus.grid.exceeds`, which decides it in
 integer arithmetic in fixed mode; thresholds are lifted to the grid's
 scalar by :meth:`~jnplus.grid.GridFunction.scalar`.
+
+A decomposition holds its stopping cubes as per-level index rows
+(:class:`~jnplus.reports.CubeRows`), not as one object per cube, and
+the checks on it read each level's rows against that level's block sums.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from typing import Iterator
 
 import numpy as np
 
-from ._blocks import block_count, block_cubes, covering_sweep, level_sums, root_box, upsample
-from .cubes import DyadicCube, forward, parent, volume_sum
+from ._blocks import block_count, box_origin, covering_sweep, level_sums, root_box, upsample
+from .cubes import DyadicCube, forward
 from .errors import InvalidParamsError, NegativeInputError
 from .grid import GridFunction, average, exceeds, resolve_root, union_sum
-from .reports import VerificationReport
+from .reports import CubeRows, VerificationReport
 
 __all__ = [
     "MaximalField",
@@ -169,24 +173,26 @@ class Decomposition:
     """Stopping-time decomposition of ``root`` at ``threshold``.
 
     ``stopping`` lists the maximal dyadic subcubes whose forward mean
-    exceeds the threshold (level ascending, index order within a level).
-    ``subfamily`` indexes the cubes whose forward translates are maximal
-    with respect to inclusion among all forward translates; ``groups``
-    maps each subfamily index j to every index i whose forward translate
-    lies inside that of j (j itself included).
+    exceeds the threshold, as per-level index rows: one entry per level
+    of the root, coarse to fine down to the grid's, index order within a
+    level.  ``subfamily`` holds the list positions of the cubes whose
+    forward translates are maximal with respect to inclusion among all
+    forward translates; ``groups`` maps each such position j to every
+    position i whose forward translate lies inside that of j (j itself
+    included), ascending.
     """
 
     root: DyadicCube
     threshold: Fraction | float
-    stopping: list[DyadicCube]
+    stopping: CubeRows
     subfamily: list[int]
     groups: dict[int, list[int]]
 
     def total_volume(self) -> Fraction:
-        return volume_sum(self.stopping)
+        return self.stopping.volume()
 
     def subfamily_volume(self) -> Fraction:
-        return volume_sum(self.stopping[j] for j in self.subfamily)
+        return self.stopping.take(self.subfamily).volume()
 
     def to_json_dict(self) -> dict:
         return {
@@ -194,7 +200,7 @@ class Decomposition:
             "lambda": self.threshold,
             "stopping": self.stopping,
             "subfamily": self.subfamily,
-            "groups": {j: sorted(ids) for j, ids in self.groups.items()},
+            "groups": self.groups,
             "total-volume": self.total_volume(),
         }
 
@@ -232,53 +238,45 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     root = resolve_root(f, root)
     _require_nonneg(f, root)
     lam_n = f.scalar(lam)
-    stopping: list[DyadicCube] = []
-    for k, emit in stopping_levels(f, root, lam_n):
-        stopping += block_cubes(root, k, np.argwhere(emit))
-    subfamily, groups = select_subfamily(stopping)
+    masks = list(stopping_levels(f, root, lam_n))
+    stopping = CubeRows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
+    subfamily, groups = select_subfamily(masks)
     return Decomposition(root, lam_n, stopping, subfamily, groups)
 
 
 def select_subfamily(
-    stopping: list[DyadicCube],
+    masks: list[tuple[int, np.ndarray]],
 ) -> tuple[list[int], dict[int, list[int]]]:
-    """Indices whose forward translates are maximal, plus the grouping.
+    """Positions of the stopping cubes whose forward translates are maximal, and the grouping.
 
-    Processes coarse levels first; a forward translate is owned by the
-    unique kept translate containing it (aligned boxes never partially
-    overlap, so corner lookup decides containment).  Input cubes must be
-    pairwise non-overlapping — duplicate forward translates are rejected.
+    ``masks`` holds the per-level stopping masks of a root, as
+    :func:`stopping_levels` yields them; cubes are numbered level by level
+    in index order.  The translate of block t is block t+1, inside a box of
+    twice the root's time extent.  A top-down sweep over that box keeps
+    per block the position of the kept translate covering it; a translate
+    that none covers is kept (aligned boxes are nested or disjoint).
     """
-    fwd = [forward(c) for c in stopping]
-    order = sorted(range(len(stopping)), key=lambda i: (stopping[i].level, i))
-    kept_by_level: dict[int, dict[tuple, int]] = {}
-    subfamily: list[int] = []
-    groups: dict[int, list[int]] = {}
-    for i in order:
-        F = fwd[i]
-        owner = None
-        for kl in sorted(kept_by_level):
-            if kl > F.level:
-                break
-            sh = F.level - kl
-            key = (tuple(s >> sh for s in F.spatial), F.time >> sh)
-            j = kept_by_level[kl].get(key)
-            if j is not None:
-                if kl == F.level:
-                    raise InvalidParamsError(
-                        "duplicate forward translate: stopping cubes overlap"
-                    )
-                owner = j
-                break
+    owners: list[np.ndarray] = []
+    owner = None
+    start = 0
+    for _, emit in masks:
+        T = emit.shape[-1]
         if owner is None:
-            subfamily.append(i)
-            kept_by_level.setdefault(F.level, {})[(F.spatial, F.time)] = i
-            groups[i] = [i]
+            owner = np.full(emit.shape[:-1] + (2 * T,), -1, dtype=np.intp)
         else:
-            groups[owner].append(i)
-    subfamily.sort()
-    for ids in groups.values():
-        ids.sort()
+            owner = upsample(owner, emit.ndim)
+        fwd = owner[..., 1 : T + 1]
+        got = fwd[emit]
+        free = got < 0
+        got[free] = np.arange(start, start + len(got))[free]
+        fwd[emit] = got
+        owners.append(got)
+        start += len(got)
+    owner_of = np.concatenate(owners)
+    order = np.argsort(owner_of, kind="stable")
+    kept, first = np.unique(owner_of[order], return_index=True)
+    subfamily = kept.tolist()
+    groups = {j: ids.tolist() for j, ids in zip(subfamily, np.split(order, first[1:]))}
     return subfamily, groups
 
 
@@ -287,6 +285,12 @@ def rel_slices(f: GridFunction, root: DyadicCube, cube: DyadicCube) -> tuple[sli
     gl = f.cube_slices(cube)
     base = f.cube_slices(root)
     return tuple(slice(g.start - b.start, g.stop - b.start) for g, b in zip(gl, base))
+
+
+def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:
+    """Block sums over the ``steps``-forward translates of the level-k cubes at index rows."""
+    *space, t = rows.T
+    return f.block_sums(k)[(*space, t + steps)]
 
 
 def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> VerificationReport:
@@ -299,18 +303,16 @@ def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
     """
     root = resolve_root(f, root)
     lam = dec.threshold
-    strict_ok = True
-    parent_ok = True
-    for c in dec.stopping:
-        if not (average(f, forward(c)) > lam):
-            strict_ok = False
-        if c.level > root.level:
-            par = parent(c)
-            if average(f, forward(par)) > lam:
-                parent_ok = False
-    mask = np.zeros((1 << (f.L - root.level),) * f.n, dtype=bool)
-    for c in dec.stopping:
-        mask[rel_slices(f, root, c)] = True
+    strict_ok = parent_ok = True
+    mask = np.zeros((1,) * f.n, dtype=bool)  # the cubes' union over the root box
+    for k, rows in dec.stopping.levels:
+        fwd = _forward_sums(f, k, rows, 1)
+        strict_ok &= bool(exceeds(fwd, block_count(f, k), f.denom, lam).all())
+        if k > root.level:
+            fwd = _forward_sums(f, k - 1, rows >> 1, 1)  # the parents' translates
+            parent_ok &= not exceeds(fwd, block_count(f, k - 1), f.denom, lam).any()
+            mask = upsample(mask, f.n)
+        mask[tuple((rows - box_origin(root, k)).T)] = True
     field = maximal_function(f, root, "grid")
     identity_ok = bool(np.array_equal(field.superlevel_mask(lam), mask))
     passed = strict_ok and parent_ok and identity_ok
@@ -345,14 +347,18 @@ def check_p2(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
     bound = lam * (1 << f.n)
     worst = None
     worst_cube = None
-    passed = True
     if admissible:
-        for c in dec.stopping:
-            v = average(f, forward(c, 2))
+        # the largest mean of each level, the first cube attaining it in list order
+        for k, rows in dec.stopping.levels:
+            if not len(rows):
+                continue
+            sums = _forward_sums(f, k, rows, 2)
+            i = int(np.argmax(sums))
+            v = f.ratio(sums[i], block_count(f, k))
             if worst is None or v > worst:
-                worst, worst_cube = v, c
-            if v > bound:
-                passed = False
+                *space, t = rows[i].tolist()
+                worst, worst_cube = v, DyadicCube(k, tuple(space), t)
+    passed = worst is None or not (worst > bound)
     lhs = worst if worst is not None else f.scalar(0)
     return VerificationReport(
         inequality_id="p2",

@@ -55,6 +55,19 @@ class CubeRows:
     def expand(self) -> list[DyadicCube]:
         return [c for k, rows in self.levels for c in cubes_at(k, rows)]
 
+    def volume(self) -> Fraction:
+        """Summed volume: m cubes of level k in n dimensions weigh m * 2^{-kn}."""
+        return sum((Fraction(len(r), 1 << (k * r.shape[1])) for k, r in self.levels), Fraction(0))
+
+    def take(self, ids: list[int]) -> CubeRows:
+        """The cubes at the ascending list positions ``ids``, in this form."""
+        ids, out, start = np.asarray(ids, dtype=np.intp), [], 0
+        for k, rows in self.levels:
+            lo, hi = np.searchsorted(ids, [start, start + len(rows)])
+            out.append((k, rows[ids[lo:hi] - start]))
+            start += len(rows)
+        return CubeRows(out)
+
 
 @dataclass(frozen=True, eq=False)
 class RatioRows:

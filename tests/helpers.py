@@ -103,16 +103,56 @@ def naive_maximal(f: GridFunction, root: DyadicCube, variant: str):
     return out
 
 
-def naive_cz(f: GridFunction, root: DyadicCube, lam) -> list[DyadicCube]:
-    """Maximal dyadic subcubes of root with mean(f over Q+) > lam."""
-    if naive_average(f, forward(root)) > lam:
+def naive_cz(f: GridFunction, root: DyadicCube, lam, avg=naive_average) -> list[DyadicCube]:
+    """Maximal dyadic subcubes of root with mean(f over Q+) > lam.
+
+    ``avg`` computes the means; a caller sweeping many lam can pass a
+    memoized :func:`naive_average`.
+    """
+    if avg(f, forward(root)) > lam:
         return [root]
     if root.level == f.L:
         return []
     out = []
     for c in children(root, f.L):
-        out.extend(naive_cz(f, c, lam))
+        out.extend(naive_cz(f, c, lam, avg))
     return out
+
+
+def naive_select_subfamily(stopping: list[DyadicCube]) -> tuple[list[int], dict[int, list[int]]]:
+    """Indices whose forward translates are maximal, plus the grouping, cube by cube.
+
+    Coarse levels first; a forward translate is owned by the unique kept
+    translate containing it (aligned boxes are nested or disjoint, so a
+    corner lookup decides containment).
+    """
+    fwd = [forward(c) for c in stopping]
+    order = sorted(range(len(stopping)), key=lambda i: (stopping[i].level, i))
+    kept_by_level: dict[int, dict[tuple, int]] = {}
+    subfamily: list[int] = []
+    groups: dict[int, list[int]] = {}
+    for i in order:
+        F = fwd[i]
+        owner = None
+        for kl in sorted(kept_by_level):
+            if kl > F.level:
+                break
+            sh = F.level - kl
+            j = kept_by_level[kl].get((tuple(s >> sh for s in F.spatial), F.time >> sh))
+            if j is not None:
+                assert kl < F.level, "duplicate forward translate: stopping cubes overlap"
+                owner = j
+                break
+        if owner is None:
+            subfamily.append(i)
+            kept_by_level.setdefault(F.level, {})[(F.spatial, F.time)] = i
+            groups[i] = [i]
+        else:
+            groups[owner].append(i)
+    subfamily.sort()
+    for ids in groups.values():
+        ids.sort()
+    return subfamily, groups
 
 
 def naive_phi_plus(f: GridFunction, cube: DyadicCube, p: int) -> Fraction:

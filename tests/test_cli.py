@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from helpers import oracle_canonical_json
-from jnplus import DyadicCube, bundled_example, gen, GeneratorSpec, load_grid, save_grid
+from jnplus import (
+    DyadicCube,
+    GeneratorSpec,
+    GridFunction,
+    bundled_example,
+    gen,
+    load_grid,
+    save_grid,
+)
 from jnplus import cli
 from jnplus.cli import main
 from jnplus.corpus import MAX_CELLS
@@ -448,6 +456,41 @@ def test_seminorm_makes_no_cube_per_witness_cube(tmp_path, capsys, monkeypatch):
     assert len(json.loads(stdout)["jnp-plus"]["witness"]) > 100
     # the four results' roots, and not one witness cube
     assert len(created) == 4
+
+
+def test_decompose_makes_no_cube_per_stopping_cube(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "grid.bin")
+    save_grid(gen(GeneratorSpec(kind="uniform-random", n=2, L=5, seed=3)), path)
+    created = []
+    init = DyadicCube.__init__
+
+    def counted(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(DyadicCube, "__init__", counted)
+    code, stdout, _ = run(capsys, "decompose", "--input", path, "--lambda", "auto")
+    assert code == 0
+    decs = json.loads(stdout)["decompositions"]
+    assert sum(len(d["stopping"]) for d in decs) > 1000
+    # one root per decomposition, and the lambda grid's root and its
+    # translate; not one stopping cube
+    assert len(created) == len(decs) + 2
+
+
+@pytest.mark.parametrize("command", [["verify", "theorem"], ["verify", "good-lambda"]])
+def test_exit_2_names_an_overflowing_f64_mean(tmp_path, command):
+    """Finite cells whose mean over root++ overflows: a named error, not
+    "f64 values must be finite" from the offset grid of inf cells."""
+    path = str(tmp_path / "overflow.json")
+    save_grid(GridFunction(1, 1, [1e308, 0, 0, 0, -1e308, -1e308], "f64"), path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "jnplus.cli", *command, "--input", path, "--p", "2", "--b", "1/4"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last == "error: the f64 mean of f over DyadicCube(level=0, spatial=(), time=2) overflows"
 
 
 def test_usage_error_exit_2():

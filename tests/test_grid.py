@@ -1,5 +1,6 @@
 """Exact grid functions: averages, prefix sums, offsets, distribution."""
 
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -110,6 +111,23 @@ def test_average_f64():
     assert average(f, root_cube(1)) == pytest.approx(2.0)
     assert average(f, DyadicCube(1, (), 1)) == pytest.approx(3.0)
     assert average(f, DyadicCube(0, (), 1)) == pytest.approx(0.5)
+
+
+def test_f64_mean_past_float_range_raises():
+    """Finite cells whose mean over a cube overflows: average and
+    offset_positive_part name the overflow, and numpy warns of nothing."""
+    f = GridFunction(1, 1, [1e308, 0.0, 0.0, 0.0, -1e308, -1e308], "f64")
+    root_pp = forward(root_cube(1), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (average, offset_positive_part):
+            with pytest.raises(OutOfDomainError, match=r"mean of f over .* overflows"):
+                fn(f, root_pp)
+        assert average(f, root_cube(1)) == 5e307  # a finite mean on the same grid
+        # prefix sums pass inf on the way to root++, whose own cells sum to 10
+        g = GridFunction(1, 1, [1e308, 1e308, 0.0, 0.0, 5.0, 5.0], "f64")
+        assert average(g, root_pp) == 5.0
+        assert offset_positive_part(g, root_pp).values.max() == 1e308 - 5.0
 
 
 def test_prefix_box_sums():

@@ -1,5 +1,6 @@
 """One-sided maximal fields and stopping-time decompositions."""
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from jnplus import (
     DyadicCube,
+    GeneratorSpec,
     LemmaContext,
     GridFunction,
     InvalidParamsError,
@@ -25,15 +27,22 @@ from jnplus import (
     maximal_function,
     offset_positive_part,
     root_cube,
-    select_subfamily,
     subcubes,
     volume,
     weak_type_check,
 )
-from jnplus.cubes import volume_sum
+from jnplus.cubes import parent, volume_sum
 from jnplus.maximal import positive_part_field
+from jnplus.reports import CubeRows
 
-from helpers import corpus_grids, naive_cz, naive_maximal, random_fixed_grid
+from helpers import (
+    corpus_grids,
+    naive_average,
+    naive_cz,
+    naive_maximal,
+    naive_select_subfamily,
+    random_fixed_grid,
+)
 
 
 @st.composite
@@ -110,7 +119,7 @@ def test_unknown_variant_rejected():
 def test_worked_example_decomposition():
     f = bundled_example()
     dec = cz_decompose(f, None, Fraction(1, 2))
-    assert [(c.level, c.time) for c in dec.stopping] == [(1, 0), (2, 2)]
+    assert [(c.level, c.time) for c in dec.stopping.expand()] == [(1, 0), (2, 2)]
     assert dec.subfamily == [0]
     assert dec.groups == {0: [0, 1]}
     assert dec.total_volume() == Fraction(3, 4)
@@ -123,7 +132,7 @@ def test_cz_matches_naive(fl):
     f, lam = fl
     root = root_cube(f.n)
     dec = cz_decompose(f, root, lam)
-    assert sorted(dec.stopping) == sorted(naive_cz(f, root, lam))
+    assert dec.stopping.expand() == sorted(naive_cz(f, root, lam))
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,11 +141,12 @@ def test_stopping_cubes_are_maximal_and_disjoint(fl):
     f, lam = fl
     root = root_cube(f.n)
     dec = cz_decompose(f, root, lam)
+    stopping = dec.stopping.expand()
     seen = set()
-    for c in dec.stopping:
+    for c in stopping:
         assert average(f, forward(c)) > lam  # strict
         assert contains(root, c)
-        for other in dec.stopping:
+        for other in stopping:
             if other is not c:
                 assert not contains(other, c)
         seen.add(c)
@@ -166,7 +176,9 @@ def test_select_subfamily_non_overlapping_forwards():
         f = random_fixed_grid(rng, 2, 2)
         lam = Fraction(int(rng.integers(1, 16)), 8)
         dec = cz_decompose(f, None, lam)
-        sel = [dec.stopping[j] for j in dec.subfamily]
+        stopping = dec.stopping.expand()
+        sel = [stopping[j] for j in dec.subfamily]
+        assert dec.stopping.take(dec.subfamily).expand() == sel
         fwds = [forward(c) for c in sel]
         for i, a in enumerate(fwds):
             for b_ in fwds[i + 1 :]:
@@ -174,13 +186,104 @@ def test_select_subfamily_non_overlapping_forwards():
                 assert not contains(a, b_) and not contains(b_, a) and a != b_
         # groups partition the stopping indices
         members = sorted(i for ids in dec.groups.values() for i in ids)
-        assert members == list(range(len(dec.stopping)))
+        assert members == list(range(len(stopping)))
         # every dropped cube's forward sits inside its keeper's forward
         for j, ids in dec.groups.items():
-            keeper_fwd = forward(dec.stopping[j])
+            keeper_fwd = forward(stopping[j])
             for i in ids:
-                fwd = forward(dec.stopping[i])
+                fwd = forward(stopping[i])
                 assert fwd == keeper_fwd or contains(keeper_fwd, fwd)
+
+
+def _matches_naive(f, root, lams) -> tuple[int, int]:
+    """Check cz_decompose at each lam against naive_cz + naive_select_subfamily.
+
+    Returns the count of families checked (a lam where f < 0 on
+    root ∪ root+ ends the sweep) and of those with a group of two or more.
+    """
+    avg = functools.lru_cache(maxsize=None)(naive_average)  # lam-free, so shared
+    checked = merged = 0
+    for lam in lams:
+        try:
+            dec = cz_decompose(f, root, lam)
+        except NegativeInputError:
+            break
+        lam = Fraction(lam) if f.is_fixed else lam  # one conversion, not one per comparison
+        want = sorted(naive_cz(f, root or root_cube(f.n), lam, avg))  # report order
+        assert isinstance(dec.stopping, CubeRows)
+        assert dec.stopping.expand() == want, (f.n, f.L, root, lam)
+        assert (dec.subfamily, dec.groups) == naive_select_subfamily(want), (f.n, f.L, root, lam)
+        checked += 1
+        merged += len(dec.subfamily) < len(want)
+    return checked, merged
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64"])
+def test_decomposition_matches_naive_reference_on_corpus(mode):
+    """Stopping family, subfamily and groups equal the cube-by-cube
+    reference on every corpus grid at the lambda grid of
+    ``decompose --lambda auto``."""
+    counts = np.zeros(2, dtype=int)
+    for f in corpus_grids(mode):
+        lams = default_lambda_grid(LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1))))
+        counts += _matches_naive(f, None, lams)
+    assert counts[0] >= 3000 and counts[1] >= 150
+
+
+def test_decomposition_matches_naive_reference_off_origin_and_n3():
+    """The same on roots away from the origin, and on an n=3 grid, at
+    thresholds on and between the values of the root's maximal field."""
+    cases = [
+        (GeneratorSpec("uniform-random", 1, 5, seed=8),
+         [DyadicCube(1, (), 1), DyadicCube(3, (), 5)]),
+        (GeneratorSpec("dyadic-martingale", 2, 4, seed=9),
+         [DyadicCube(1, (1,), 0), DyadicCube(2, (2,), 3)]),
+        (GeneratorSpec("uniform-random", 3, 2, seed=4, denom=64), [None, DyadicCube(1, (1, 0), 1)]),
+    ]
+    counts = np.zeros(2, dtype=int)
+    for spec, roots in cases:
+        f = gen(spec)
+        for root in roots:
+            field = maximal_function(f, root)
+            ties = np.unique(field.values).tolist()
+            lams = [Fraction(v, field.denom_scale) for v in ties[:: max(1, len(ties) // 10)]]
+            lams += [lam * Fraction(7, 8) for lam in lams if lam > 0]
+            counts += _matches_naive(f, root, lams)
+    assert counts[0] >= 90 and counts[1] >= 20
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_p1_p2_match_per_cube_means_on_corpus(mode):
+    """check_p1 and check_p2 read block sums per level; their fields equal
+    those from one mean per stopping cube, taken in list order."""
+    checked = 0
+    for f in corpus_grids(mode):
+        lams = default_lambda_grid(LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1))))
+        for lam in lams[::3]:
+            try:
+                dec = cz_decompose(f, None, lam)
+            except NegativeInputError:
+                break
+            lam = dec.threshold
+            cubes = dec.stopping.expand()
+            r1, r2 = check_p1(f, None, dec), check_p2(f, None, dec)
+            assert r1.details["strict-at-stopping"] == all(
+                average(f, forward(c)) > lam for c in cubes
+            )
+            assert r1.details["parent-fails"] == all(
+                not average(f, forward(parent(c))) > lam for c in cubes if c.level
+            )
+            assert r1.passed and r2.passed and r1.details["stopping-count"] == len(cubes)
+            if r2.admissible and cubes:
+                means = [average(f, forward(c, 2)) for c in cubes]
+                worst = max(means)
+                assert r2.lhs == float(worst)
+                assert r2.lhs_exact == (str(worst) if f.is_fixed else None)
+                assert r2.details["worst-cube"] == cubes[means.index(worst)]
+                checked += 1
+            else:
+                assert r2.details["worst-cube"] is None
+    assert checked >= 60
 
 
 def test_p1_p2_p3_on_worked_example():
@@ -209,7 +312,7 @@ def test_p2_bound_value():
         r = check_p2(f, None, dec)
         assert r.passed
         if r.admissible:
-            for c in dec.stopping:
+            for c in dec.stopping.expand():
                 assert average(f, forward(c, 2)) <= 2 * lam
 
 
@@ -279,8 +382,9 @@ def test_volume_sum_matches_per_cube_sum():
                 dec = cz_decompose(f, None, lam)
             except NegativeInputError:
                 break
-            assert dec.total_volume() == per_cube(dec.stopping)
-            assert dec.subfamily_volume() == per_cube(dec.stopping[j] for j in dec.subfamily)
+            stopping = dec.stopping.expand()
+            assert dec.total_volume() == per_cube(stopping)
+            assert dec.subfamily_volume() == per_cube(stopping[j] for j in dec.subfamily)
             families += 1
     assert families >= 1000
 

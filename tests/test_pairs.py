@@ -38,3 +38,29 @@ def test_gain_needs_nine_in_ten_and_medians_past_parent_iqr():
     # "higher is better" flips the sign
     got = pairs.summarise({"parent": _runs(parent), "change": _runs(change)}, {"m": "higher"})["m"]
     assert got["pairs_won"] == 0 and not got["gain"]
+
+
+def _tree(root: Path, body: bytes) -> Path:
+    for rel, data in {
+        "src/jnplus/a.py": body,
+        "src/jnplus/b.py": b"y = 2\n",
+        "perfbench/run.py": b"print()\n",
+        "README.md": b"not digested\n",
+    }.items():
+        (root / rel).parent.mkdir(parents=True, exist_ok=True)
+        (root / rel).write_bytes(data)
+    return root
+
+
+def test_source_digest_follows_bytes_not_directory(tmp_path):
+    one = _tree(tmp_path / "one", b"x = 1\n")
+    two = _tree(tmp_path / "elsewhere" / "two", b"x = 1\n")
+    # compiled files and files outside src/ and perfbench/ do not count
+    (two / "src" / "jnplus" / "__pycache__").mkdir()
+    (two / "src" / "jnplus" / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\0")
+    (two / "README.md").write_bytes(b"edited\n")
+    assert pairs.source_digest(one) == pairs.source_digest(two)
+    three = _tree(tmp_path / "three", b"x = 2\n")  # one byte apart under src/
+    assert pairs.source_digest(three) != pairs.source_digest(one)
+    (one / "perfbench" / "run.py").write_bytes(b"print(1)\n")
+    assert pairs.source_digest(one) != pairs.source_digest(two)

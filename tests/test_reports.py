@@ -13,12 +13,15 @@ import pytest
 from helpers import oracle_canonical_json, random_fixed_grid
 from jnplus import (
     DyadicCube,
+    GeneratorSpec,
     GridFunction,
     VerificationReport,
     antichain_oracle,
     bmo_plus_dyadic,
     bmo_plus_limit_form,
     canonical_json,
+    cz_decompose,
+    gen,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
     root_cube,
@@ -224,3 +227,21 @@ def test_seminorm_witness_rows_match_json_encoder(n, L):
     # zero weights, finite ones, and weights past the float range, in both forms
     assert {"0.0", "inf"} < rational
     assert {0.0, "inf"} < plain
+
+
+@pytest.mark.parametrize("n,L", [(1, 6), (2, 3), (3, 2)])
+def test_decomposition_rows_match_json_encoder(n, L):
+    """A decomposition written from its index rows is json's own text, down
+    to the groups with ten or more keys, which sort as strings ("10" < "2")."""
+    f = gen(GeneratorSpec(kind="uniform-random", n=n, L=L, seed=4, denom=64))
+    many = 0
+    for j in range(1, 17):
+        dec = cz_decompose(f, None, Fraction(j, 8))
+        assert isinstance(dec.stopping, CubeRows)
+        for doc in (dec, {"decompositions": [dec], "size": len(dec.stopping)}):
+            assert canonical_json(doc) == oracle_canonical_json(doc)
+        keys = list(json.loads(canonical_json(dec))["groups"])
+        assert keys == sorted(str(j) for j in dec.groups)
+        if len(keys) >= 10 and keys != [str(j) for j in sorted(dec.groups)]:
+            many += 1
+    assert many >= 2

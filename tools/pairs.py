@@ -21,15 +21,18 @@ each side's runs, median and [q1, q3] (inclusive quartiles), the pairs
 the change won (ties count for neither), and whether that is a gain by
 the rule of at least 9 pairs in 10 and medians further apart than the
 parent's interquartile range.  It also records the seeds, the failed
-operation counts, and the Python, numpy and CPU stamp and each side's
-commit that ``run.py`` prints (the checkout's HEAD: uncommitted edits do
-not show in it).  Pass the same directory twice for an A/A run, which
-measures the noise floor.
+operation counts, the Python, numpy and CPU stamp and each side's commit
+that ``run.py`` prints (the checkout's HEAD: uncommitted edits do not
+show in it), and each side's source digest, a sha256 over the files
+under ``src/`` and ``perfbench/`` that does show them, also for a copy
+made with ``git archive``.  Pass the same directory twice for an A/A
+run, which measures the noise floor.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -38,6 +41,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+DIGESTED = ("src", "perfbench")
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -70,6 +74,22 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{tree}: {' '.join(argv)} exited {proc.returncode}\n{proc.stderr}")
     stamp = next(json.loads(ln[len("stamp "):]) for ln in lines if ln.startswith("stamp "))
     return {"stamp": stamp, "result": json.loads(lines[-1])}
+
+
+def source_digest(tree: Path) -> str:
+    """sha256 over the relative paths and bytes of the files under ``tree``'s
+    ``src/`` and ``perfbench/``, in path order, ``__pycache__`` skipped."""
+    files = sorted(
+        path.relative_to(tree) for top in DIGESTED for path in (tree / top).rglob("*")
+        if path.is_file() and "__pycache__" not in path.relative_to(tree).parts
+    )
+    h = hashlib.sha256()
+    for rel in files:
+        data = (tree / rel).read_bytes()
+        rel = rel.as_posix()
+        h.update(f"{len(rel)}:{rel}{len(data)}:".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def spread(values: list[float]) -> dict:
@@ -109,6 +129,7 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     out_path = ROOT / f"BENCH_{args.tag}.json"
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    digests = {side: source_digest(tree) for side, tree in sides.items()}
     runs = {w: {"parent": [], "change": []} for w in args.workload}
     stamps = {}
     for i in range(args.pairs):
@@ -131,6 +152,7 @@ def main(argv=None) -> int:
                 k: stamps["change"][k] for k in ("python", "numpy", "cpu", "nproc", "threads")
             },
             "commits": {side: stamps[side].get("commit") for side in sides},
+            "source_digests": digests,
             "workloads": {
                 w: {
                     "attempted": {s: sum(r["attempted"] for r in runs[w][s]) for s in sides},
