@@ -5,9 +5,9 @@ shared by the maximal scan and the seminorm DP.
 cell-in-block) axes: summing over the :func:`in_block` axes gives block
 sums, and a per-block array blocked with side 1 broadcasts over the
 cells of each block.  :func:`root_box` maps a cube to its level-k block
-indices, :func:`box_origin` gives the first of them, and
-:func:`block_cubes` maps such indices back to cubes (:func:`cubes_at`
-does it for absolute indices).
+indices and :func:`box_origin` gives the first of them; callers keep
+blocks as index rows, and :func:`cubes_at` turns absolute rows into
+cubes where a caller wants the objects.
 
 Everything here works on raw cell entries: integer numerators in fixed
 mode (where sums and clamps stay exact) or float64 values.  Callers own
@@ -29,6 +29,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 import numpy as np
 
 from .cubes import DyadicCube
+from .errors import OutOfDomainError
 
 if TYPE_CHECKING:
     from .grid import GridFunction
@@ -39,7 +40,6 @@ __all__ = [
     "block_count",
     "root_box",
     "box_origin",
-    "block_cubes",
     "cubes_at",
     "clamped_sums",
     "absdev_sums",
@@ -86,17 +86,6 @@ def root_box(root: DyadicCube, k: int, time_shift: int = 0) -> tuple[slice, ...]
     return tuple(slice(s, s + side) for s in lo) + (slice(t0, t0 + side),)
 
 
-def block_cubes(root: DyadicCube, k: int, idx: np.ndarray) -> list[DyadicCube]:
-    """The level-k cubes at block indices ``idx`` of the root box; inverse of :func:`root_box`.
-
-    ``idx`` is an (m, n) integer array of indices relative to the box,
-    as :func:`numpy.argwhere` returns them.
-    """
-    if not len(idx):  # most levels of a stopping family hold no cubes
-        return []
-    return cubes_at(k, idx + box_origin(root, k))
-
-
 def cubes_at(k: int, rows: np.ndarray) -> list[DyadicCube]:
     """The level-k cubes whose absolute block indices are the rows of ``rows``."""
     return [DyadicCube(k, tuple(row[:-1]), row[-1]) for row in rows.tolist()]
@@ -128,11 +117,7 @@ def clamped_sums(gf: GridFunction, k: int, offset: int) -> np.ndarray:
     (time blocks [0, 2^k)), and its forward-shifted term reads one block
     more.  Only those cells are multiplied and clamped.
     """
-    T = (1 << k) + 1
-    w = gf.side >> k
-    ref = blocked(_shift_time(gf.block_sums(k), offset)[..., :T], 1)
-    diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - ref
-    return np.maximum(diff, 0).sum(axis=in_block(gf.n))
+    return _deviation_sums(gf, k, _shift_time(gf.block_sums(k), offset), (1 << k) + 1, "clamped")
 
 
 def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
@@ -140,11 +125,20 @@ def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
 
     The result has time extent 2^k, the blocks of Q0.
     """
-    T = 1 << k
+    return _deviation_sums(gf, k, gf.block_sums(k), 1 << k, "absolute")
+
+
+def _deviation_sums(gf: GridFunction, k: int, ref: np.ndarray, T: int, kind: str) -> np.ndarray:
+    """Per level-k block before time index T: the sum over its cells of max(value*N - r, 0)
+    or |value*N - r| by ``kind``, r = ref[block].  f64 overflow raises OutOfDomainError."""
     w = gf.side >> k
-    ref = blocked(gf.block_sums(k)[..., :T], 1)
-    diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - ref
-    return np.abs(diff).sum(axis=in_block(gf.n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - blocked(ref[..., :T], 1)
+        dev = np.maximum(diff, 0) if kind == "clamped" else np.abs(diff)
+        sums = dev.sum(axis=in_block(gf.n))
+    if gf.is_fixed or np.isfinite(sums).all():
+        return sums
+    raise OutOfDomainError(f"the f64 {kind} deviation sums of f at level {k} overflow")
 
 
 def upsample(arr: np.ndarray, n: int) -> np.ndarray:

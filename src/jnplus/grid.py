@@ -33,8 +33,10 @@ Integer and boolean numpy input is cast in one step.  Float and object
 input (lists, JSON grids) is read cell by cell: an integral float is
 kept exactly, and a fraction, inf or nan is a GridFormatError.
 Instances are immutable: the value buffer is write-locked and per-level
-block sums and the prefix table are memoized (idempotent, so concurrent
-readers are fine).
+block sums are memoized (idempotent, so concurrent readers are fine).
+A cube's mean or sum (:func:`average`, :func:`union_sum`) reduces its own
+cells.  Past the float range such an f64 value raises OutOfDomainError
+and an f64 block sum reads inf or nan, without a numpy warning.
 """
 
 from __future__ import annotations
@@ -52,6 +54,11 @@ from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, OutOfDomainError
 
 __all__ = [
+    "int64_fits",
+    "exceeds",
+    "count_exceeding",
+    "is_grid_size",
+    "exact",
     "GridFunction",
     "PrefixTable",
     "resolve_root",
@@ -283,7 +290,8 @@ class GridFunction:
         cached = self._block_sums_cache.get(k)
         if cached is not None:
             return cached
-        sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
         sums.setflags(write=False)
         self._block_sums_cache[k] = sums
         return sums
@@ -332,10 +340,10 @@ class GridFunction:
 class PrefixTable:
     """Inclusive n-dimensional prefix sums with a zero pad row per axis.
 
-    Any axis-aligned box sum costs 2^n table lookups (inclusion-exclusion);
-    in fixed mode the lookups are integers, so cube averages are exact.
-    The table keeps no reference to its grid, so the grid that memoizes
-    it is freed by reference counting rather than by the cycle collector.
+    Any axis-aligned box sum costs 2^n table lookups (inclusion-exclusion).
+    Nothing in the package calls it: a cube's own cells give its sum with
+    no whole-grid table and no f64 cancellation against the cells before
+    it.  It stays while the benchmark traces ``GridFunction.prefix``.
     """
 
     def __init__(self, gf: GridFunction) -> None:
@@ -384,25 +392,24 @@ def resolve_root(f: GridFunction, root: DyadicCube | None) -> DyadicCube:
 
 
 def average(f: GridFunction, cube: DyadicCube):
-    """Mean of f over a cube (exact Fraction in fixed mode).
+    """Mean of f over a cube, summed from its own cells (exact Fraction in fixed mode).
 
     An f64 mean whose cell sum leaves the float range raises OutOfDomainError.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = f.ratio(f.prefix().cube_sum(cube), f.cells_in(cube))
-        if f.is_fixed or math.isfinite(mean):
-            return mean
-        # a prefix sum can overflow where the cube's own cells do not
-        mean = float(f.region(cube).sum()) / f.cells_in(cube)
-    if not math.isfinite(mean):
+        mean = f.ratio(f.region(cube).sum(), f.cells_in(cube))
+    if not (f.is_fixed or math.isfinite(mean)):
         raise OutOfDomainError(f"the f64 mean of f over {cube} overflows")
     return mean
 
 
 def union_sum(f: GridFunction, cube: DyadicCube):
     """Sum of the cell entries of f over cube ∪ cube+ (int in fixed mode, else float)."""
-    pre = f.prefix()
-    return pre.cube_sum(cube) + pre.cube_sum(forward(cube))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(r.sum() for r in _domain_regions(f, "union", cube))
+    if not (f.is_fixed or math.isfinite(total)):
+        raise OutOfDomainError(f"the f64 sum of f over {cube} ∪ {forward(cube)} overflows")
+    return int(total) if f.is_fixed else float(total)
 
 
 def _domain_regions(f: GridFunction, domain: str, base: DyadicCube) -> list[np.ndarray]:
@@ -417,8 +424,8 @@ def pos_part_average(f: GridFunction, domain: str, base: DyadicCube, ref: Dyadic
     """Mean over the domain of (f - mean(f over ref))^+.
 
     ``domain`` is ``"cube"`` (the base cube alone) or ``"union"`` (base
-    together with its forward translate).  The subtraction is nonlinear,
-    so this iterates cells rather than using the prefix table.
+    together with its forward translate).  The clamp is nonlinear, so
+    this iterates the domain's cells one by one rather than summing them.
     """
     ravg = average(f, ref)
     regions = _domain_regions(f, domain, base)

@@ -49,7 +49,6 @@ __all__ = [
     "stopping_levels",
     "cz_decompose",
     "select_subfamily",
-    "rel_slices",
     "check_p1",
     "check_p2",
     "weak_type_check",
@@ -78,11 +77,8 @@ class MaximalField:
     def superlevel_mask(self, lam) -> np.ndarray:
         return exceeds(self.values, 1, self.denom_scale, lam)
 
-    def superlevel_count(self, lam) -> int:
-        return int(self.superlevel_mask(lam).sum())
-
     def superlevel_measure(self, lam) -> Fraction:
-        return Fraction(self.superlevel_count(lam), 1 << (self.L * self.n))
+        return Fraction(int(self.superlevel_mask(lam).sum()), 1 << (self.L * self.n))
 
     def _value(self, v):
         return Fraction(int(v), self.denom_scale) if self.mode == "fixed" else float(v)
@@ -278,13 +274,6 @@ def select_subfamily(
     subfamily = kept.tolist()
     groups = {j: ids.tolist() for j, ids in zip(subfamily, np.split(order, first[1:]))}
     return subfamily, groups
-
-
-def rel_slices(f: GridFunction, root: DyadicCube, cube: DyadicCube) -> tuple[slice, ...]:
-    """Leaf-cell slices of ``cube`` relative to the leaf box of ``root``."""
-    gl = f.cube_slices(cube)
-    base = f.cube_slices(root)
-    return tuple(slice(g.start - b.start, g.stop - b.start) for g, b in zip(gl, base))
 
 
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:

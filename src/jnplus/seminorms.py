@@ -293,7 +293,8 @@ def _level_weights(
         else:
             N = block_count(f, k)
             scale = float(half * N * N * (f.denom if f.is_fixed else 1))
-            phi[k] = (T.astype(np.float64) / scale) ** float(q) * 2.0 ** (-k * f.n)
+            with np.errstate(over="ignore"):  # a power past the float range is inf
+                phi[k] = (T.astype(np.float64) / scale) ** float(q) * 2.0 ** (-k * f.n)
     return phi
 
 

@@ -57,7 +57,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import block_cubes, level_sums
+from ._blocks import box_origin, cubes_at, level_sums
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
@@ -72,7 +72,6 @@ from .maximal import (
     MaximalField,
     maximal_function,
     positive_part_field,
-    rel_slices,
     stopping_levels,
 )
 from .reports import VerificationReport
@@ -145,21 +144,22 @@ class LemmaContext:
     root++))^+ and the ladder base ``lam0`` = 2K / (b * |root|^{1/p}).
     g's grid maximal ``field`` over the root and g's mean over root+
     (``g_fwd_avg``) are built on first read, since a caller that only
-    wants the lambda grid reads neither.  ``local_fields(cubes)`` builds
-    the two lambda-free fields of each stopping cube that p6 and p8 read,
-    and keeps them while consecutive lambdas visit the cube.
+    wants the lambda grid reads neither.  ``local_fields(blocks)`` builds
+    the two lambda-free fields of each visited stopping cube that p6 and
+    p8 read, and keeps them while consecutive lambdas visit the cube.
     """
 
     def __init__(self, f: GridFunction, p, b, root: DyadicCube | None = None) -> None:
         self.f = f
         self.params = lemma_params(f.n, p, b)
         self.root = resolve_root(f, root)
-        self.seminorm: SeminormResult = jnp_plus_dyadic(f, self.params.p, self.root)
+        # g before K: an f64 mean over root++ past the float range is the error
         self.g = offset_positive_part(f, forward(self.root, 2))
+        self.seminorm: SeminormResult = jnp_plus_dyadic(f, self.params.p, self.root)
         K, params = self.seminorm, self.params
         vol = float(volume(self.root))
         self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
-        self._local_fields: dict[DyadicCube, tuple[MaximalField, MaximalField]] = {}
+        self._local_fields: dict[tuple[int, ...], tuple[MaximalField, MaximalField]] = {}
 
     @cached_property
     def field(self) -> MaximalField:
@@ -169,23 +169,25 @@ class LemmaContext:
     def g_fwd_avg(self):
         return average(self.g, forward(self.root))
 
-    def local_fields(self, cubes: list[DyadicCube]) -> list[tuple[MaximalField, MaximalField]]:
-        """Per cube Q: M_Q g and the grid maximal field of (f - mean(f over Q++))^+ over Q.
+    def local_fields(self, blocks: list[tuple[int, ...]]) -> list[tuple[MaximalField, ...]]:
+        """Per level-k block (k, *row) Q of the root box: M_Q g and the grid
+        maximal field of (f - mean(f over Q++))^+ over Q.
 
-        Neither depends on lambda.  The pairs of the last call are kept
-        and all others dropped.  A cube is visited (a stopping cube at
-        b*lam that meets E(lam)) on one interval of lam, so a sweep in
-        ascending lam builds each pair once.  The stopping cubes of one
-        lam are disjoint, so the kept pairs hold at most twice the
-        root's cells.
+        Neither depends on lambda.  The pairs of the last call are kept,
+        all others dropped, and Q is made a cube only to build a pair.  A
+        cube is visited (a stopping cube at b*lam that meets E(lam)) on
+        one interval of lam, so a sweep in ascending lam builds each pair
+        once.  The stopping cubes of one lam are disjoint, so the kept
+        pairs hold at most twice the root's cells.
         """
         kept = self._local_fields
-        pairs = [
-            kept.get(c) or (maximal_function(self.g, c, "grid"), positive_part_field(self.f, c))
-            for c in cubes
-        ]
-        self._local_fields = dict(zip(cubes, pairs))
+        pairs = [kept.get(key) or self._fields_at(*key) for key in blocks]
+        self._local_fields = dict(zip(blocks, pairs))
         return pairs
+
+    def _fields_at(self, k: int, *row: int) -> tuple[MaximalField, MaximalField]:
+        [cube] = cubes_at(k, np.add([row], box_origin(self.root, k)))
+        return maximal_function(self.g, cube, "grid"), positive_part_field(self.f, cube)
 
 
 def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
@@ -212,7 +214,9 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     blam = b * lamN
     admissible = not (ctx.g_fwd_avg > blam)
 
-    E_lam = ctx.field.superlevel_measure(lamN)
+    E_mask = ctx.field.superlevel_mask(lamN)
+    E_count = int(E_mask.sum())
+    E_lam = Fraction(E_count, 1 << (f.L * f.n))
     E_blam = ctx.field.superlevel_measure(blam)
     K = ctx.seminorm
 
@@ -241,26 +245,24 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
         # and per level the count of E(lam) cells inside each block
         stopping = list(stopping_levels(ctx.g, root, blam))
         dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
-        E_mask = ctx.field.superlevel_mask(lamN)
         hits = level_sums(E_mask, f.n, f.L - root.level)
         # the stopping cubes are disjoint, so E lies in their union iff
         # they hold all of its cells
         inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))
-        p6_ok = inside == int(E_mask.sum())
+        p6_ok = inside == E_count
         p8_ok = True
         one_minus = (1 - (1 << f.n) * b) * lamN
         # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
         visited = [
-            c
+            (k, *row)
             for (k, chosen), h in zip(stopping, hits)
-            for c in block_cubes(root, k, np.argwhere(chosen & (h > 0)))
+            for row in np.argwhere(chosen & (h > 0)).tolist()
         ]
-        for c, (local, local_j) in zip(visited, ctx.local_fields(visited)):
-            sub = E_mask[rel_slices(f, root, c)]
-            if not bool(np.array_equal(local.superlevel_mask(lamN), sub)):
-                p6_ok = False
-            if bool(np.any(sub & ~local_j.superlevel_mask(one_minus))):
-                p8_ok = False
+        for (k, *row), (local, local_j) in zip(visited, ctx.local_fields(visited)):
+            w = f.side >> k  # block (k, *row) holds E_mask's cells row*w to (row+1)*w
+            sub = E_mask[tuple(slice(i * w, (i + 1) * w) for i in row)]
+            p6_ok &= bool(np.array_equal(local.superlevel_mask(lamN), sub))
+            p8_ok &= not np.any(sub & ~local_j.superlevel_mask(one_minus))
         passed = main_ok and p6_ok and p8_ok
 
     failed = [

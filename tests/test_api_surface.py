@@ -1,13 +1,19 @@
-"""Pins of the public surface: optional parameters and CLI flags.
+"""Pins of the public surface: optional parameters, CLI flags and exports.
 
 Each optional parameter or flag is one more setting that the tests and
 the benchmark have to cover.  Adding one means editing a pin below, so
-the change shows in the diff.
+the change shows in the diff.  Each module exports exactly the public
+functions and classes it defines, so a deleted helper cannot stay
+listed and a new one cannot go unlisted.
 """
 
 import argparse
 import enum
+import importlib
 import inspect
+import pkgutil
+
+import pytest
 
 import jnplus
 from jnplus import cli
@@ -89,3 +95,24 @@ def _flags(parser: argparse.ArgumentParser, prefix: tuple[str, ...] = ()) -> dic
 
 def test_cli_flags_are_pinned():
     assert _flags(cli._PARSER) == CLI_FLAGS
+
+
+def _is_def(obj) -> bool:
+    return inspect.isfunction(obj) or inspect.isclass(obj)
+
+
+@pytest.mark.parametrize("name", sorted(m.name for m in pkgutil.iter_modules(jnplus.__path__)))
+def test_module_exports_its_own_public_definitions(name):
+    module = importlib.import_module(f"jnplus.{name}")
+    # without __all__, a star import takes every public name
+    public = [key for key in vars(module) if not key.startswith("_")]
+    exported = getattr(module, "__all__", public)
+    missing = [key for key in exported if not hasattr(module, key)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"
+    listed = {key for key in exported if _is_def(getattr(module, key))}
+    own = {
+        key
+        for key in public
+        if _is_def(getattr(module, key)) and getattr(module, key).__module__ == module.__name__
+    }
+    assert listed == own

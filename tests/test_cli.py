@@ -14,6 +14,7 @@ from jnplus import (
     DyadicCube,
     GeneratorSpec,
     GridFunction,
+    LemmaContext,
     bundled_example,
     gen,
     load_grid,
@@ -491,6 +492,84 @@ def test_exit_2_names_an_overflowing_f64_mean(tmp_path, command):
     assert proc.returncode == 2 and proc.stdout == ""
     last = proc.stderr.strip().splitlines()[-1]
     assert last == "error: the f64 mean of f over DyadicCube(level=0, spatial=(), time=2) overflows"
+
+
+def _jnplus(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "jnplus.cli", *argv], capture_output=True, text=True
+    )
+
+
+def test_seminorm_on_f64_sums_past_float_range(tmp_path):
+    """Clamped sums past the float range: exit 2 with a named error and no
+    numpy warning.  Finite sums whose p-th power overflows: inf weights."""
+    over = str(tmp_path / "over.json")
+    save_grid(GridFunction(1, 1, [1e308, 0, 0, 0, -1e308, -1e308], "f64"), over)
+    proc = _jnplus("seminorm", "--input", over, "--p", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "error: the f64 clamped deviation sums of f at level 0 overflow\n"
+    for command in ("theorem", "good-lambda"):
+        proc = _jnplus("verify", command, "--input", over, "--p", "2", "--b", "1/4")
+        assert proc.returncode == 2
+        assert proc.stderr.count("\n") == 1  # the named error alone, no warning
+
+    big = str(tmp_path / "big.json")
+    save_grid(GridFunction(1, 1, [1e300, 0, 0, 0, 0, 0], "f64"), big)
+    proc = _jnplus("seminorm", "--input", big, "--p", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["jnp-plus"]["weight"] == doc["jnp-classical"]["weight"] == "inf"
+    assert doc["bmo-plus"]["weight"] == 1e300
+
+
+def test_digest_ops_build_no_prefix_table(example_path, capsys, monkeypatch):
+    calls = []
+    prefix = GridFunction.prefix
+
+    def counted(self):
+        calls.append(self)
+        return prefix(self)
+
+    monkeypatch.setattr(GridFunction, "prefix", counted)
+    f64_path = example_path + ".f64.json"
+    f = bundled_example()
+    save_grid(GridFunction(f.n, f.L, f.values / f.denom, "f64"), f64_path)
+    for path in (example_path, f64_path):
+        for argv in (
+            ("seminorm", "--p", "2"),
+            ("verify", "good-lambda", "--p", "2", "--b", "1/4"),
+            ("verify", "theorem", "--p", "2", "--b", "1/4"),
+            ("decompose", "--lambda", "auto"),
+        ):
+            code, _, _ = run(capsys, *argv, "--input", path)
+            assert code == 0, argv
+    assert calls == []
+
+
+def test_good_lambda_makes_a_cube_per_built_field_pair_only(tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "grid.bin")
+    save_grid(gen(GeneratorSpec(kind="dyadic-martingale", n=2, L=5, seed=1)), path)
+    built = count_calls(monkeypatch, "positive_part_field")["positive_part_field"]
+    visits = []
+    created = []
+    local_fields = LemmaContext.local_fields
+    init = DyadicCube.__init__
+
+    def visiting(ctx, blocks):
+        visits.extend(blocks)
+        return local_fields(ctx, blocks)
+
+    def counted(self, *args, **kwargs):
+        created.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(LemmaContext, "local_fields", visiting)
+    monkeypatch.setattr(DyadicCube, "__init__", counted)
+    code, _, _ = run(capsys, "verify", "good-lambda", "--input", path, "--p", "2", "--b", "1/8")
+    assert code == 0
+    assert len(visits) > 2 * len(built) > 0
+    # the root, root+ and root++, and one cube per built pair of local fields
+    assert len(created) == 3 + len(built)
 
 
 def test_usage_error_exit_2():

@@ -1,5 +1,6 @@
-"""Exact grid functions: averages, prefix sums, offsets, distribution."""
+"""Exact grid functions: averages, cube sums, offsets, distribution."""
 
+import math
 import warnings
 from fractions import Fraction
 
@@ -124,7 +125,7 @@ def test_f64_mean_past_float_range_raises():
             with pytest.raises(OutOfDomainError, match=r"mean of f over .* overflows"):
                 fn(f, root_pp)
         assert average(f, root_cube(1)) == 5e307  # a finite mean on the same grid
-        # prefix sums pass inf on the way to root++, whose own cells sum to 10
+        # the cells before root++ sum past the float range; its own cells sum to 10
         g = GridFunction(1, 1, [1e308, 1e308, 0.0, 0.0, 5.0, 5.0], "f64")
         assert average(g, root_pp) == 5.0
         assert offset_positive_part(g, root_pp).values.max() == 1e308 - 5.0
@@ -153,6 +154,48 @@ def test_union_sum_matches_cells():
         got = union_sum(f64, c)
         assert isinstance(got, float)
         assert got == pytest.approx(naive_block_sum(f64, c) + naive_block_sum(f64, forward(c)))
+
+
+@pytest.mark.parametrize("n,L", [(1, 4), (2, 2), (3, 1)])
+def test_cube_sums_match_fsum_on_non_dyadic_f64(n, L):
+    rng = np.random.default_rng(40 + n)
+    shape = (1 << L,) * (n - 1) + (3 << L,)
+    f = GridFunction(n, L, rng.normal(size=shape) * 10.0 ** rng.uniform(-6, 6, size=shape), "f64")
+    for c in grid_cubes(f):
+        cells = f.region(c).ravel().tolist()
+        assert average(f, c) == pytest.approx(math.fsum(cells) / len(cells), rel=1e-9)
+        both = cells + f.region(forward(c)).ravel().tolist()
+        assert union_sum(f, c) == pytest.approx(math.fsum(both), rel=1e-9)
+
+
+def test_cube_sums_exact_in_fixed_mode_past_int64():
+    rng = np.random.default_rng(43)
+    for n, L in ((1, 3), (2, 2), (3, 1)):
+        f = random_fixed_grid(rng, n, L)
+        big = scale_values(f, 1 << 56)
+        assert big.values.dtype == object
+        for g in (f, big):
+            for c in grid_cubes(g):
+                total = naive_block_sum(g, c)
+                assert average(g, c) == Fraction(total, g.cells_in(c) * g.denom)
+                assert union_sum(g, c) == total + naive_block_sum(g, forward(c))
+
+
+def test_f64_mean_does_not_cancel_against_earlier_cells():
+    """A large cell before a cube does not round the cube's small mean away."""
+    root_pp = forward(root_cube(1), 2)
+    assert average(GridFunction(1, 1, [1e17, 0, 0, 0, 5, 5], "f64"), root_pp) == 5.0
+    assert average(GridFunction(1, 2, [3e16] + [0] * 7 + [1] * 4, "f64"), root_pp) == 1.0
+
+
+def test_f64_union_sum_past_float_range_raises():
+    f = GridFunction(1, 1, [1e308, 1e308, 0.0, 0.0, 0.0, 0.0], "f64")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError, match=r"sum of f over .* ∪ .* overflows"):
+            union_sum(f, root_cube(1))
+        assert f.block_sums(0).tolist() == [np.inf, 0.0, 0.0]
+        assert union_sum(f, DyadicCube(1, (), 1)) == 1e308
 
 
 def _between(points):

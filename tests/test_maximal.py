@@ -1,6 +1,7 @@
 """One-sided maximal fields and stopping-time decompositions."""
 
 import functools
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +15,7 @@ from jnplus import (
     GridFunction,
     InvalidParamsError,
     NegativeInputError,
+    OutOfDomainError,
     average,
     bundled_example,
     check_p1,
@@ -330,6 +332,16 @@ def test_weak_type_rejects_nonpositive_lambda():
     f = bundled_example()
     with pytest.raises(InvalidParamsError):
         weak_type_check(f, None, Fraction(0))
+
+
+def test_weak_type_names_an_overflowing_f64_integral():
+    """Finite cells whose integral over root ∪ root+ passes the float range:
+    a named error, not a failed p3 with a nan bound, and no numpy warning."""
+    f = GridFunction(1, 1, [1e308, 1e308, 0.0, 0.0, 0.0, 0.0], "f64")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OutOfDomainError, match=r"f64 sum of f over .* overflows"):
+            weak_type_check(f, None, 1.0)
 
 
 @pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
