@@ -16,8 +16,9 @@ This module owns the mode decision for the rest of the package:
 * :func:`exceeds` is the one strict-threshold rule, numer/(count*denom)
   > lam cell by cell.  It is exact on integer numerators and a float
   compare on float64 cells; every superlevel set, stopping condition
-  and distribution set goes through it, and :func:`count_exceeding`
-  counts it for many lam in one pass with the same cuts.
+  and distribution set goes through it.  :func:`exceed_ranks` decides
+  it for a whole ascending list of lam in one pass with the same cuts,
+  and :func:`count_exceeding` counts it from those ranks.
 * :meth:`GridFunction.scalar` lifts a threshold or constant to the
   mode's scalar (Fraction or float), and :meth:`GridFunction.ratio`
   turns a sum of cell entries into a value.
@@ -56,6 +57,7 @@ from .errors import GridFormatError, OutOfDomainError
 __all__ = [
     "int64_fits",
     "exceeds",
+    "exceed_ranks",
     "count_exceeding",
     "is_grid_size",
     "exact",
@@ -75,6 +77,8 @@ __all__ = [
 Mode = Literal["fixed", "f64"]
 
 _GUARD_BITS = 62
+# entries per searchsorted call in exceed_ranks
+_SLAB = 1 << 14
 
 
 def int64_fits(magnitude: int) -> bool:
@@ -87,48 +91,71 @@ def int64_fits(magnitude: int) -> bool:
     return int(magnitude).bit_length() <= _GUARD_BITS
 
 
-def _threshold(numer: np.ndarray, count: int, denom: int | None, lam):
-    """The cut t with numer / (count * denom) > lam exactly when numer > t.
+def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
+    """Per lam, the cut t with numer / (count * denom) > lam exactly when numer > t.
 
-    Integer numerators (int64 or object) get floor(lam*count*denom).
-    int64 cells stay below 2^62 (:func:`int64_fits`), so a cut past that
-    is clamped to +-2^62 and stays an int64.  Float64 cells (f64 mode,
-    ``denom`` None) get lam * count, exact because ``count`` is a power
-    of two.
+    Integer numerators (int64 or object) get floor(lam*count*denom),
+    from each lam's numerator and denominator, read once.  int64 cells
+    stay below 2^62 (:func:`int64_fits`), so a cut past that is clamped
+    to +-2^62 and stays an int64.  Float64 cells (f64 mode, ``denom``
+    None) get lam * count, exact because ``count`` is a power of two.
+    The cut never decreases as lam grows.
     """
     if numer.dtype.kind == "f":
-        return float(lam) * count
-    lam = Fraction(lam)
-    thr = lam.numerator * count * denom // lam.denominator
-    if numer.dtype == np.int64 and not int64_fits(thr):
-        thr = (1 << _GUARD_BITS) if thr > 0 else -(1 << _GUARD_BITS)
-    return thr
+        return [float(lam) * count for lam in lams]
+    scale = count * denom
+    fracs = (lam if isinstance(lam, Fraction) else Fraction(lam) for lam in lams)
+    cuts = [num * scale // den for num, den in (lam.as_integer_ratio() for lam in fracs)]
+    top = 1 << _GUARD_BITS
+    if numer.dtype == np.int64 and cuts and (max(cuts) > top or min(cuts) < -top):
+        cuts = [min(max(t, -top), top) for t in cuts]
+    return cuts
 
 
 def exceeds(numer: np.ndarray, count: int, denom: int | None, lam) -> np.ndarray:
     """Cellwise numer / (count * denom) > lam: the one strict-threshold rule.
 
     Exact on integer numerators, a float compare on float64 cells; the
-    cut comes from :func:`_threshold`.
+    cut comes from :func:`_cuts`.
     """
-    return numer > _threshold(numer, count, denom, lam)
+    return numer > _cuts(numer, count, denom, (lam,))[0]
+
+
+def exceed_ranks(numer: np.ndarray, count: int, denom: int | None, lams) -> np.ndarray:
+    """Per entry of ``numer``, how many of the ascending ``lams`` it exceeds.
+
+    The cuts of :func:`_cuts` never decrease along ``lams``, so an entry
+    with rank r exceeds lams[i] (as :func:`exceeds` decides it) exactly
+    when i < r.  Equal lams may repeat.  The ranks come in an array of
+    numer's shape (at least one axis), int16 while there are fewer than
+    2^15 lams.
+    """
+    cuts = np.array(_cuts(numer, count, denom, lams), dtype=numer.dtype)
+    ranks = np.empty(numer.shape, dtype=np.int16 if len(cuts) < 1 << 15 else np.intp)
+    # the number of cuts strictly below each entry, a slab of rows at a
+    # time: searchsorted makes an intp array and a contiguous copy of a
+    # strided input, each as large as its input
+    step = max(1, _SLAB * len(numer) // max(numer.size, 1))
+    for i in range(0, len(numer), step):
+        ranks[i : i + step] = np.searchsorted(cuts, numer[i : i + step], side="left")
+    if numer.dtype.kind == "f":
+        ranks[np.isnan(numer)] = 0  # nan exceeds nothing
+    return ranks
 
 
 def count_exceeding(numer: np.ndarray, count: int, denom: int | None, lams) -> list[int]:
-    """Per lam of ``lams``, the number of cells where :func:`exceeds` holds.
+    """Per lam of ``lams`` (any order), the number of cells where :func:`exceeds` holds.
 
-    One pass over the cells for all of ``lams``: each cell is binned
-    against the sorted distinct cuts of :func:`_threshold`, and suffix
-    sums of the bin counts give every lam's count.  The cells themselves
-    are not sorted.
+    One :func:`exceed_ranks` pass over the cells for all of ``lams``, in
+    ascending order; suffix sums of the rank counts give every lam's
+    count.  The cells themselves are not sorted.
     """
-    thrs = [_threshold(numer, count, denom, lam) for lam in lams]
-    cuts = sorted(set(thrs))
-    # bins[i] = the number of cuts strictly below cell i, i.e. the cuts it exceeds
-    bins = np.searchsorted(np.array(cuts, dtype=numer.dtype), numer.ravel(), side="left")
-    above = np.cumsum(np.bincount(bins, minlength=len(cuts) + 1)[::-1])[::-1].tolist()
-    pos = {t: above[j + 1] for j, t in enumerate(cuts)}
-    return [pos[t] for t in thrs]
+    lams = list(lams)
+    order = sorted(range(len(lams)), key=lams.__getitem__)
+    ranks = exceed_ranks(numer, count, denom, [lams[i] for i in order])
+    above = np.cumsum(np.bincount(ranks.ravel(), minlength=len(lams) + 1)[::-1])[::-1].tolist()
+    counts = dict(zip(order, above[1:]))
+    return [counts[i] for i in range(len(lams))]
 
 
 def is_grid_size(n: int, L: int, size: int) -> bool:
@@ -468,7 +495,10 @@ def distribution_measure(f: GridFunction, root: DyadicCube | None, lam) -> Fract
 
 
 def offset_positive_part(f: GridFunction, ref: DyadicCube) -> GridFunction:
-    """The grid function (f - mean(f over ref))^+, exact in fixed mode."""
+    """The grid function (f - mean(f over ref))^+, exact in fixed mode.
+
+    An f64 cell that leaves the float range raises OutOfDomainError.
+    """
     ravg = average(f, ref)
     if f.is_fixed:
         # on the denominator lcm(d, rd): a/d - rn/rd = (a*sa - rn*sr)/lcm
@@ -477,7 +507,11 @@ def offset_positive_part(f: GridFunction, ref: DyadicCube) -> GridFunction:
         sa, sr = new_denom // d, ravg.numerator * (new_denom // ravg.denominator)
         vals = np.maximum(_affine(f.values, sa, -sr), 0)
         return GridFunction(f.n, f.L, vals, "fixed", new_denom)
-    return GridFunction(f.n, f.L, np.maximum(f.values - ravg, 0.0), "f64")
+    with np.errstate(over="ignore"):
+        vals = np.maximum(f.values - ravg, 0.0)
+    if not math.isfinite(vals.max()):  # vals >= 0, and finite f - mean is never nan
+        raise OutOfDomainError(f"the f64 offset f - mean(f over {ref}) overflows")
+    return GridFunction(f.n, f.L, vals, "f64")
 
 
 def scale_values(f: GridFunction, c) -> GridFunction:

@@ -137,10 +137,12 @@ def canonical_json(obj: Any) -> str:
     Byte for byte ``json.dumps(jsonify(obj), sort_keys=True, indent=2)``
     plus a newline, written in one walk that appends to one list instead
     of building the :func:`jsonify` tree and running json's pure-Python
-    indenting encoder over it.
+    indenting encoder over it.  A frozen dataclass that the document
+    holds more than once (one ``LemmaParams`` sits in every report of a
+    sweep) is rendered once per indent and its text reused.
     """
     parts: list[str] = []
-    _write(obj, parts.append, "\n")
+    _write(obj, parts.append, "\n", {})
     parts.append("\n")
     return "".join(parts)
 
@@ -148,12 +150,14 @@ def canonical_json(obj: Any) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
-def _write(obj: Any, put, nl: str) -> None:
+def _write(obj: Any, put, nl: str, memo: dict) -> None:
     """Append the JSON text of ``obj``; ``nl`` is a newline plus the current indent.
 
     The branches follow :func:`jsonify`'s order and then json's rules for
     what it returns; plain str and int come first, as they have no
-    ``to_json_dict``.
+    ``to_json_dict``.  ``memo`` maps (id, nl) of a frozen dataclass to
+    the object and its text; holding the object keeps its id unique
+    while the document is written.
     """
     if obj is None:
         put("null")
@@ -174,11 +178,19 @@ def _write(obj: Any, put, nl: str) -> None:
     elif isinstance(obj, RatioRows):
         _write_items(_ratio_items(obj, nl + "  "), put, nl)
     elif isinstance(obj, dict):
-        _write_dict(obj, put, nl)
+        _write_dict(obj, put, nl, memo)
     elif isinstance(obj, (list, tuple)):
-        _write_list(obj, put, nl)
+        _write_list(obj, put, nl, memo)
     elif hasattr(obj, "to_json_dict"):
-        _write(obj.to_json_dict(), put, nl)
+        if not getattr(getattr(obj, "__dataclass_params__", None), "frozen", False):
+            _write(obj.to_json_dict(), put, nl, memo)
+            return
+        key = (id(obj), nl)
+        if key not in memo:
+            parts: list[str] = []
+            _write(obj.to_json_dict(), parts.append, nl, memo)
+            memo[key] = (obj, "".join(parts))
+        put(memo[key][1])
     elif isinstance(obj, str):
         put(_encode_str(obj))
     elif isinstance(obj, int):
@@ -210,7 +222,7 @@ def _cube_template(level: int, n: int, nl: str) -> str:
 
 def _write_cube(c: DyadicCube, put, nl: str) -> None:
     if {type(c.level), type(c.time), *map(type, c.spatial)} != {int}:
-        _write_dict(jsonify(c), put, nl)  # json's rules for odd field types
+        _write_dict(jsonify(c), put, nl, {})  # json's rules for odd field types
         return
     put(_cube_template(c.level, c.n, nl) % (*c.spatial, c.time))
 
@@ -261,7 +273,7 @@ def _ratio_items(rows: RatioRows, nl: str):
                 yield head + _decimal(w, D) + mid + exact + tail
 
 
-def _write_list(seq, put, nl: str) -> None:
+def _write_list(seq, put, nl: str, memo: dict) -> None:
     if not seq:
         put("[]")
         return
@@ -269,12 +281,12 @@ def _write_list(seq, put, nl: str) -> None:
     sep = "[" + ind
     for item in seq:
         put(sep)
-        _write(item, put, ind)
+        _write(item, put, ind, memo)
         sep = "," + ind
     put(nl + "]")
 
 
-def _write_dict(d: dict, put, nl: str) -> None:
+def _write_dict(d: dict, put, nl: str, memo: dict) -> None:
     if not d:
         put("{}")
         return
@@ -282,7 +294,7 @@ def _write_dict(d: dict, put, nl: str) -> None:
     sep = "{" + ind
     for k, v in sorted({str(k): v for k, v in d.items()}.items()):
         put(f"{sep}{_encode_str(k)}: ")
-        _write(v, put, ind)
+        _write(v, put, ind, memo)
         sep = "," + ind
     put(nl + "}")
 

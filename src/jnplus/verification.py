@@ -8,12 +8,11 @@ grid maximal field M of g over the root, writing
 and with the family seminorm K = jnp_plus_dyadic(f, p, root).value.
 
 ``LemmaContext(f, p, b, root=None)`` builds these once per tuple
-(f, p, b, root), the field on first read.  It also keeps the two local
-fields of each stopping cube that p6 and p8 read, from the first of the
-consecutive lam that visit the cube to the last.  Every check below
-takes the context, so a sweep over many lam recomputes none of it.
+(f, p, b, root), the field on first read.  Every check below takes the
+context, so a sweep over many lam recomputes none of it.
 
-* ``good_lambda_check(ctx, lam)`` — the decay step: for admissible lam
+* ``good_lambda_check(ctx, lam)`` — the decay step, which is
+  ``lemma_sweep(ctx, [lam])[0]``: for admissible lam
   (meaning b*lam >= mean of g over root+),
 
       |E(lam)| <= (a*K/lam) * |E(b*lam)|^{1/q},
@@ -26,7 +25,12 @@ takes the context, so a sweep over many lam recomputes none of it.
   ("p8").
 
 * ``lemma_sweep(ctx, lambdas=None)`` — the decay step at every lam of
-  ``default_lambda_grid(ctx)`` (or of the given list).
+  ``default_lambda_grid(ctx)`` (or of the given list), decided for the
+  whole list at once on rank intervals.  ``grid.exceed_ranks`` ranks
+  each cell and block against the ascending lams, so each stopping
+  cube, each cell of E(lam) and each p6/p8 failure holds on one interval
+  of lam indices, and the two local fields of a visited stopping cube
+  are built once per sweep.
 
 * ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
@@ -51,29 +55,26 @@ tolerance; the report's ``exact`` flag says which.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
 
-from ._blocks import box_origin, cubes_at, level_sums
+from ._blocks import block_count, blocked, box_origin, cubes_at, in_block, root_box, upsample
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
     average,
     count_exceeding,
+    exceed_ranks,
     offset_positive_part,
     resolve_root,
     union_sum,
 )
-from .maximal import (
-    MaximalField,
-    maximal_function,
-    positive_part_field,
-    stopping_levels,
-)
+from .maximal import MaximalField, maximal_function, positive_part_field
 from .reports import VerificationReport
 from .seminorms import SeminormResult, jnp_plus_dyadic, _norm_exponent
 
@@ -144,9 +145,10 @@ class LemmaContext:
     root++))^+ and the ladder base ``lam0`` = 2K / (b * |root|^{1/p}).
     g's grid maximal ``field`` over the root and g's mean over root+
     (``g_fwd_avg``) are built on first read, since a caller that only
-    wants the lambda grid reads neither.  ``local_fields(blocks)`` builds
-    the two lambda-free fields of each visited stopping cube that p6 and
-    p8 read, and keeps them while consecutive lambdas visit the cube.
+    wants the lambda grid reads neither.  The two lambda-free fields of
+    a stopping cube that p6 and p8 read belong to one sweep, not to the
+    context: :func:`lemma_sweep` builds them once per visited cube and
+    drops them when it has read the cube's ranks.
     """
 
     def __init__(self, f: GridFunction, p, b, root: DyadicCube | None = None) -> None:
@@ -159,7 +161,6 @@ class LemmaContext:
         K, params = self.seminorm, self.params
         vol = float(volume(self.root))
         self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
-        self._local_fields: dict[tuple[int, ...], tuple[MaximalField, MaximalField]] = {}
 
     @cached_property
     def field(self) -> MaximalField:
@@ -168,26 +169,6 @@ class LemmaContext:
     @cached_property
     def g_fwd_avg(self):
         return average(self.g, forward(self.root))
-
-    def local_fields(self, blocks: list[tuple[int, ...]]) -> list[tuple[MaximalField, ...]]:
-        """Per level-k block (k, *row) Q of the root box: M_Q g and the grid
-        maximal field of (f - mean(f over Q++))^+ over Q.
-
-        Neither depends on lambda.  The pairs of the last call are kept,
-        all others dropped, and Q is made a cube only to build a pair.  A
-        cube is visited (a stopping cube at b*lam that meets E(lam)) on
-        one interval of lam, so a sweep in ascending lam builds each pair
-        once.  The stopping cubes of one lam are disjoint, so the kept
-        pairs hold at most twice the root's cells.
-        """
-        kept = self._local_fields
-        pairs = [kept.get(key) or self._fields_at(*key) for key in blocks]
-        self._local_fields = dict(zip(blocks, pairs))
-        return pairs
-
-    def _fields_at(self, k: int, *row: int) -> tuple[MaximalField, MaximalField]:
-        [cube] = cubes_at(k, np.add([row], box_origin(self.root, k)))
-        return maximal_function(self.g, cube, "grid"), positive_part_field(self.f, cube)
 
 
 def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
@@ -206,99 +187,173 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     is decided exactly on u-th powers (p = u/v) whenever the seminorm
     weight K^p is exact; otherwise floats at 1e-9 relative tolerance.
     """
-    f, params, root = ctx.f, ctx.params, ctx.root
-    lamN = f.scalar(lam)
-    if not (lamN > 0):
-        raise InvalidParamsError("lambda must be positive")
-    b = f.scalar(params.b)
-    blam = b * lamN
-    admissible = not (ctx.g_fwd_avg > blam)
-
-    E_mask = ctx.field.superlevel_mask(lamN)
-    E_count = int(E_mask.sum())
-    E_lam = Fraction(E_count, 1 << (f.L * f.n))
-    E_blam = ctx.field.superlevel_measure(blam)
-    K = ctx.seminorm
-
-    exact_main = K.exact  # an exact seminorm implies a fixed-mode grid
-    rhs_float = (
-        float(params.a) * K.value / float(lamN) * float(E_blam) ** (1.0 / float(params.q))
-    )
-    if not admissible:
-        passed = True
-        main_ok = True
-        p6_ok = p8_ok = True
-        dec_size = 0
-    else:
-        if exact_main:
-            # raise both sides to the power u (p = u/v): K^u = (K^p)^v,
-            # |E(b lam)|^{u/q} = |E(b lam)|^{u-v}
-            u, v = params.p.numerator, params.p.denominator
-            main_ok = _pow_le(
-                E_lam**u,
-                [(params.a / Fraction(lamN), u), (K.weight, v), (E_blam, u - v)],
-            )
-        else:
-            main_ok = float(E_lam) <= rhs_float * (1.0 + _REL_TOL) + 1e-18
-
-        # stopping cubes of g at b*lam, one mask per level of the root box,
-        # and per level the count of E(lam) cells inside each block
-        stopping = list(stopping_levels(ctx.g, root, blam))
-        dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
-        hits = level_sums(E_mask, f.n, f.L - root.level)
-        # the stopping cubes are disjoint, so E lies in their union iff
-        # they hold all of its cells
-        inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))
-        p6_ok = inside == E_count
-        p8_ok = True
-        one_minus = (1 - (1 << f.n) * b) * lamN
-        # E ∩ Q_j empty forces E_{Q_j} empty too (M_{Q_j} <= M): skip
-        visited = [
-            (k, *row)
-            for (k, chosen), h in zip(stopping, hits)
-            for row in np.argwhere(chosen & (h > 0)).tolist()
-        ]
-        for (k, *row), (local, local_j) in zip(visited, ctx.local_fields(visited)):
-            w = f.side >> k  # block (k, *row) holds E_mask's cells row*w to (row+1)*w
-            sub = E_mask[tuple(slice(i * w, (i + 1) * w) for i in row)]
-            p6_ok &= bool(np.array_equal(local.superlevel_mask(lamN), sub))
-            p8_ok &= not np.any(sub & ~local_j.superlevel_mask(one_minus))
-        passed = main_ok and p6_ok and p8_ok
-
-    failed = [
-        name
-        for name, ok in (("Lemma", main_ok), ("p6", p6_ok), ("p8", p8_ok))
-        if admissible and not ok
-    ]
-    return VerificationReport(
-        inequality_id="Lemma",
-        lhs=float(E_lam),
-        rhs=rhs_float,
-        admissible=admissible,
-        passed=passed,
-        exact=exact_main,
-        lhs_exact=str(E_lam) if f.is_fixed else None,
-        details={
-            "lambda": lamN,
-            "b-lambda": blam,
-            "params": params,
-            "K": K.value,
-            "K-weight": K.weight,
-            "E-lambda": E_lam,
-            "E-b-lambda": E_blam,
-            "stopping-count": dec_size,
-            "p6-pass": p6_ok,
-            "p8-pass": p8_ok,
-            "failed-ids": failed,
-        },
-    )
+    return lemma_sweep(ctx, [lam])[0]
 
 
 def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
-    """good_lambda_check across a lambda grid (default: ``default_lambda_grid``)."""
+    """The decay step of :func:`good_lambda_check` at every lam of a list.
+
+    The default list is ``default_lambda_grid(ctx)``.  The reports come
+    in the order of ``lambdas``, repeats included; the step itself is
+    decided for all of them at once, on the ascending list (see
+    :func:`_decay_steps`).
+    """
     if lambdas is None:
         lambdas = default_lambda_grid(ctx)
-    return [good_lambda_check(ctx, lam) for lam in lambdas]
+    lamNs = [ctx.f.scalar(lam) for lam in lambdas]
+    if not all(lamN > 0 for lamN in lamNs):
+        raise InvalidParamsError("lambda must be positive")
+    order = sorted(range(len(lamNs)), key=lamNs.__getitem__)
+    reports = dict(zip(order, _decay_steps(ctx, [lamNs[i] for i in order])))
+    return [reports[i] for i in range(len(lamNs))]
+
+
+def _at_most(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Per i < m, the number of entries of ``ranks`` that are <= i."""
+    return np.cumsum(np.bincount(ranks.ravel(), minlength=m + 1))[:m]
+
+
+def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
+    """Per i < m, how many of the lam-index intervals [lo, hi) hold i."""
+    if not (lo < hi).any():
+        return 0
+    # #(lo <= i) - #(hi <= i), with an empty interval [lo, lo) where lo > hi
+    return _at_most(np.minimum(lo, hi), m) - _at_most(hi, m)
+
+
+def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
+    """The decay-step reports at the ascending lams, decided on rank arrays.
+
+    With m lams, ``grid.exceed_ranks`` turns each array into ranks r in
+    [0, m]: an entry exceeds lams[i] (or b*lams[i]) exactly when i < r.
+    Each block and cell then stops, or fails a check, on an interval of
+    lam indices, and counting the intervals that hold each index gives
+    every lam's counts and flags:
+
+    * eE, the ranks of g's field against the lams, counts every E(lam);
+      its ranks against the b*lams count every E(b*lam).
+    * Admissible lam form a suffix i >= i0, as b*lam grows.
+    * A level-k block of the root box whose forward mean has rank e
+      against the b*lams, under ancestors whose largest rank is A, is a
+      stopping cube at b*lams[i] exactly when A <= i < e.
+    * p6, covering part: a cell fails at i when its ancestors' and its
+      own largest rank is <= i < eE, i.e. it lies in E(lam) outside
+      every stopping cube.
+    * A block is visited (a stopping cube meeting E(lam)) on the one
+      interval [max(A, i0), min(e, max eE over the block)), so its two
+      lambda-free fields, M_Q g and the field of (f - mean(f over Q++))^+,
+      are built once.  p6 fails at i in [min, max) of a cell's rank in
+      M_Q g and eE; p8 fails at i in [j8, eE), j8 the cell's rank in
+      the second field against the (1 - 2^n b)*lams.  Both are clipped to
+      the cube's interval, over which the ranks are taken.
+
+    The main inequality is decided on cross-multiplied Python ints when
+    the seminorm weight is exact.
+    """
+    f, params, root, K, g = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g
+    m, n = len(lams), f.n
+    b = f.scalar(params.b)
+    blams = [b * lam for lam in lams]
+    cells = 1 << (f.L * n)
+    field, scale = ctx.field.values, ctx.field.denom_scale
+    eE = exceed_ranks(field, 1, scale, lams)
+    E_counts = (eE.size - _at_most(eE, m)).tolist()
+    B_counts = (eE.size - _at_most(exceed_ranks(field, 1, scale, blams), m)).tolist()
+    # admissible: not (g_fwd_avg > b*lam), a suffix as b*lam grows
+    i0 = bisect_left(blams, ctx.g_fwd_avg)
+
+    # per lam index: stopping cubes, and cells where p6 or p8 fails
+    stops, fail6, fail8 = (np.zeros(m, dtype=np.intp) for _ in range(3))
+    if i0 < m:
+        # per level of the root box, fine to coarse: the largest eE in each block
+        tops = [eE]
+        for _ in range(f.L - root.level):
+            tops.append(blocked(tops[-1], 2).max(axis=in_block(n)))
+        one_minus = 1 - (1 << n) * b
+        # p8's thresholds, at the admissible lams only
+        under = [None] * i0 + [one_minus * lam for lam in lams[i0:]]
+        A = np.zeros((1,) * n, dtype=eE.dtype)
+        for k in range(root.level, f.L + 1):
+            fwd = g.block_sums(k)[root_box(root, k, time_shift=1)]
+            e = exceed_ranks(fwd, block_count(g, k), g.denom, blams)
+            stops += _held(A, e, m)
+            lo, hi = np.maximum(A, i0), np.minimum(e, tops.pop())
+            w = f.side >> k
+            for row in np.argwhere(lo < hi).tolist():
+                s, t = int(lo[tuple(row)]), int(hi[tuple(row)])
+                [cube] = cubes_at(k, np.add([row], box_origin(root, k)))
+                local = maximal_function(g, cube, "grid")
+                local_j = positive_part_field(f, cube)
+                sub = np.clip(eE[tuple(slice(i * w, (i + 1) * w) for i in row)], s, t)
+                r6 = exceed_ranks(local.values, 1, local.denom_scale, lams[s:t]) + s
+                r8 = exceed_ranks(local_j.values, 1, local_j.denom_scale, under[s:t]) + s
+                fail6 += _held(np.minimum(r6, sub), np.maximum(r6, sub), m)
+                fail8 += _held(r8, sub, m)
+            A = np.maximum(A, e)
+            if k < f.L:
+                A = upsample(A, n)
+        fail6 += _held(np.maximum(A, i0), eE, m)
+    stop_counts, p6_fails, p8_fails = stops.tolist(), fail6.tolist(), fail8.tolist()
+
+    exact_main = K.exact  # an exact seminorm implies a fixed-mode grid
+    if exact_main:
+        # both sides to the power u (p = u/v): |E(lam)|^u <= (a/lam)^u *
+        # (K^p)^v * |E(b lam)|^{u-v}.  With |E| = count/cells, a = an/ad,
+        # lam = ln/ld and K^p = wn/wd, times every denominator:
+        # (cE*ad*ln)^u * wd^v <= (an*ld)^u * wn^v * cB^{u-v} * cells^v
+        u, v = params.p.numerator, params.p.denominator
+        an, ad = params.a.numerator, params.a.denominator
+        wn, wd = K.weight.numerator, K.weight.denominator
+        lhs_scale, rhs_scale = wd**v, wn**v * cells**v
+    aK, qinv = float(params.a) * K.value, 1.0 / float(params.q)
+    reports = []
+    for i, (lamN, blam, cE, cB) in enumerate(zip(lams, blams, E_counts, B_counts)):
+        E_lam, E_blam = Fraction(cE, cells), Fraction(cB, cells)
+        # cE / cells is float(E_lam): both round the same rational once
+        rhs_float = aK / float(lamN) * (cB / cells) ** qinv
+        admissible = i >= i0
+        if not admissible:
+            main_ok = p6_ok = p8_ok = True
+            dec_size = 0
+        else:
+            if exact_main:
+                ln, ld = lamN.numerator, lamN.denominator
+                lhs = (cE * ad * ln) ** u * lhs_scale
+                main_ok = lhs <= (an * ld) ** u * cB ** (u - v) * rhs_scale
+            else:
+                main_ok = cE / cells <= rhs_float * (1.0 + _REL_TOL) + 1e-18
+            p6_ok, p8_ok = p6_fails[i] == 0, p8_fails[i] == 0
+            dec_size = stop_counts[i]
+        failed = [
+            name
+            for name, ok in (("Lemma", main_ok), ("p6", p6_ok), ("p8", p8_ok))
+            if admissible and not ok
+        ]
+        reports.append(
+            VerificationReport(
+                inequality_id="Lemma",
+                lhs=cE / cells,
+                rhs=rhs_float,
+                admissible=admissible,
+                passed=main_ok and p6_ok and p8_ok,
+                exact=exact_main,
+                lhs_exact=str(E_lam) if f.is_fixed else None,
+                details={
+                    "lambda": lamN,
+                    "b-lambda": blam,
+                    "params": params,
+                    "K": K.value,
+                    "K-weight": K.weight,
+                    "E-lambda": E_lam,
+                    "E-b-lambda": E_blam,
+                    "stopping-count": dec_size,
+                    "p6-pass": p6_ok,
+                    "p8-pass": p8_ok,
+                    "failed-ids": failed,
+                },
+            )
+        )
+    return reports
 
 
 def proof_constant(n: int, p, b) -> float:

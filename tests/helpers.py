@@ -2,9 +2,11 @@
 
 Everything here is written for clarity over speed: direct cell
 iteration, Fractions end to end, no shared code paths with the
-package's fast implementations (prefix tables, level block sums, tree
-programming).  Agreement between the two routes is the point of the
-tests.
+package's fast implementations (level block sums, tree programming,
+rank intervals).  Agreement between the two routes is the point of the
+tests.  :func:`naive_good_lambda` is the exception: it decides one
+decay step per lam from the package's fields and stopping masks, the
+route that the batched ``lemma_sweep`` replaced.
 """
 
 from __future__ import annotations
@@ -19,13 +21,19 @@ from jnplus import (
     DyadicCube,
     GeneratorSpec,
     GridFunction,
+    InvalidParamsError,
+    LemmaContext,
+    VerificationReport,
     children,
     default_manifest,
     forward,
     gen,
+    maximal_function,
     root_cube,
     scale_values,
 )
+from jnplus._blocks import box_origin, cubes_at, level_sums
+from jnplus.maximal import positive_part_field, stopping_levels
 from jnplus.reports import jsonify
 
 
@@ -269,3 +277,82 @@ def corpus_grids(mode: str):
         f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, kind, s.denom, s.params))
         # 2^56 puts every cell past the int64 guard, onto Python ints
         yield scale_values(f, 1 << 56) if mode == "big" else f
+
+
+def naive_good_lambda(ctx: LemmaContext, lam) -> VerificationReport:
+    """One decay step at one lam, the report of ``good_lambda_check``.
+
+    The per-lam route: masks of E(lam) and of the stopping cubes at
+    b*lam, and for each stopping cube meeting E(lam) its two local
+    fields built afresh and compared cell by cell.
+    """
+    f, params, root = ctx.f, ctx.params, ctx.root
+    lamN = f.scalar(lam)
+    if not (lamN > 0):
+        raise InvalidParamsError("lambda must be positive")
+    b = f.scalar(params.b)
+    blam = b * lamN
+    admissible = not (ctx.g_fwd_avg > blam)
+
+    E_mask = ctx.field.superlevel_mask(lamN)
+    E_count = int(E_mask.sum())
+    E_lam = Fraction(E_count, 1 << (f.L * f.n))
+    E_blam = ctx.field.superlevel_measure(blam)
+    K = ctx.seminorm
+
+    exact_main = K.exact
+    rhs_float = (
+        float(params.a) * K.value / float(lamN) * float(E_blam) ** (1.0 / float(params.q))
+    )
+    main_ok = p6_ok = p8_ok = True
+    dec_size = 0
+    if admissible:
+        if exact_main:
+            u, v = params.p.numerator, params.p.denominator
+            rhs = (params.a / lamN) ** u * K.weight**v * E_blam ** (u - v)
+            main_ok = E_lam**u <= rhs
+        else:
+            main_ok = float(E_lam) <= rhs_float * (1.0 + 1e-9) + 1e-18
+        stopping = list(stopping_levels(ctx.g, root, blam))
+        dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
+        hits = level_sums(E_mask, f.n, f.L - root.level)
+        inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))
+        p6_ok = inside == E_count
+        one_minus = (1 - (1 << f.n) * b) * lamN
+        for (k, chosen), h in zip(stopping, hits):
+            w = f.side >> k
+            for row in np.argwhere(chosen & (h > 0)).tolist():
+                [cube] = cubes_at(k, np.add([row], box_origin(root, k)))
+                local = maximal_function(ctx.g, cube, "grid")
+                local_j = positive_part_field(f, cube)
+                sub = E_mask[tuple(slice(i * w, (i + 1) * w) for i in row)]
+                p6_ok &= bool(np.array_equal(local.superlevel_mask(lamN), sub))
+                p8_ok &= not np.any(sub & ~local_j.superlevel_mask(one_minus))
+
+    failed = [
+        name
+        for name, ok in (("Lemma", main_ok), ("p6", p6_ok), ("p8", p8_ok))
+        if admissible and not ok
+    ]
+    return VerificationReport(
+        inequality_id="Lemma",
+        lhs=float(E_lam),
+        rhs=rhs_float,
+        admissible=admissible,
+        passed=main_ok and p6_ok and p8_ok,
+        exact=exact_main,
+        lhs_exact=str(E_lam) if f.is_fixed else None,
+        details={
+            "lambda": lamN,
+            "b-lambda": blam,
+            "params": params,
+            "K": K.value,
+            "K-weight": K.weight,
+            "E-lambda": E_lam,
+            "E-b-lambda": E_blam,
+            "stopping-count": dec_size,
+            "p6-pass": p6_ok,
+            "p8-pass": p8_ok,
+            "failed-ids": failed,
+        },
+    )

@@ -16,6 +16,8 @@ from jnplus import (
     GridFunction,
     LemmaContext,
     bundled_example,
+    cz_decompose,
+    default_lambda_grid,
     gen,
     load_grid,
     save_grid,
@@ -494,6 +496,19 @@ def test_exit_2_names_an_overflowing_f64_mean(tmp_path, command):
     assert last == "error: the f64 mean of f over DyadicCube(level=0, spatial=(), time=2) overflows"
 
 
+@pytest.mark.parametrize("command", [["verify", "theorem"], ["verify", "good-lambda"]])
+def test_exit_2_names_an_overflowing_f64_offset(tmp_path, command):
+    """A finite mean over root++ whose offset f - mean leaves the float
+    range: a named error and no numpy warning."""
+    path = str(tmp_path / "offset.json")
+    save_grid(GridFunction(1, 1, [1e308, 0, 0, 0, -0.8e308, -0.8e308], "f64"), path)
+    proc = _jnplus(*command, "--input", path, "--p", "2", "--b", "1/4")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == (
+        "error: the f64 offset f - mean(f over DyadicCube(level=0, spatial=(), time=2)) overflows\n"
+    )
+
+
 def _jnplus(*argv):
     return subprocess.run(
         [sys.executable, "-m", "jnplus.cli", *argv], capture_output=True, text=True
@@ -548,25 +563,33 @@ def test_digest_ops_build_no_prefix_table(example_path, capsys, monkeypatch):
 
 def test_good_lambda_makes_a_cube_per_built_field_pair_only(tmp_path, capsys, monkeypatch):
     path = str(tmp_path / "grid.bin")
-    save_grid(gen(GeneratorSpec(kind="dyadic-martingale", n=2, L=5, seed=1)), path)
-    built = count_calls(monkeypatch, "positive_part_field")["positive_part_field"]
+    f = gen(GeneratorSpec(kind="dyadic-martingale", n=2, L=5, seed=1))
+    save_grid(f, path)
+    # lambda-visits: per admissible lambda of the sweep, the stopping cubes
+    # of g at b*lambda that meet E(lambda)
+    ctx = LemmaContext(f, 2, Fraction(1, 8))
     visits = []
+    for lam in default_lambda_grid(ctx):
+        blam = Fraction(lam) / 8
+        if not ctx.g_fwd_avg > blam:
+            E = ctx.field.superlevel_mask(lam)
+            cubes = cz_decompose(ctx.g, None, blam).stopping.expand()
+            visits += [c for c in cubes if E[ctx.g.cube_slices(c)].any()]
+    calls = count_calls(monkeypatch, "positive_part_field", "maximal_function")
     created = []
-    local_fields = LemmaContext.local_fields
     init = DyadicCube.__init__
-
-    def visiting(ctx, blocks):
-        visits.extend(blocks)
-        return local_fields(ctx, blocks)
 
     def counted(self, *args, **kwargs):
         created.append(1)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(LemmaContext, "local_fields", visiting)
     monkeypatch.setattr(DyadicCube, "__init__", counted)
     code, _, _ = run(capsys, "verify", "good-lambda", "--input", path, "--p", "2", "--b", "1/8")
     assert code == 0
+    built = [args[1] for args in calls["positive_part_field"]]
+    # each visited cube's pair once: g's field over the root, then M_Q g per cube
+    assert sorted(built) == sorted(set(visits))
+    assert [args[1] for args in calls["maximal_function"][1:]] == built
     assert len(visits) > 2 * len(built) > 0
     # the root, root+ and root++, and one cube per built pair of local fields
     assert len(created) == 3 + len(built)

@@ -27,7 +27,7 @@ from jnplus import (
     subcubes,
 )
 from jnplus._blocks import absdev_sums
-from jnplus.grid import count_exceeding, exact, exceeds, union_sum
+from jnplus.grid import count_exceeding, exact, exceed_ranks, exceeds, union_sum
 
 from helpers import (
     cell_value,
@@ -268,6 +268,53 @@ def test_count_exceeding_matches_exceeds_at_int64_boundary():
         got = count_exceeding(cells, count, None, lams)
         assert got == [int(exceeds(cells, count, None, lam).sum()) for lam in lams], count
     assert count_exceeding(cells, 1, None, []) == []
+
+
+def test_exceed_ranks_match_exceeds_at_int64_boundary():
+    """An entry of exceed_ranks exceeds lams[i] (i < rank) exactly where
+    exceeds(...) holds at lams[i], on int64, object and float64 cells (nan
+    included), for ascending lists with repeats of lams on and between the
+    values and with lam * scale just below and at 2^62, in [2^63, 2^64) and
+    past 2^64, where only the 2^62 clamp keeps the cuts an int64 array."""
+    top = (1 << 62) - 1
+    ints = [-top, -(top - 1), -12, -1, 0, 1, 5, 6, top - 1, top]
+    edges = [(1 << 62) - 2, (1 << 62) - 1, 1 << 62, (1 << 63) + 5, (1 << 64) - 1, (1 << 64) + 7]
+    cases = [
+        (np.array(ints, dtype=np.int64).reshape(2, 5), [(1, 1), (4, 3), (1, 7)]),
+        (np.array([v << 70 for v in ints], dtype=object), [(1, 1), (4, 3)]),
+    ]
+    lists = []
+    for numer, scales in cases:
+        for count, denom in scales:
+            scale = count * denom
+            on = sorted({Fraction(int(v), scale) for v in numer.ravel()})
+            past = [Fraction(s * e, scale) for e in edges for s in (1, -1)]
+            inner = on + _between(on) + on[::3]
+            lists += [(numer, count, denom, sorted(past + inner + past[:3]))]
+            # one far cut with same-sign values
+            lists += [
+                (numer, count, denom, sorted([lam] + [x for x in inner if (x >= 0) == (lam >= 0)]))
+                for lam in past
+            ]
+    cells = np.array([-3.5, -0.25, 0.0, np.nan, 0.75, 1.5, 2.0, 1e300])
+    for count in (1, 8):
+        on = sorted({v / count for v in cells.tolist() if v == v})
+        lists.append((cells, count, None, sorted([1e308, -1e308] + on + _between(on) + on[::2])))
+    for numer, count, denom, lams in lists:
+        ranks = exceed_ranks(numer, count, denom, lams)
+        assert ranks.shape == numer.shape and ranks.dtype == np.int16
+        for i, lam in enumerate(lams):
+            assert np.array_equal(ranks > i, exceeds(numer, count, denom, lam)), (count, denom, lam)
+            if denom is not None:
+                naive = [Fraction(int(v), count * denom) > lam for v in numer.ravel()]
+                assert (ranks > i).ravel().tolist() == naive, (count, denom, lam)
+    assert exceed_ranks(cells, 1, None, []).tolist() == [0] * len(cells)
+    # a strided array of more entries than one searchsorted slab
+    big = np.random.default_rng(5).integers(-50, 50, size=(3, 24000))[:, ::2]
+    lams = [Fraction(k, 3) for k in range(-160, 160, 7)]
+    ranks = exceed_ranks(big, 1, 1, lams)
+    for i, lam in enumerate(lams):
+        assert np.array_equal(ranks > i, exceeds(big, 1, 1, lam)), lam
 
 
 def test_distribution_measure_counts_cells():

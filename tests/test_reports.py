@@ -3,6 +3,7 @@
 import enum
 import json
 import math
+from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -24,6 +25,7 @@ from jnplus import (
     gen,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
+    lemma_params,
     root_cube,
     scale_values,
 )
@@ -97,6 +99,19 @@ class _DictReport(dict):
         return {"never": "used"}
 
 
+@dataclass(frozen=True)
+class _Frozen:
+    """A frozen report object whose to_json_dict makes a fresh one."""
+
+    k: int
+
+    def to_json_dict(self):
+        return {"k": self.k, "inner": _Frozen(self.k - 1) if self.k else [Fraction(1, 3)]}
+
+
+_PARAMS = lemma_params(2, 3, Fraction(1, 8))
+
+
 class _Level(enum.IntEnum):
     TOP = 3
 
@@ -137,12 +152,30 @@ WRITER_CASES = [
     _DictReport(z=1, a=[Fraction(1, 8)]),
     {"int-subclass": _Level.TOP, "str-subclass": _Tag("tag\u00e9"), _Tag("k"): [_Level.TOP]},
     VerificationReport("p6", math.inf, 0.5, False, True, False, details={"k": [1, 2]}),
+    {"a": [_PARAMS, _PARAMS], "b": _PARAMS, "c": [{"d": _PARAMS}, [_PARAMS]]},
+    [_Frozen(3), _Frozen(2), [_Frozen(3)], _Frozen(0), {"x": _Frozen(1)}],
 ]
 
 
 @pytest.mark.parametrize("doc", WRITER_CASES, ids=range(len(WRITER_CASES)))
 def test_canonical_json_matches_json_encoder(doc):
     assert canonical_json(doc) == oracle_canonical_json(doc)
+
+
+def test_canonical_json_renders_a_repeated_frozen_object_once_per_indent():
+    calls = []
+
+    @dataclass(frozen=True)
+    class Counted:
+        def to_json_dict(self):
+            calls.append(1)
+            return {"x": Fraction(1, 3)}
+
+    c = Counted()
+    doc = {"a": [c, c, c], "b": c, "c": [{"d": c}, {"d": c}], "e": [Counted()]}
+    text = canonical_json(doc)
+    assert len(calls) == 4  # three indents of c, and the other object
+    assert text == oracle_canonical_json(doc)
 
 
 class _Holder:

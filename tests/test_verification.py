@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from jnplus import (
+    DyadicCube,
     GridFunction,
     InvalidExponentError,
     InvalidParamsError,
@@ -30,7 +31,7 @@ from jnplus import (
 
 from jnplus.reports import canonical_json
 
-from helpers import corpus_grids, naive_block_sum, random_fixed_grid
+from helpers import corpus_grids, naive_block_sum, naive_good_lambda, random_fixed_grid
 
 
 def test_lemma_params_validation():
@@ -90,10 +91,9 @@ def test_lemma_sweep_all_pass():
 
 @pytest.mark.parametrize("mode", ["fixed", "f64"])
 def test_sweep_reports_do_not_depend_on_lambda_order(mode):
-    """The kept stopping-cube fields serve any lambda order: a shuffled
-    sweep and a descending one give the same report at every lambda, on
-    every corpus grid, at lambdas from the default grid and on the
-    values of g's maximal field."""
+    """A shuffled sweep and a descending one give the same report at
+    every lambda, on every corpus grid, at lambdas from the default grid
+    and on the values of g's maximal field."""
     rng = np.random.default_rng(61)
     checked = 0
     for f in corpus_grids(mode):
@@ -111,6 +111,88 @@ def test_sweep_reports_do_not_depend_on_lambda_order(mode):
             assert canonical_json(r.to_json_dict()) == by_lam[lam], lam
             checked += 1
     assert checked >= 500
+
+
+def _probe_lambdas(ctx, rng, count=12):
+    """Default-grid lambdas, values of g's field (on a cut) and midpoints
+    between neighbouring values, as the grid's scalars."""
+    f = ctx.f
+    scale = ctx.field.denom_scale
+    values = np.unique(ctx.field.values).tolist()
+    ties = sorted({Fraction(int(v), scale) if f.is_fixed else float(v) for v in values})
+    ties = [t for t in ties if t > 0]
+    on = [ties[i] for i in sorted(rng.choice(len(ties), min(count, len(ties)), replace=False))]
+    between = [(a + c) / 2 for a, c in zip(on, on[1:])]
+    grid = default_lambda_grid(ctx)
+    picked = [grid[i] for i in sorted(rng.choice(len(grid), count, replace=False))]
+    return sorted({f.scalar(lam) for lam in picked + on + between})
+
+
+def _assert_sweep_matches_reference(ctx, lams, rng) -> int:
+    """Every report of lemma_sweep, for lams ascending, descending, shuffled
+    and shuffled with repeats, equals naive_good_lambda's in canonical JSON."""
+    want = {lam: canonical_json(naive_good_lambda(ctx, lam)) for lam in lams}
+    repeated = lams + lams[::3]
+    orders = [
+        lams,
+        lams[::-1],
+        [lams[i] for i in rng.permutation(len(lams))],
+        [repeated[i] for i in rng.permutation(len(repeated))],
+    ]
+    for order in orders:
+        got = [canonical_json(r) for r in lemma_sweep(ctx, order)]
+        assert got == [want[lam] for lam in order]
+    return len(want)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_sweep_matches_per_lambda_reference(mode):
+    """The batched sweep against the per-lambda route, on every corpus grid
+    (int64, float and 2^56-scaled big-integer cells), with p = 2 (exact
+    main inequality) and p = 3/2 (float) and both default b."""
+    rng = np.random.default_rng(71)
+    checked = 0
+    for j, f in enumerate(corpus_grids(mode)):
+        p = (2, Fraction(3, 2))[j % 2]
+        b = Fraction(1, 1 << (f.n + 1 + j // 2 % 2))
+        ctx = LemmaContext(f, p, b)
+        checked += _assert_sweep_matches_reference(ctx, _probe_lambdas(ctx, rng), rng)
+    assert checked >= 1000
+
+
+def test_sweep_matches_reference_where_p6_and_p8_fail():
+    """With the augmented field standing in for g's grid field, E(lam) has
+    cells outside every stopping cube and cells where M_Q g or the field of
+    g_j disagree: p6 and p8 fail at some lambdas, as the reference says."""
+    rng = np.random.default_rng(73)
+    failed = {"p6": 0, "p8": 0}
+    for f in corpus_grids("fixed"):
+        ctx = LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1)))
+        ctx.field = maximal_function(ctx.g, ctx.root, "augmented")
+        lams = _probe_lambdas(ctx, rng, count=8)
+        _assert_sweep_matches_reference(ctx, lams, rng)
+        for r in lemma_sweep(ctx, lams):
+            for name in r.details["failed-ids"]:
+                failed[name] += 1
+    assert min(failed.values()) > 0, failed
+
+
+@pytest.mark.parametrize(
+    "n, L, root",
+    [
+        (2, 4, DyadicCube(1, (1,), 1)),
+        (1, 5, DyadicCube(1, (), 1)),
+        (2, 3, DyadicCube(3, (5,), 6)),
+        (3, 3, None),
+    ],
+)
+def test_sweep_matches_reference_off_origin_and_n3(n, L, root):
+    """Off-origin level-1 roots, a one-cell root, and an n=3 grid."""
+    rng = np.random.default_rng(79 + n)
+    f = random_fixed_grid(rng, n, L, denom=16)
+    for p in (2, Fraction(3, 2)):
+        ctx = LemmaContext(f, p, Fraction(1, 1 << (n + 1)), root)
+        assert _assert_sweep_matches_reference(ctx, _probe_lambdas(ctx, rng), rng) >= 12
 
 
 def test_nonpositive_lambda_rejected():
