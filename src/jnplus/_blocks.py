@@ -1,5 +1,6 @@
 """The dyadic block layout, and the level-batched block reductions
-shared by the maximal scan and the seminorm DP.
+shared by the maximal scan, the one stopping rule
+(:func:`jnplus.maximal.stopping_ranks`) and the seminorm DP.
 
 :func:`blocked` splits each axis of a cell array into (block,
 cell-in-block) axes: summing over the :func:`in_block` axes gives block
@@ -24,7 +25,7 @@ on one integer scale.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -46,7 +47,6 @@ __all__ = [
     "upsample",
     "children_sum",
     "level_sums",
-    "covering_sweep",
 ]
 
 
@@ -161,22 +161,3 @@ def level_sums(arr: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
     out.reverse()
     return out
 
-
-def covering_sweep(conds: Iterable[np.ndarray], n: int) -> Iterator[np.ndarray]:
-    """Top-down covering sweep over the levels of a root box.
-
-    ``conds`` yields one boolean array per level, coarse to fine, each
-    one dyadic level finer than the last.  Yields per level the blocks
-    that satisfy their condition with no chosen ancestor:
-    chosen_k = cond_k & ~covered_k, then
-    covered_{k+1} = upsample(covered_k | chosen_k).
-    """
-    covered: np.ndarray | None = None
-    for cond in conds:
-        if covered is None:
-            chosen = covered = cond
-        else:
-            covered = upsample(covered, n)
-            chosen = cond & ~covered
-            covered |= chosen
-        yield chosen

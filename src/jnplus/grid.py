@@ -18,10 +18,12 @@ This module owns the mode decision for the rest of the package:
   compare on float64 cells; every superlevel set, stopping condition
   and distribution set goes through it.  :func:`exceed_ranks` decides
   it for a whole ascending list of lam in one pass with the same cuts,
-  and :func:`count_exceeding` counts it from those ranks.
+  :func:`counts_above` counts those ranks per lam, and
+  :func:`count_exceeding` counts a list of lam in any order.
 * :meth:`GridFunction.scalar` lifts a threshold or constant to the
-  mode's scalar (Fraction or float), and :meth:`GridFunction.ratio`
-  turns a sum of cell entries into a value.
+  mode's scalar (Fraction or float), :meth:`GridFunction.threshold`
+  lifts a threshold that the reports must hold as a float too, and
+  :meth:`GridFunction.ratio` turns a sum of cell entries into a value.
 
 Fixed-mode arrays have one of two dtypes, and :func:`exact` alone picks
 it: int64 while :func:`int64_fits` proves that the largest magnitude a
@@ -50,14 +52,15 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from ._blocks import blocked, clamped_sums, in_block, root_box
+from ._blocks import blocked, clamped_sums, in_block, root_box, upsample
 from .cubes import DyadicCube, forward, root_cube
-from .errors import GridFormatError, OutOfDomainError
+from .errors import GridFormatError, InvalidParamsError, OutOfDomainError
 
 __all__ = [
     "int64_fits",
     "exceeds",
     "exceed_ranks",
+    "counts_above",
     "count_exceeding",
     "is_grid_size",
     "exact",
@@ -128,9 +131,12 @@ def exceed_ranks(numer: np.ndarray, count: int, denom: int | None, lams) -> np.n
     with rank r exceeds lams[i] (as :func:`exceeds` decides it) exactly
     when i < r.  Equal lams may repeat.  The ranks come in an array of
     numer's shape (at least one axis), int16 while there are fewer than
-    2^15 lams.
+    2^15 lams.  One lam is decided by one compare, as :func:`exceeds` does.
     """
-    cuts = np.array(_cuts(numer, count, denom, lams), dtype=numer.dtype)
+    cuts = _cuts(numer, count, denom, lams)
+    if len(cuts) == 1:
+        return (numer > cuts[0]).astype(np.int16)  # nan exceeds nothing
+    cuts = np.array(cuts, dtype=numer.dtype)
     ranks = np.empty(numer.shape, dtype=np.int16 if len(cuts) < 1 << 15 else np.intp)
     # the number of cuts strictly below each entry, a slab of rows at a
     # time: searchsorted makes an intp array and a contiguous copy of a
@@ -143,18 +149,26 @@ def exceed_ranks(numer: np.ndarray, count: int, denom: int | None, lams) -> np.n
     return ranks
 
 
+def counts_above(ranks: np.ndarray, m: int) -> np.ndarray:
+    """Per i < m, how many entries of ``ranks`` exceed i.
+
+    With the ranks of :func:`exceed_ranks` against m lams, entry i counts
+    the entries that exceed lams[i]: suffix sums of the rank counts.
+    """
+    return np.cumsum(np.bincount(ranks.ravel(), minlength=m + 1)[:0:-1])[::-1]
+
+
 def count_exceeding(numer: np.ndarray, count: int, denom: int | None, lams) -> list[int]:
     """Per lam of ``lams`` (any order), the number of cells where :func:`exceeds` holds.
 
     One :func:`exceed_ranks` pass over the cells for all of ``lams``, in
-    ascending order; suffix sums of the rank counts give every lam's
-    count.  The cells themselves are not sorted.
+    ascending order, counted by :func:`counts_above`.  The cells
+    themselves are not sorted.
     """
     lams = list(lams)
     order = sorted(range(len(lams)), key=lams.__getitem__)
     ranks = exceed_ranks(numer, count, denom, [lams[i] for i in order])
-    above = np.cumsum(np.bincount(ranks.ravel(), minlength=len(lams) + 1)[::-1])[::-1].tolist()
-    counts = dict(zip(order, above[1:]))
+    counts = dict(zip(order, counts_above(ranks, len(lams)).tolist()))
     return [counts[i] for i in range(len(lams))]
 
 
@@ -291,6 +305,18 @@ class GridFunction:
     def scalar(self, x):
         """``x`` as this grid's scalar: a Fraction in fixed mode, a float in f64."""
         return Fraction(x) if self.is_fixed else float(x)
+
+    def threshold(self, lam):
+        """:meth:`scalar` of ``lam``, refused (InvalidParamsError, naming lam)
+        when its float is infinite, or 0 while lam is not."""
+        try:
+            lam_n = self.scalar(lam)
+            x = float(lam_n)
+        except OverflowError:
+            x = math.inf
+        if math.isinf(x) or (x == 0 and lam != 0):
+            raise InvalidParamsError(f"threshold {lam} lies outside the float range")
+        return lam_n
 
     def ratio(self, numer, count: int):
         """Value of (sum of cell entries)/count as Fraction or float."""
@@ -536,7 +562,4 @@ def shift_values(f: GridFunction, s) -> GridFunction:
 
 def refine(f: GridFunction) -> GridFunction:
     """The same function at resolution L+1 (each cell split into 2^n)."""
-    vals = f.values
-    for ax in range(f.n):
-        vals = np.repeat(vals, 2, axis=ax)
-    return GridFunction(f.n, f.L + 1, vals, f.mode, f.denom)
+    return GridFunction(f.n, f.L + 1, upsample(f.values, f.n), f.mode, f.denom)

@@ -22,6 +22,10 @@ comparison goes through :func:`jnplus.grid.exceeds`, which decides it in
 integer arithmetic in fixed mode; thresholds are lifted to the grid's
 scalar by :meth:`~jnplus.grid.GridFunction.scalar`.
 
+:func:`stopping_ranks` is the one stopping rule: it decides a whole
+ascending list of thresholds on ranks, for :func:`cz_decompose` at one
+threshold and for ``verification.lemma_sweep`` at every b*lam.
+
 A decomposition holds its stopping cubes as per-level index rows
 (:class:`~jnplus.reports.CubeRows`), not as one object per cube, and
 the checks on it read each level's rows against that level's block sums.
@@ -35,10 +39,10 @@ from typing import Iterator
 
 import numpy as np
 
-from ._blocks import block_count, box_origin, covering_sweep, level_sums, root_box, upsample
+from ._blocks import block_count, box_origin, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward
 from .errors import InvalidParamsError, NegativeInputError
-from .grid import GridFunction, average, exceeds, resolve_root, union_sum
+from .grid import GridFunction, average, exceed_ranks, exceeds, resolve_root, union_sum
 from .reports import CubeRows, VerificationReport
 
 __all__ = [
@@ -46,7 +50,7 @@ __all__ = [
     "Decomposition",
     "maximal_function",
     "positive_part_field",
-    "stopping_levels",
+    "stopping_ranks",
     "cz_decompose",
     "select_subfamily",
     "check_p1",
@@ -210,31 +214,37 @@ def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
         )
 
 
-def stopping_levels(f: GridFunction, root: DyadicCube, lam) -> Iterator[tuple[int, np.ndarray]]:
-    """Per level k of ``root``, the mask of its level-k stopping cubes.
+def stopping_ranks(
+    f: GridFunction, root: DyadicCube, lams
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Per level k of ``root``, coarse to fine: (k, A, e) over its level-k blocks.
 
-    The mask covers the level-k blocks of the root box; a block is set
-    when its forward mean exceeds lam (strict) and no ancestor is set.
+    ``e`` ranks each block's forward sum against the ascending ``lams``
+    (:func:`jnplus.grid.exceed_ranks`), and ``A`` is the largest ``e``
+    among the block's ancestors in the root box (0 at the root's level).
+    A block is a stopping cube at lams[i] exactly when A <= i < e: its
+    forward mean exceeds lams[i] and no ancestor's does.
     """
-    def conds():
-        for k in range(root.level, f.L + 1):
-            fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
-            yield exceeds(fwd, block_count(f, k), f.denom, lam)
-
-    return zip(range(root.level, f.L + 1), covering_sweep(conds(), f.n))
+    A = np.zeros((1,) * f.n, dtype=np.int16)
+    for k in range(root.level, f.L + 1):
+        fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
+        e = exceed_ranks(fwd, block_count(f, k), f.denom, lams)
+        yield k, A, e
+        if k < f.L:
+            A = upsample(np.maximum(A, e), f.n)
 
 
 def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition:
     """Maximal dyadic subcubes of root with mean(f over Q+) > lam (strict).
 
-    Top-down sweep: a level-k cube is emitted when its forward mean
-    exceeds lam and no ancestor was emitted.  Requires f >= 0 on
-    root ∪ root+.  Exact comparisons in fixed mode.
+    :func:`stopping_ranks` at one threshold: a level-k cube is emitted when
+    its forward mean exceeds lam and no ancestor's does.  Requires f >= 0
+    on root ∪ root+.  Exact comparisons in fixed mode.
     """
     root = resolve_root(f, root)
     _require_nonneg(f, root)
     lam_n = f.scalar(lam)
-    masks = list(stopping_levels(f, root, lam_n))
+    masks = [(k, e > A) for k, A, e in stopping_ranks(f, root, [lam_n])]
     stopping = CubeRows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
     subfamily, groups = select_subfamily(masks)
     return Decomposition(root, lam_n, stopping, subfamily, groups)
@@ -245,8 +255,8 @@ def select_subfamily(
 ) -> tuple[list[int], dict[int, list[int]]]:
     """Positions of the stopping cubes whose forward translates are maximal, and the grouping.
 
-    ``masks`` holds the per-level stopping masks of a root, as
-    :func:`stopping_levels` yields them; cubes are numbered level by level
+    ``masks`` holds the per-level stopping masks of a root, coarse to fine,
+    as :func:`cz_decompose` reads them; cubes are numbered level by level
     in index order.  The translate of block t is block t+1, inside a box of
     twice the root's time extent.  A top-down sweep over that box keeps
     per block the position of the kept translate covering it; a translate
@@ -327,10 +337,11 @@ def check_p2(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
 
     Admissible exactly when the threshold is at least the forward mean of
     the root (equivalently, the root itself is not a stopping cube); an
-    inadmissible call flags and asserts nothing.
+    inadmissible call flags and asserts nothing.  A threshold without a
+    float raises InvalidParamsError (:meth:`GridFunction.threshold`).
     """
     root = resolve_root(f, root)
-    lam = dec.threshold
+    lam = f.threshold(dec.threshold)
     root_fwd_avg = average(f, forward(root))
     admissible = not (root_fwd_avg > lam)
     bound = lam * (1 << f.n)
@@ -374,11 +385,12 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
     the stopping cubes (exact identity); sum |Q_j| <= 2 * sum |sel Q_j+|
     over the maximal subfamily; and that this is at most (2/lam) times
     the integral of f over root ∪ root+.  The augmented variant's
-    observed constant is reported, never asserted.
+    observed constant is reported, never asserted.  lam is lifted by
+    :meth:`GridFunction.threshold`.
     """
     root = resolve_root(f, root)
     _require_nonneg(f, root)
-    lam_n = f.scalar(lam)
+    lam_n = f.threshold(lam)
     if not (lam_n > 0):
         raise InvalidParamsError("weak-type threshold must be positive")
     dec = cz_decompose(f, root, lam_n)

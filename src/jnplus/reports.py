@@ -169,8 +169,13 @@ def _write(obj: Any, put, nl: str, memo: dict) -> None:
         put(_encode_str(obj))
     elif type(obj) is int:
         put(int.__repr__(obj))
-    elif isinstance(obj, (Fraction, float)):
-        _write_scalar(scalar_json(obj), put, nl)
+    elif isinstance(obj, Fraction):
+        # scalar_json's {"decimal", "exact"} pair, laid out as _ratio_items writes it
+        ind = nl + "  "
+        dec = _decimal(obj.numerator, obj.denominator)
+        put(f'{{{ind}"decimal": "{dec}",{ind}"exact": "{obj}"{nl}}}')
+    elif isinstance(obj, float):
+        put(float.__repr__(obj) if math.isfinite(obj) else f'"{obj!r}"')
     elif isinstance(obj, DyadicCube):
         _write_cube(obj, put, nl)
     elif isinstance(obj, CubeRows):
@@ -197,20 +202,6 @@ def _write(obj: Any, put, nl: str, memo: dict) -> None:
         put(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _write_scalar(x: Any, put, nl: str) -> None:
-    # x is what scalar_json returned for a Fraction or a float
-    if isinstance(x, dict):
-        ind = nl + "  "
-        put(
-            f'{{{ind}"decimal": {_encode_str(x["decimal"])},'
-            f'{ind}"exact": {_encode_str(x["exact"])}{nl}}}'
-        )
-    elif isinstance(x, str):
-        put(_encode_str(x))
-    else:
-        put(float.__repr__(x))
 
 
 def _cube_template(level: int, n: int, nl: str) -> str:
@@ -259,7 +250,7 @@ def _cube_items(rows: CubeRows, nl: str):
 
 
 def _ratio_items(rows: RatioRows, nl: str):
-    # each item as _write_scalar writes scalar_json of raw/denom, or of the float
+    # each item as _write writes the Fraction raw/denom, or the float
     D = rows.denom
     ind = nl + "  "
     head, mid, tail = "{" + ind + '"decimal": "', '",' + ind + '"exact": "', '"' + nl + "}"

@@ -63,8 +63,8 @@ from ._blocks import (
     block_count,
     box_origin,
     children_sum,
-    covering_sweep,
     root_box,
+    upsample,
 )
 from .cubes import DyadicCube, children, contains, forward, volume, volume_sum
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
@@ -259,8 +259,12 @@ def _tree_dp(
         take[k] = t
         best = np.where(t, phi[k], child)
     levels = []
-    for k, chosen in zip(ks, covering_sweep((take[k] for k in ks), n)):
+    covered = np.zeros((1,) * n, dtype=bool)  # the blocks under a chosen ancestor
+    for k in ks:
+        chosen = take[k] & ~covered
         levels.append((k, np.argwhere(chosen), phi[k][chosen]))
+        if k < ks[-1]:
+            covered = upsample(covered | chosen, n)
     return best[(0,) * n], levels
 
 

@@ -27,10 +27,11 @@ context, so a sweep over many lam recomputes none of it.
 * ``lemma_sweep(ctx, lambdas=None)`` — the decay step at every lam of
   ``default_lambda_grid(ctx)`` (or of the given list), decided for the
   whole list at once on rank intervals.  ``grid.exceed_ranks`` ranks
-  each cell and block against the ascending lams, so each stopping
-  cube, each cell of E(lam) and each p6/p8 failure holds on one interval
-  of lam indices, and the two local fields of a visited stopping cube
-  are built once per sweep.
+  each cell against the ascending lams and ``maximal.stopping_ranks``,
+  the one stopping rule, each block against the b*lams, so each
+  stopping cube, each cell of E(lam) and each p6/p8 failure holds on one
+  interval of lam indices, and the two local fields of a visited
+  stopping cube are built once per sweep.
 
 * ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
@@ -62,21 +63,22 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import block_count, blocked, box_origin, cubes_at, in_block, root_box, upsample
+from ._blocks import blocked, box_origin, cubes_at, in_block
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
     average,
     count_exceeding,
+    counts_above,
     exceed_ranks,
     offset_positive_part,
     resolve_root,
     union_sum,
 )
-from .maximal import MaximalField, maximal_function, positive_part_field
+from .maximal import MaximalField, maximal_function, positive_part_field, stopping_ranks
 from .reports import VerificationReport
-from .seminorms import SeminormResult, jnp_plus_dyadic, _norm_exponent
+from .seminorms import SeminormResult, jnp_plus_dyadic, _float_pow, _norm_exponent
 
 __all__ = [
     "LemmaParams",
@@ -171,14 +173,6 @@ class LemmaContext:
         return average(self.g, forward(self.root))
 
 
-def _pow_le(lhs: Fraction, rhs_terms: list[tuple[Fraction, int]]) -> bool:
-    # lhs <= prod term^exp with everything rational: compare exactly.
-    prod = Fraction(1)
-    for base, exp in rhs_terms:
-        prod *= base**exp
-    return lhs <= prod
-
-
 def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     """One decay step |E(lam)| <= (a*K/lam)*|E(b*lam)|^{1/q} plus p6/p8.
 
@@ -198,27 +192,29 @@ def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
     decided for all of them at once, on the ascending list (see
     :func:`_decay_steps`).
     """
-    if lambdas is None:
-        lambdas = default_lambda_grid(ctx)
-    lamNs = [ctx.f.scalar(lam) for lam in lambdas]
-    if not all(lamN > 0 for lamN in lamNs):
-        raise InvalidParamsError("lambda must be positive")
+    lamNs = _lambda_list(ctx, lambdas)
     order = sorted(range(len(lamNs)), key=lamNs.__getitem__)
     reports = dict(zip(order, _decay_steps(ctx, [lamNs[i] for i in order])))
     return [reports[i] for i in range(len(lamNs))]
 
 
-def _at_most(ranks: np.ndarray, m: int) -> np.ndarray:
-    """Per i < m, the number of entries of ``ranks`` that are <= i."""
-    return np.cumsum(np.bincount(ranks.ravel(), minlength=m + 1))[:m]
+def _lambda_list(ctx: LemmaContext, lambdas) -> list:
+    """The lams of a sweep or theorem run (default ``default_lambda_grid(ctx)``),
+    lifted by :meth:`GridFunction.threshold`; each must be positive."""
+    if lambdas is None:
+        lambdas = default_lambda_grid(ctx)
+    lamNs = [ctx.f.threshold(lam) for lam in lambdas]
+    if not all(lamN > 0 for lamN in lamNs):
+        raise InvalidParamsError("lambda must be positive")
+    return lamNs
 
 
 def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     """Per i < m, how many of the lam-index intervals [lo, hi) hold i."""
     if not (lo < hi).any():
         return 0
-    # #(lo <= i) - #(hi <= i), with an empty interval [lo, lo) where lo > hi
-    return _at_most(np.minimum(lo, hi), m) - _at_most(hi, m)
+    # #(hi > i) - #(lo > i), with an empty interval [hi, hi) where lo > hi
+    return counts_above(hi, m) - counts_above(np.minimum(lo, hi), m)
 
 
 def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
@@ -233,9 +229,9 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
     * eE, the ranks of g's field against the lams, counts every E(lam);
       its ranks against the b*lams count every E(b*lam).
     * Admissible lam form a suffix i >= i0, as b*lam grows.
-    * A level-k block of the root box whose forward mean has rank e
-      against the b*lams, under ancestors whose largest rank is A, is a
-      stopping cube at b*lams[i] exactly when A <= i < e.
+    * ``maximal.stopping_ranks`` over the b*lams gives each level-k
+      block of the root box its rank e and its ancestors' largest rank
+      A: it is a stopping cube at b*lams[i] exactly when A <= i < e.
     * p6, covering part: a cell fails at i when its ancestors' and its
       own largest rank is <= i < eE, i.e. it lies in E(lam) outside
       every stopping cube.
@@ -257,8 +253,8 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
     cells = 1 << (f.L * n)
     field, scale = ctx.field.values, ctx.field.denom_scale
     eE = exceed_ranks(field, 1, scale, lams)
-    E_counts = (eE.size - _at_most(eE, m)).tolist()
-    B_counts = (eE.size - _at_most(exceed_ranks(field, 1, scale, blams), m)).tolist()
+    E_counts = counts_above(eE, m).tolist()
+    B_counts = count_exceeding(field, 1, scale, blams)
     # admissible: not (g_fwd_avg > b*lam), a suffix as b*lam grows
     i0 = bisect_left(blams, ctx.g_fwd_avg)
 
@@ -272,10 +268,7 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
         one_minus = 1 - (1 << n) * b
         # p8's thresholds, at the admissible lams only
         under = [None] * i0 + [one_minus * lam for lam in lams[i0:]]
-        A = np.zeros((1,) * n, dtype=eE.dtype)
-        for k in range(root.level, f.L + 1):
-            fwd = g.block_sums(k)[root_box(root, k, time_shift=1)]
-            e = exceed_ranks(fwd, block_count(g, k), g.denom, blams)
+        for k, A, e in stopping_ranks(g, root, blams):
             stops += _held(A, e, m)
             lo, hi = np.maximum(A, i0), np.minimum(e, tops.pop())
             w = f.side >> k
@@ -289,10 +282,8 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
                 r8 = exceed_ranks(local_j.values, 1, local_j.denom_scale, under[s:t]) + s
                 fail6 += _held(np.minimum(r6, sub), np.maximum(r6, sub), m)
                 fail8 += _held(r8, sub, m)
-            A = np.maximum(A, e)
-            if k < f.L:
-                A = upsample(A, n)
-        fail6 += _held(np.maximum(A, i0), eE, m)
+        # A and e of the leaf level: the cell's ancestors' and its own largest rank
+        fail6 += _held(np.maximum(np.maximum(A, e), i0), eE, m)
     stop_counts, p6_fails, p8_fails = stops.tolist(), fail6.tolist(), fail8.tolist()
 
     exact_main = K.exact  # an exact seminorm implies a fixed-mode grid
@@ -309,8 +300,9 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
     reports = []
     for i, (lamN, blam, cE, cB) in enumerate(zip(lams, blams, E_counts, B_counts)):
         E_lam, E_blam = Fraction(cE, cells), Fraction(cB, cells)
-        # cE / cells is float(E_lam): both round the same rational once
-        rhs_float = aK / float(lamN) * (cB / cells) ** qinv
+        # cE / cells is float(E_lam): both round the same rational once;
+        # aK / lam may be inf, and an empty E(b*lam) bounds E(lam) by 0
+        rhs_float = aK / float(lamN) * (cB / cells) ** qinv if cB else 0.0
         admissible = i >= i0
         if not admissible:
             main_ok = p6_ok = p8_ok = True
@@ -492,14 +484,9 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     """
     f, params, root, K, g, lam0 = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g, ctx.lam0
     field_g, field_a = ctx.field, maximal_function(g, root, "augmented")
-    if lambdas is None:
-        lambdas = default_lambda_grid(ctx)
+    lamNs = _lambda_list(ctx, lambdas)
     C = proof_constant(f.n, params.p, params.b)
     Kp = float(K.weight) if K.exact else K.value ** float(params.p)
-
-    lamNs = [f.scalar(lam) for lam in lambdas]
-    if not all(lamN > 0 for lamN in lamNs):
-        raise InvalidParamsError("lambda grid must be positive")
 
     def measures(numer: np.ndarray, denom: int | None) -> list[Fraction]:
         # every lambda's superlevel count of one array in one pass
@@ -519,8 +506,9 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     emp_grid = 0.0
     emp_aug = 0.0
     for lamN, Eg, Ea, dist in columns:
-        lam_p = float(lamN) ** float(params.p)
-        bound = math.inf if Kp == 0.0 and lam_p == 0.0 else C * Kp / lam_p
+        # lam^p is inf past the float range (bound 0) and 0 below it (bound inf)
+        lam_p = _float_pow(lamN, params.p)
+        bound = math.inf if lam_p == 0.0 else C * Kp / lam_p
         ok = float(Eg) <= bound * (1.0 + _REL_TOL)
         dist_ok = dist <= Ea  # exact rationals in both modes
         passed_p9 &= ok
@@ -551,7 +539,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     p11_rhs = 2.0 * K.value / float(V) ** (1.0 / float(params.p))
     if K.exact:
         u, v = params.p.numerator, params.p.denominator
-        passed_p11 = _pow_le(p11_lhs**u * V**v, [(Fraction(2), u), (K.weight, v)])
+        passed_p11 = p11_lhs**u * V**v <= 2**u * K.weight**v
     else:
         passed_p11 = float(p11_lhs) <= p11_rhs * (1.0 + _REL_TOL) + 1e-18
 

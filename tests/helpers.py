@@ -5,8 +5,9 @@ iteration, Fractions end to end, no shared code paths with the
 package's fast implementations (level block sums, tree programming,
 rank intervals).  Agreement between the two routes is the point of the
 tests.  :func:`naive_good_lambda` is the exception: it decides one
-decay step per lam from the package's fields and stopping masks, the
-route that the batched ``lemma_sweep`` replaced.
+decay step per lam from the package's fields and the stopping masks of
+:func:`boolean_stopping_levels`, the route that the batched
+``lemma_sweep`` replaced.
 """
 
 from __future__ import annotations
@@ -32,8 +33,9 @@ from jnplus import (
     root_cube,
     scale_values,
 )
-from jnplus._blocks import box_origin, cubes_at, level_sums
-from jnplus.maximal import positive_part_field, stopping_levels
+from jnplus._blocks import block_count, box_origin, cubes_at, level_sums, root_box, upsample
+from jnplus.grid import exceeds
+from jnplus.maximal import positive_part_field
 from jnplus.reports import jsonify
 
 
@@ -124,6 +126,24 @@ def naive_cz(f: GridFunction, root: DyadicCube, lam, avg=naive_average) -> list[
     out = []
     for c in children(root, f.L):
         out.extend(naive_cz(f, c, lam, avg))
+    return out
+
+
+def boolean_stopping_levels(f: GridFunction, root: DyadicCube, lam):
+    """Per level k of ``root``, the mask of its level-k stopping cubes at one lam.
+
+    A top-down covering sweep of boolean masks, one lam at a time: a
+    block is set when its forward mean exceeds lam (``grid.exceeds``)
+    and no ancestor is set.  The reference for ``maximal.stopping_ranks``,
+    which decides a whole lam list on ranks.
+    """
+    covered = np.zeros((1,) * f.n, dtype=bool)
+    out = []
+    for k in range(root.level, f.L + 1):
+        fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
+        chosen = exceeds(fwd, block_count(f, k), f.denom, lam) & ~covered
+        out.append((k, chosen))
+        covered = upsample(covered | chosen, f.n)
     return out
 
 
@@ -313,7 +333,7 @@ def naive_good_lambda(ctx: LemmaContext, lam) -> VerificationReport:
             main_ok = E_lam**u <= rhs
         else:
             main_ok = float(E_lam) <= rhs_float * (1.0 + 1e-9) + 1e-18
-        stopping = list(stopping_levels(ctx.g, root, blam))
+        stopping = boolean_stopping_levels(ctx.g, root, blam)
         dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
         hits = level_sums(E_mask, f.n, f.L - root.level)
         inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))

@@ -287,6 +287,56 @@ def test_verify_theorem_far_lambda_on_int64_grid(example_path, capsys):
     assert rec["E-grid"]["exact"] == rec["E-aug"]["exact"] == rec["dist"]["exact"] == "0"
 
 
+def _uniform_grid(capsys, tmp_path, mode="fixed:16") -> str:
+    path = str(tmp_path / "u.bin")
+    code, _, _ = run(
+        capsys, "gen", "--kind", "uniform-random", "--n", "1", "--L", "3",
+        "--mode", mode, "--out", path,
+    )
+    assert code == 0
+    return path
+
+
+@pytest.mark.parametrize("lam", ["1e-400", "1e400"])
+@pytest.mark.parametrize("command", ["good-lambda", "theorem"])
+def test_exit_2_names_a_lambda_outside_the_float_range(tmp_path, capsys, command, lam):
+    """A lam whose float is 0 or infinite is an input error that names it,
+    not a ZeroDivisionError or OverflowError from a float bound."""
+    path = _uniform_grid(capsys, tmp_path)
+    code, stdout, stderr = run(
+        capsys, "verify", command, "--input", path, "--p", "2", "--b", "1/8", "--lambda", lam
+    )
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and "outside the float range" in stderr
+    assert str(Fraction(lam)) in stderr
+
+
+@pytest.mark.parametrize("mode", ["fixed:16", "f64"])
+def test_theorem_lambda_power_past_float_range_bounds_by_0(tmp_path, capsys, mode):
+    """lam^p past the float range is inf, so the measure bound C*K^p/lam^p is 0."""
+    path = _uniform_grid(capsys, tmp_path, mode)
+    code, stdout, _ = run(
+        capsys, "verify", "theorem", "--input", path, "--p", "3", "--b", "1/8",
+        "--lambda", "1e200",
+    )
+    assert code == 0
+    (rec,) = json.loads(stdout)["records"]
+    assert rec["bound"] == 0.0 and rec["E-grid"]["exact"] == "0" and rec["pass"]
+
+
+def test_theorem_lambda_power_under_float_range_bounds_by_inf(tmp_path, capsys):
+    """On an f64 grid lam = 1e-320 is a float, but lam^2 underflows to 0:
+    the bound is inf, not a ZeroDivisionError."""
+    path = _uniform_grid(capsys, tmp_path, "f64")
+    code, stdout, _ = run(
+        capsys, "verify", "theorem", "--input", path, "--p", "2", "--b", "1/8",
+        "--lambda", "1e-320",
+    )
+    assert code == 0
+    (rec,) = json.loads(stdout)["records"]
+    assert rec["bound"] == "inf" and rec["pass"]
+
+
 @pytest.mark.parametrize("functional", ["jnp-plus", "jnp-classical"])
 def test_oracle_weight_past_float_range_is_inf(tmp_path, capsys, functional):
     """A float power past the float range is inf, as in the tree pass, not an OverflowError."""

@@ -275,7 +275,8 @@ def test_exceed_ranks_match_exceeds_at_int64_boundary():
     exceeds(...) holds at lams[i], on int64, object and float64 cells (nan
     included), for ascending lists with repeats of lams on and between the
     values and with lam * scale just below and at 2^62, in [2^63, 2^64) and
-    past 2^64, where only the 2^62 clamp keeps the cuts an int64 array."""
+    past 2^64, where only the 2^62 clamp keeps the cuts an int64 array.
+    Each lam alone, as a one-element list, takes the one-compare case."""
     top = (1 << 62) - 1
     ints = [-top, -(top - 1), -12, -1, 0, 1, 5, 6, top - 1, top]
     edges = [(1 << 62) - 2, (1 << 62) - 1, 1 << 62, (1 << 63) + 5, (1 << 64) - 1, (1 << 64) + 7]
@@ -308,7 +309,11 @@ def test_exceed_ranks_match_exceeds_at_int64_boundary():
             if denom is not None:
                 naive = [Fraction(int(v), count * denom) > lam for v in numer.ravel()]
                 assert (ranks > i).ravel().tolist() == naive, (count, denom, lam)
+            one = exceed_ranks(numer, count, denom, [lam])
+            assert one.dtype == np.int16 and one.shape == numer.shape
+            assert np.array_equal(one, ranks > i), (count, denom, lam)
     assert exceed_ranks(cells, 1, None, []).tolist() == [0] * len(cells)
+    assert exceed_ranks(cells, 1, None, [-1e308])[np.isnan(cells)].tolist() == [0]
     # a strided array of more entries than one searchsorted slab
     big = np.random.default_rng(5).integers(-50, 50, size=(3, 24000))[:, ::2]
     lams = [Fraction(k, 3) for k in range(-160, 160, 7)]

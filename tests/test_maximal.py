@@ -29,15 +29,18 @@ from jnplus import (
     maximal_function,
     offset_positive_part,
     root_cube,
+    scale_values,
     subcubes,
     volume,
     weak_type_check,
 )
+from jnplus._blocks import block_count, root_box
 from jnplus.cubes import parent, volume_sum
-from jnplus.maximal import positive_part_field
+from jnplus.maximal import positive_part_field, stopping_ranks
 from jnplus.reports import CubeRows
 
 from helpers import (
+    boolean_stopping_levels,
     corpus_grids,
     naive_average,
     naive_cz,
@@ -254,6 +257,58 @@ def test_decomposition_matches_naive_reference_off_origin_and_n3():
     assert counts[0] >= 90 and counts[1] >= 20
 
 
+def _forward_mean_lambdas(f, root) -> list:
+    """An ascending lam list with repeats: a spread of the exact forward
+    block means of ``root``'s subcubes (ties), the midpoints between them,
+    one lam below them all, and every third mean again."""
+    means = set()
+    for k in range(root.level, f.L + 1):
+        fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
+        means.update(f.ratio(v, block_count(f, k)) for v in np.unique(fwd).tolist())
+    means = sorted(means)
+    on = means[:: max(1, len(means) // 12)] + means[-1:]
+    mids = [(a + b) / 2 for a, b in zip(on, on[1:])]
+    return sorted(on + mids + on[::3] + [on[0] - 1])
+
+
+def _ranks_match_masks(f, root, lams, at) -> int:
+    """(A <= i) & (i < e) of stopping_ranks over ``lams`` equals the boolean
+    sweep's mask at lams[i], for each level and each i of ``at``; returns
+    the number of stopping cubes checked."""
+    levels = list(stopping_ranks(f, root, lams))
+    assert [k for k, _, _ in levels] == list(range(root.level, f.L + 1))
+    cubes = 0
+    for i in at:
+        want = boolean_stopping_levels(f, root, lams[i])
+        for (k, A, e), (_, mask) in zip(levels, want):
+            assert np.array_equal((A <= i) & (i < e), mask), (f.n, f.L, root, k, i)
+            cubes += int(mask.sum())
+    return cubes
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_stopping_ranks_match_boolean_sweep(mode):
+    """The one stopping rule against a boolean covering sweep per lam: on
+    every corpus grid at Q0 and at a level-1 root off the origin, on an
+    n=3 grid, and on one list of 2^15 lams (intp ranks) at sampled indices."""
+    kind = "f64" if mode == "f64" else "fixed"
+    n3 = gen(GeneratorSpec("uniform-random", 3, 2, seed=4, mode=kind, denom=64))
+    grids = list(corpus_grids(mode)) + [scale_values(n3, 1 << 56) if mode == "big" else n3]
+    cubes = 0
+    for f in grids:
+        for root in [root_cube(f.n)] + ([DyadicCube(1, (1,) * (f.n - 1), 1)] if f.L else []):
+            lams = _forward_mean_lambdas(f, root)
+            cubes += _ranks_match_masks(f, root, lams, range(len(lams)))
+    assert cubes >= 5000
+    f = next(g for g in grids if g.n == 2 and g.L == 3)
+    root = root_cube(2)
+    lams = _forward_mean_lambdas(f, root)
+    lams = sorted(lams * ((1 << 15) // len(lams) + 1))
+    assert next(stopping_ranks(f, root, lams))[2].dtype == np.intp
+    at = set(np.random.default_rng(3).integers(0, len(lams), 40).tolist()) | {0, len(lams) - 1}
+    assert _ranks_match_masks(f, root, lams, at) > 0
+
+
 @pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
 def test_p1_p2_match_per_cube_means_on_corpus(mode):
     """check_p1 and check_p2 read block sums per level; their fields equal
@@ -332,6 +387,22 @@ def test_weak_type_rejects_nonpositive_lambda():
     f = bundled_example()
     with pytest.raises(InvalidParamsError):
         weak_type_check(f, None, Fraction(0))
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 10**400), Fraction(10**400)])
+def test_weak_type_names_a_threshold_outside_the_float_range(lam):
+    """Its bound 2*integral/lam, or lam itself, has no float: a named error."""
+    with pytest.raises(InvalidParamsError, match="outside the float range"):
+        weak_type_check(bundled_example(), None, lam)
+
+
+def test_check_p2_names_a_threshold_past_the_float_range():
+    """The stopping family exists, but the bound 2^n*lam has no float."""
+    f = bundled_example()
+    dec = cz_decompose(f, None, Fraction(10**400))
+    assert len(dec.stopping) == 0
+    with pytest.raises(InvalidParamsError, match="outside the float range"):
+        check_p2(f, None, dec)
 
 
 def test_weak_type_names_an_overflowing_f64_integral():
