@@ -79,8 +79,10 @@ def _parse_lambdas(text: str, f: GridFunction):
     for tok in text.split(","):
         try:
             out.append(f.scalar(Fraction(tok)))
-        except (ValueError, ZeroDivisionError, OverflowError):
+        except (ValueError, ZeroDivisionError):
             raise InvalidParamsError(f"bad --lambda value {tok!r}") from None
+        except InvalidParamsError:  # no float on an f64 grid
+            raise InvalidParamsError(f"--lambda {tok!r} lies outside the float range") from None
     return out
 
 

@@ -18,12 +18,13 @@ This module owns the mode decision for the rest of the package:
   compare on float64 cells; every superlevel set, stopping condition
   and distribution set goes through it.  :func:`exceed_ranks` decides
   it for a whole ascending list of lam in one pass with the same cuts,
-  :func:`counts_above` counts those ranks per lam, and
-  :func:`count_exceeding` counts a list of lam in any order.
+  and :func:`counts_above` counts those ranks per lam.
 * :meth:`GridFunction.scalar` lifts a threshold or constant to the
   mode's scalar (Fraction or float), :meth:`GridFunction.threshold`
   lifts a threshold that the reports must hold as a float too, and
   :meth:`GridFunction.ratio` turns a sum of cell entries into a value.
+  A threshold whose float is infinite, or 0 while it is not, is refused
+  (:func:`_in_float_range`) by ``scalar`` in f64 mode, by ``threshold`` in both.
 
 Fixed-mode arrays have one of two dtypes, and :func:`exact` alone picks
 it: int64 while :func:`int64_fits` proves that the largest magnitude a
@@ -61,7 +62,6 @@ __all__ = [
     "exceeds",
     "exceed_ranks",
     "counts_above",
-    "count_exceeding",
     "is_grid_size",
     "exact",
     "GridFunction",
@@ -131,12 +131,11 @@ def exceed_ranks(numer: np.ndarray, count: int, denom: int | None, lams) -> np.n
     with rank r exceeds lams[i] (as :func:`exceeds` decides it) exactly
     when i < r.  Equal lams may repeat.  The ranks come in an array of
     numer's shape (at least one axis), int16 while there are fewer than
-    2^15 lams.  One lam is decided by one compare, as :func:`exceeds` does.
+    2^15 lams.  One lam is decided by :func:`exceeds` alone.
     """
-    cuts = _cuts(numer, count, denom, lams)
-    if len(cuts) == 1:
-        return (numer > cuts[0]).astype(np.int16)  # nan exceeds nothing
-    cuts = np.array(cuts, dtype=numer.dtype)
+    if len(lams) == 1:
+        return exceeds(numer, count, denom, lams[0]).astype(np.int16)
+    cuts = np.array(_cuts(numer, count, denom, lams), dtype=numer.dtype)
     ranks = np.empty(numer.shape, dtype=np.int16 if len(cuts) < 1 << 15 else np.intp)
     # the number of cuts strictly below each entry, a slab of rows at a
     # time: searchsorted makes an intp array and a contiguous copy of a
@@ -158,18 +157,17 @@ def counts_above(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.cumsum(np.bincount(ranks.ravel(), minlength=m + 1)[:0:-1])[::-1]
 
 
-def count_exceeding(numer: np.ndarray, count: int, denom: int | None, lams) -> list[int]:
-    """Per lam of ``lams`` (any order), the number of cells where :func:`exceeds` holds.
-
-    One :func:`exceed_ranks` pass over the cells for all of ``lams``, in
-    ascending order, counted by :func:`counts_above`.  The cells
-    themselves are not sorted.
-    """
-    lams = list(lams)
-    order = sorted(range(len(lams)), key=lams.__getitem__)
-    ranks = exceed_ranks(numer, count, denom, [lams[i] for i in order])
-    counts = dict(zip(order, counts_above(ranks, len(lams)).tolist()))
-    return [counts[i] for i in range(len(lams))]
+def _in_float_range(lam, lift):
+    """``lift(lam)``, refused (InvalidParamsError, naming lam) when its float
+    is infinite, or 0 while lam is not: the one float-range rule for thresholds."""
+    try:
+        lam_n = lift(lam)
+        x = float(lam_n)
+    except OverflowError:
+        x = math.inf
+    if math.isinf(x) or (x == 0 and lam != 0):
+        raise InvalidParamsError(f"threshold {lam} lies outside the float range")
+    return lam_n
 
 
 def is_grid_size(n: int, L: int, size: int) -> bool:
@@ -303,20 +301,12 @@ class GridFunction:
     # -- exact/float scalar helpers --------------------------------------
 
     def scalar(self, x):
-        """``x`` as this grid's scalar: a Fraction in fixed mode, a float in f64."""
-        return Fraction(x) if self.is_fixed else float(x)
+        """``x`` as this grid's scalar: a Fraction in fixed mode, an in-range float in f64."""
+        return Fraction(x) if self.is_fixed else _in_float_range(x, float)
 
     def threshold(self, lam):
-        """:meth:`scalar` of ``lam``, refused (InvalidParamsError, naming lam)
-        when its float is infinite, or 0 while lam is not."""
-        try:
-            lam_n = self.scalar(lam)
-            x = float(lam_n)
-        except OverflowError:
-            x = math.inf
-        if math.isinf(x) or (x == 0 and lam != 0):
-            raise InvalidParamsError(f"threshold {lam} lies outside the float range")
-        return lam_n
+        """:meth:`scalar` of ``lam``, refused outside the float range in fixed mode too."""
+        return _in_float_range(lam, self.scalar)
 
     def ratio(self, numer, count: int):
         """Value of (sum of cell entries)/count as Fraction or float."""

@@ -43,6 +43,7 @@ from ._blocks import block_count, box_origin, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward
 from .errors import InvalidParamsError, NegativeInputError
 from .grid import GridFunction, average, exceed_ranks, exceeds, resolve_root, union_sum
+from .grid import _in_float_range
 from .reports import CubeRows, VerificationReport
 
 __all__ = [
@@ -79,6 +80,9 @@ class MaximalField:
     values: np.ndarray = field(repr=False)
 
     def superlevel_mask(self, lam) -> np.ndarray:
+        """Cells with value > lam; an f64 field refuses a lam outside the float range."""
+        if self.mode == "f64":
+            lam = _in_float_range(lam, float)
         return exceeds(self.values, 1, self.denom_scale, lam)
 
     def superlevel_measure(self, lam) -> Fraction:

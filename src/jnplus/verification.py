@@ -44,7 +44,7 @@ context, so a sweep over many lam recomputes none of it.
   set by the augmented maximal variant; records empirical constants for
   both variants.  It counts |E(lam)|, the augmented measure and the
   distribution measure of every lam in one pass over each array
-  (``grid.count_exceeding``).
+  (``grid.exceed_ranks`` on the ascending list of ``_lambda_list``).
 
 Measures are exact rationals in fixed mode.  The final inequality of
 the lemma and the theorem bound involve p-th roots and the iterated
@@ -69,7 +69,6 @@ from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
     average,
-    count_exceeding,
     counts_above,
     exceed_ranks,
     offset_positive_part,
@@ -192,21 +191,26 @@ def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
     decided for all of them at once, on the ascending list (see
     :func:`_decay_steps`).
     """
-    lamNs = _lambda_list(ctx, lambdas)
-    order = sorted(range(len(lamNs)), key=lamNs.__getitem__)
-    reports = dict(zip(order, _decay_steps(ctx, [lamNs[i] for i in order])))
-    return [reports[i] for i in range(len(lamNs))]
+    lams, at = _lambda_list(ctx, lambdas)
+    return _in_caller_order(_decay_steps(ctx, lams), at)
 
 
-def _lambda_list(ctx: LemmaContext, lambdas) -> list:
+def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[list, list[int]]:
     """The lams of a sweep or theorem run (default ``default_lambda_grid(ctx)``),
-    lifted by :meth:`GridFunction.threshold`; each must be positive."""
+    lifted by :meth:`GridFunction.threshold`; each must be positive.  The one owner
+    of lam order: ascending, repeats kept, with each one's position in the caller's list."""
     if lambdas is None:
         lambdas = default_lambda_grid(ctx)
     lamNs = [ctx.f.threshold(lam) for lam in lambdas]
     if not all(lamN > 0 for lamN in lamNs):
         raise InvalidParamsError("lambda must be positive")
-    return lamNs
+    at = sorted(range(len(lamNs)), key=lamNs.__getitem__)
+    return [lamNs[i] for i in at], at
+
+
+def _in_caller_order(results: list, at: list[int]) -> list:
+    """Per-lam results of :func:`_lambda_list`'s ascending lams, at their positions ``at``."""
+    return [r for _, r in sorted(zip(at, results), key=lambda pair: pair[0])]
 
 
 def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
@@ -254,7 +258,7 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
     field, scale = ctx.field.values, ctx.field.denom_scale
     eE = exceed_ranks(field, 1, scale, lams)
     E_counts = counts_above(eE, m).tolist()
-    B_counts = count_exceeding(field, 1, scale, blams)
+    B_counts = counts_above(exceed_ranks(field, 1, scale, blams), m).tolist()
     # admissible: not (g_fwd_avg > b*lam), a suffix as b*lam grows
     i0 = bisect_left(blams, ctx.g_fwd_avg)
 
@@ -480,58 +484,57 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     Per lambda the record holds |E_grid|, |E_aug|, the distribution
     measure, the measure bound C*K^p/lam^p, and its pass flag (1e-9
     relative tolerance; C and the p-th powers are floats).  The
-    distribution <= |E_aug| comparison is exact.
+    distribution <= |E_aug| comparison is exact: both are cell counts.
     """
     f, params, root, K, g, lam0 = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g, ctx.lam0
     field_g, field_a = ctx.field, maximal_function(g, root, "augmented")
-    lamNs = _lambda_list(ctx, lambdas)
+    lams, at = _lambda_list(ctx, lambdas)
+    m, cells = len(lams), 1 << (f.L * f.n)
     C = proof_constant(f.n, params.p, params.b)
     Kp = float(K.weight) if K.exact else K.value ** float(params.p)
 
-    def measures(numer: np.ndarray, denom: int | None) -> list[Fraction]:
+    def counts(numer: np.ndarray, denom: int | None) -> list[int]:
         # every lambda's superlevel count of one array in one pass
-        return [Fraction(c, 1 << (f.L * f.n)) for c in count_exceeding(numer, 1, denom, lamNs)]
+        return counts_above(exceed_ranks(numer, 1, denom, lams), m).tolist()
 
     # g is (f - mean(f over root++))^+, so on the root it holds the
     # distribution set of every lambda > 0
     columns = zip(
-        lamNs,
-        measures(field_g.values, field_g.denom_scale),
-        measures(field_a.values, field_a.denom_scale),
-        measures(g.region(root), g.denom),
+        lams,
+        counts(field_g.values, field_g.denom_scale),
+        counts(field_a.values, field_a.denom_scale),
+        counts(g.region(root), g.denom),
     )
     records: list[dict] = []
     passed_p9 = True
     passed_dist = True
     emp_grid = 0.0
     emp_aug = 0.0
-    for lamN, Eg, Ea, dist in columns:
+    for lamN, cG, cA, cD in columns:
         # lam^p is inf past the float range (bound 0) and 0 below it (bound inf)
         lam_p = _float_pow(lamN, params.p)
         bound = math.inf if lam_p == 0.0 else C * Kp / lam_p
-        ok = float(Eg) <= bound * (1.0 + _REL_TOL)
-        dist_ok = dist <= Ea  # exact rationals in both modes
+        ok = cG / cells <= bound * (1.0 + _REL_TOL)
+        dist_ok = cD <= cA
         passed_p9 &= ok
         passed_dist &= dist_ok
-        if Kp > 0.0:
-            emp_grid = max(emp_grid, lam_p * float(Eg) / Kp)
-            emp_aug = max(emp_aug, lam_p * float(Ea) / Kp)
-        else:
-            if float(Eg) > 0.0:
-                emp_grid = math.inf
-            if float(Ea) > 0.0:
-                emp_aug = math.inf
+        # an empty set adds 0, also where lam^p is inf; a nonempty one with K = 0 adds inf
+        if cG:
+            emp_grid = max(emp_grid, lam_p * (cG / cells) / Kp if Kp > 0.0 else math.inf)
+        if cA:
+            emp_aug = max(emp_aug, lam_p * (cA / cells) / Kp if Kp > 0.0 else math.inf)
         records.append(
             {
                 "lambda": lamN,
-                "E-grid": Eg,
-                "E-aug": Ea,
-                "dist": dist,
+                "E-grid": Fraction(cG, cells),
+                "E-aug": Fraction(cA, cells),
+                "dist": Fraction(cD, cells),
                 "bound": bound,
                 "pass": bool(ok and dist_ok),
                 "branch": "iteration" if float(lamN) > lam0 else "trivial",
             }
         )
+    records = _in_caller_order(records, at)
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
     V = volume(root)

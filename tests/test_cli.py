@@ -311,6 +311,33 @@ def test_exit_2_names_a_lambda_outside_the_float_range(tmp_path, capsys, command
     assert str(Fraction(lam)) in stderr
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("decompose",),
+        ("verify", "good-lambda", "--p", "2", "--b", "1/8"),
+        ("verify", "theorem", "--p", "2", "--b", "1/8"),
+    ],
+)
+def test_exit_2_names_an_f64_lambda_outside_the_float_range(tmp_path, capsys, command):
+    """On an f64 grid 1e-400 has no float: the token is named, not decided
+    at 0.0 (decompose) or reported as a nonpositive lambda (verify)."""
+    path = _uniform_grid(capsys, tmp_path, "f64")
+    code, stdout, stderr = run(capsys, *command, "--input", path, "--lambda", "1e-400")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and "outside the float range" in stderr
+    assert "'1e-400'" in stderr
+
+
+def test_decompose_fixed_grid_is_exact_below_the_float_range(tmp_path, capsys):
+    """A fixed grid decides lam = 1e-400 exactly; only f64 refuses it."""
+    path = _uniform_grid(capsys, tmp_path)
+    code, stdout, _ = run(capsys, "decompose", "--input", path, "--lambda", "1e-400")
+    assert code == 0
+    (dec,) = json.loads(stdout)["decompositions"]
+    assert dec["lambda"] == {"decimal": "0.0", "exact": str(Fraction(1, 10**400))}
+
+
 @pytest.mark.parametrize("mode", ["fixed:16", "f64"])
 def test_theorem_lambda_power_past_float_range_bounds_by_0(tmp_path, capsys, mode):
     """lam^p past the float range is inf, so the measure bound C*K^p/lam^p is 0."""

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from jnplus import (
     DyadicCube,
+    antichain_oracle,
     GeneratorSpec,
     GridFormatError,
     GridFunction,
@@ -18,6 +19,9 @@ from jnplus import (
     distribution_measure,
     forward,
     gen,
+    jnp_classical_dyadic,
+    jnp_plus_dyadic,
+    maximal_function,
     offset_positive_part,
     pos_part_average,
     refine,
@@ -26,8 +30,9 @@ from jnplus import (
     shift_values,
     subcubes,
 )
-from jnplus._blocks import absdev_sums
-from jnplus.grid import count_exceeding, exact, exceed_ranks, exceeds, union_sum
+from jnplus._blocks import absdev_sums, clamped_sums
+from jnplus.grid import counts_above, exact, exceed_ranks, exceeds, union_sum
+from jnplus.maximal import positive_part_field
 
 from helpers import (
     cell_value,
@@ -230,13 +235,18 @@ def test_exceeds_is_value_over_scale_above_lambda():
             assert exceeds(cells, count, None, lam).tolist() == want, (count, lam)
 
 
-def test_count_exceeding_matches_exceeds_at_int64_boundary():
-    """Each of count_exceeding's counts is exceeds(...).sum() at that lam,
-    on int64, object and float64 cells, for unsorted lists with duplicates
-    of lams on and between the values and with lam * scale just below and
-    at 2^62, in [2^63, 2^64) and past 2^64.  Without the 2^62 clamp the
-    int64 cuts would not fit an int64 array (numpy makes [2^63 + 5] a
-    uint64 one, and compares it with int64 cells in float64)."""
+def _counts(numer, count, denom, lams) -> list[int]:
+    """Per lam of the ascending ``lams``, the entries that exceed it, from their ranks."""
+    return counts_above(exceed_ranks(numer, count, denom, lams), len(lams)).tolist()
+
+
+def test_counts_above_match_exceeds_at_int64_boundary():
+    """Each count of counts_above(exceed_ranks(...)) is exceeds(...).sum()
+    at that lam, on int64, object and float64 cells, for ascending lists
+    with duplicates of lams on and between the values and with lam * scale
+    just below and at 2^62, in [2^63, 2^64) and past 2^64.  Without the
+    2^62 clamp the int64 cuts would not fit an int64 array (numpy makes
+    [2^63 + 5] a uint64 one, and compares it with int64 cells in float64)."""
     top = (1 << 62) - 1
     ints = [-top, -(top - 1), -12, -1, 0, 1, 5, 6, top - 1, top]
     edges = [(1 << 62) - 2, (1 << 62) - 1, 1 << 62, (1 << 63) + 5, (1 << 64) - 1, (1 << 64) + 7]
@@ -254,8 +264,8 @@ def test_count_exceeding_matches_exceeds_at_int64_boundary():
             # one far cut with same-sign values: numpy would put unclamped
             # cuts in a float64 or uint64 array
             one_edge = [[lam] + [x for x in inner if (x >= 0) == (lam >= 0)] for lam in past]
-            for lams in [mixed] + one_edge:
-                got = count_exceeding(numer, count, denom, lams)
+            for lams in [sorted(mixed)] + [sorted(lams) for lams in one_edge]:
+                got = _counts(numer, count, denom, lams)
                 want = [int(exceeds(numer, count, denom, lam).sum()) for lam in lams]
                 assert got == want, scale
                 naive = [sum(Fraction(int(v), scale) > lam for v in numer.ravel()) for lam in lams]
@@ -264,10 +274,10 @@ def test_count_exceeding_matches_exceeds_at_int64_boundary():
     cells = np.array([-3.5, -0.25, 0.0, 0.75, 1.5, 2.0, 1e300])
     for count in (1, 8):
         on = sorted({v / count for v in cells.tolist()})
-        lams = [1e308, -1e308] + on[::-1] + _between(on) + on[::2]
-        got = count_exceeding(cells, count, None, lams)
+        lams = sorted([1e308, -1e308] + on[::-1] + _between(on) + on[::2])
+        got = _counts(cells, count, None, lams)
         assert got == [int(exceeds(cells, count, None, lam).sum()) for lam in lams], count
-    assert count_exceeding(cells, 1, None, []) == []
+    assert _counts(cells, 1, None, []) == []
 
 
 def test_exceed_ranks_match_exceeds_at_int64_boundary():
@@ -483,6 +493,60 @@ def test_int64_guard_boundary_from_both_sides(n, L):
                 assert f.values.dtype == want, (top, sign, type(given))
                 assert [int(v) for v in f.values.ravel().tolist()] == vals.tolist()
                 _assert_block_sums_naive(f)
+
+
+def _grids_at_the_guard(n, L):
+    """int64 grids whose cells are all +-(the guard limit - 1): Q0 above its
+    next two time blocks (so value*N - S of a forward reference reaches
+    2N times a cell), the reverse, a parity checkerboard and random signs."""
+    top = _guard_limit(n, L) - 1
+    side = 1 << L
+    idx = np.indices((side,) * (n - 1) + (3 * side,))
+    t = idx[-1] // side  # the level-0 time block of each cell
+    signs = [
+        np.where(t == 0, 1, -1),
+        np.where(t == 0, -1, 1),
+        np.where(idx.sum(axis=0) % 2 == 0, 1, -1),
+        np.random.default_rng(n * 100 + L).choice([-1, 1], size=t.shape),
+    ]
+    return [GridFunction(n, L, (s * top).astype(np.int64), "fixed", 3) for s in signs]
+
+
+@pytest.mark.parametrize("n,L", [(1, 2), (1, 3), (2, 2)])
+def test_multiply_and_clamp_ops_exact_at_the_guard(n, L):
+    """At cells of +-(the guard limit - 1) the grid keeps int64 cells, and
+    every op that forms value*N - S stays exact on them: the clamped and
+    absolute deviation sums against the cellwise references, the local
+    positive-part field against the full-grid offset's field, and the two
+    seminorm weights against the antichain oracle.  This pins the claim
+    that |value| * 2^{2Ln+3} bounds every scaled product."""
+    for f in _grids_at_the_guard(n, L):
+        assert f.values.dtype == np.int64
+        for k in range(L + 1):
+            N = 1 << ((L - k) * n)
+            for offset in (1, 2):
+                C = clamped_sums(f, k, offset)
+                for idx in np.ndindex(*C.shape):
+                    if idx[-1] + offset < 3 << k:
+                        c = DyadicCube(k, idx[:-1], idx[-1])
+                        want = naive_pos_part_average(f, "cube", c, forward(c, offset))
+                        assert Fraction(int(C[idx]), N * N * f.denom) == want, (k, offset, idx)
+            A = absdev_sums(f, k)
+            for idx in np.ndindex(*A.shape):
+                c = DyadicCube(k, idx[:-1], idx[-1])
+                want = naive_phi_classical(f, c, 1) * (1 << (k * n))
+                assert Fraction(int(A[idx]), N * N * f.denom) == want, (k, idx)
+        for c in subcubes(root_cube(n), L):
+            local = positive_part_field(f, c)
+            full = maximal_function(offset_positive_part(f, forward(c, 2)), c)
+            assert local.values.dtype == np.int64
+            cells = list(np.ndindex(*full.values.shape))
+            assert [local.value_at(i) for i in cells] == [full.value_at(i) for i in cells], c
+        for functional, dp in (
+            ("jnp-plus", jnp_plus_dyadic),
+            ("jnp-classical", jnp_classical_dyadic),
+        ):
+            assert dp(f, 2).weight == antichain_oracle(f, 2, functional=functional).weight
 
 
 def test_int64_extremes_and_unsigned_input():

@@ -24,6 +24,7 @@ from jnplus import (
     cz_decompose,
     default_lambda_grid,
     default_manifest,
+    distribution_measure,
     forward,
     gen,
     maximal_function,
@@ -403,6 +404,28 @@ def test_check_p2_names_a_threshold_past_the_float_range():
     assert len(dec.stopping) == 0
     with pytest.raises(InvalidParamsError, match="outside the float range"):
         check_p2(f, None, dec)
+
+
+_LAMBDA_ENTRY_POINTS = {
+    "cz_decompose": lambda f, lam: cz_decompose(f, None, lam),
+    "superlevel_mask": lambda f, lam: maximal_function(f).superlevel_mask(lam),
+    "superlevel_measure": lambda f, lam: maximal_function(f).superlevel_measure(lam),
+    "distribution_measure": lambda f, lam: distribution_measure(f, None, lam),
+}
+
+
+@pytest.mark.parametrize("lam", [Fraction(1, 10**400), Fraction(10**400)])
+@pytest.mark.parametrize("entry", sorted(_LAMBDA_ENTRY_POINTS))
+def test_f64_threshold_outside_the_float_range_is_named(entry, lam):
+    """On an f64 grid a lam whose float is 0 or infinite is refused by name,
+    not decided at 0.0 or ended in a bare OverflowError.  A fixed grid
+    decides the same lam exactly."""
+    call = _LAMBDA_ENTRY_POINTS[entry]
+    f64, fixed = (gen(GeneratorSpec("uniform-random", 1, 3, mode=m)) for m in ("f64", "fixed"))
+    with pytest.raises(InvalidParamsError, match="outside the float range") as err:
+        call(f64, lam)
+    assert str(lam) in str(err.value)
+    call(fixed, lam)
 
 
 def test_weak_type_names_an_overflowing_f64_integral():

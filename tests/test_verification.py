@@ -8,6 +8,7 @@ import pytest
 
 from jnplus import (
     DyadicCube,
+    GeneratorSpec,
     GridFunction,
     InvalidExponentError,
     InvalidParamsError,
@@ -17,6 +18,7 @@ from jnplus import (
     default_lambda_grid,
     distribution_measure,
     forward,
+    gen,
     good_lambda_check,
     jnp_plus_dyadic,
     lemma_params,
@@ -324,6 +326,57 @@ def test_theorem_counts_match_one_lambda_functions(mode):
             assert rec["dist"] == distribution_measure(f, ctx.root, lam), lam
             records += 1
     assert records >= 500
+
+
+def _assert_theorem_order_free(ctx, lams, rng) -> int:
+    """theorem_check on descending, shuffled and shuffled-with-repeats lists
+    gives, in canonical JSON, the ascending run's record at every lambda
+    and the same summary; neither that run nor the default one holds a nan."""
+    def summary(run):
+        return canonical_json({k: v for k, v in run.to_json_dict().items() if k != "records"})
+
+    up = theorem_check(ctx, lams)
+    assert '"nan"' not in canonical_json(up) + canonical_json(theorem_check(ctx))
+    want = {rec["lambda"]: canonical_json(rec) for rec in up.records}
+    repeated = lams + lams[::3]
+    for order in (
+        lams[::-1],
+        [lams[i] for i in rng.permutation(len(lams))],
+        [repeated[i] for i in rng.permutation(len(repeated))],
+    ):
+        run = theorem_check(ctx, order)
+        assert [canonical_json(rec) for rec in run.records] == [want[lam] for lam in order]
+        assert summary(run) == summary(up)
+    return len(want)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "big"])
+def test_theorem_records_do_not_depend_on_lambda_order(mode):
+    """On every corpus grid (int64, float and big-integer cells) and on an
+    off-origin root, at default-grid lambdas, values of g's field and
+    midpoints between them."""
+    rng = np.random.default_rng(83)
+    checked = 0
+    for f in corpus_grids(mode):
+        ctx = LemmaContext(f, 2, Fraction(1, 1 << (f.n + 1)))
+        checked += _assert_theorem_order_free(ctx, _probe_lambdas(ctx, rng), rng)
+    f = random_fixed_grid(rng, 2, 4, denom=16)
+    ctx = LemmaContext(f, Fraction(3, 2), Fraction(1, 8), DyadicCube(1, (1,), 1))
+    assert _assert_theorem_order_free(ctx, _probe_lambdas(ctx, rng), rng) >= 12
+    assert checked >= 1000
+
+
+def test_theorem_empirical_constants_skip_an_empty_set_at_an_infinite_power():
+    """At lam = 10^200, lam^3 is inf and E(lam) is empty: it adds 0 to
+    both empirical constants (inf * 0 would be nan), in either order."""
+    f = gen(GeneratorSpec(kind="uniform-random", n=1, L=3, denom=16))
+    ctx = LemmaContext(f, 3, Fraction(1, 8))
+    for lam in (1, Fraction(1, 4)):
+        one = theorem_check(ctx, [lam])
+        for lams in ([10**200, lam], [lam, 10**200]):
+            run = theorem_check(ctx, lams)
+            assert (run.C_emp_grid, run.C_emp_aug) == (one.C_emp_grid, one.C_emp_aug)
+    assert one.C_emp_grid > 0 and one.C_emp_aug > 0
 
 
 def test_theorem_csv_shape():
