@@ -20,18 +20,7 @@ cells at resolution L.  It provides:
   and a command-line front end (:mod:`cli`).
 """
 
-from .cubes import (
-    CubeRelation,
-    DyadicCube,
-    children,
-    contains,
-    forward,
-    parent,
-    relation,
-    root_cube,
-    subcubes,
-    volume,
-)
+from .cubes import DyadicCube, children, forward, root_cube, volume
 from .errors import (
     GridFormatError,
     InstanceTooLargeError,
@@ -65,7 +54,6 @@ from .maximal import (
     weak_type_check,
 )
 from .seminorms import (
-    CubeFamily,
     SeminormResult,
     antichain_oracle,
     bmo_plus_dyadic,
@@ -94,15 +82,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # cubes
-    "CubeRelation",
     "DyadicCube",
     "children",
-    "contains",
     "forward",
-    "parent",
-    "relation",
     "root_cube",
-    "subcubes",
     "volume",
     # errors
     "JnplusError",
@@ -135,7 +118,6 @@ __all__ = [
     "check_p2",
     "weak_type_check",
     # seminorms
-    "CubeFamily",
     "SeminormResult",
     "phi_plus",
     "phi_classical",

@@ -15,26 +15,17 @@ on every axis, two valid cubes are always nested or disjoint.
 
 from __future__ import annotations
 
-import enum
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator
 
 from .errors import OutOfDomainError, RefinementBelowGridError
 
 __all__ = [
     "DyadicCube",
-    "CubeRelation",
     "root_cube",
     "forward",
     "children",
-    "parent",
-    "relation",
-    "contains",
     "volume",
-    "volume_sum",
-    "subcubes",
 ]
 
 
@@ -74,19 +65,8 @@ class DyadicCube:
         """True when the cube lies inside Q0 = [0,1)^n (not a translate)."""
         return self.time < (1 << self.level)
 
-    def time_interval(self) -> tuple[Fraction, Fraction]:
-        w = Fraction(1, 1 << self.level)
-        return (self.time * w, (self.time + 1) * w)
-
     def __repr__(self) -> str:  # compact, index-based
         return f"DyadicCube(level={self.level}, spatial={self.spatial}, time={self.time})"
-
-
-class CubeRelation(enum.Enum):
-    DISJOINT = "disjoint"
-    EQUAL = "equal"
-    A_CONTAINS_B = "a-contains-b"
-    B_CONTAINS_A = "b-contains-a"
 
 
 def root_cube(n: int) -> DyadicCube:
@@ -132,70 +112,5 @@ def children(cube: DyadicCube, max_level: int) -> list[DyadicCube]:
     return out
 
 
-def parent(cube: DyadicCube) -> DyadicCube:
-    """Tree parent inside Q0.  Defined only for non-root cubes of Q0."""
-    if cube.level == 0:
-        raise OutOfDomainError("level-0 cube has no parent")
-    if not cube.in_unit_cube:
-        raise OutOfDomainError("parent is defined only inside the unit cube")
-    return DyadicCube(
-        cube.level - 1, tuple(s // 2 for s in cube.spatial), cube.time // 2
-    )
-
-
-def _scaled_intervals(cube: DyadicCube, level: int) -> list[tuple[int, int]]:
-    # Integer endpoints of each axis interval at resolution 2^{-level}.
-    shift = level - cube.level
-    lo = [s << shift for s in cube.spatial] + [cube.time << shift]
-    return [(a, a + (1 << shift)) for a in lo]
-
-
-def relation(a: DyadicCube, b: DyadicCube) -> CubeRelation:
-    """Set relation between two half-open boxes; aligned boxes that meet are nested."""
-    if a.n != b.n:
-        raise OutOfDomainError(f"dimension mismatch: {a.n} vs {b.n}")
-    m = max(a.level, b.level)
-    ia, ib = _scaled_intervals(a, m), _scaled_intervals(b, m)
-    if any(ha <= lb or hb <= la for (la, ha), (lb, hb) in zip(ia, ib)):
-        return CubeRelation.DISJOINT
-    if a.level == b.level:
-        return CubeRelation.EQUAL
-    return CubeRelation.A_CONTAINS_B if a.level < b.level else CubeRelation.B_CONTAINS_A
-
-
-def contains(outer: DyadicCube, inner: DyadicCube) -> bool:
-    """True when inner is a subset of outer (equality counts)."""
-    r = relation(outer, inner)
-    return r in (CubeRelation.EQUAL, CubeRelation.A_CONTAINS_B)
-
-
 def volume(cube: DyadicCube) -> Fraction:
     return Fraction(1, 1 << (cube.level * cube.n))
-
-
-def volume_sum(cubes: Iterable[DyadicCube]) -> Fraction:
-    """Summed volume of ``cubes``: m cubes of level k weigh m * 2^{-kn}.
-
-    Counts the cubes per level first, so it builds one Fraction per
-    level rather than one per cube.
-    """
-    counts = Counter((c.level, c.n) for c in cubes)
-    return sum((Fraction(m, 1 << (k * n)) for (k, n), m in counts.items()), Fraction(0))
-
-
-def subcubes(root: DyadicCube, max_level: int) -> Iterator[DyadicCube]:
-    """All dyadic subcubes of ``root`` down to ``max_level``, root included.
-
-    Yields level by level, index order within a level.
-    """
-    if root.level > max_level:
-        raise OutOfDomainError("root is below the grid resolution")
-    level_cubes = [root]
-    yield root
-    for _ in range(max_level - root.level):
-        nxt: list[DyadicCube] = []
-        for c in level_cubes:
-            nxt.extend(children(c, max_level))
-        nxt.sort()
-        yield from nxt
-        level_cubes = nxt

@@ -66,13 +66,12 @@ from ._blocks import (
     root_box,
     upsample,
 )
-from .cubes import DyadicCube, children, contains, forward, volume, volume_sum
+from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, average, pos_part_average, resolve_root
 from .reports import CubeRows, RatioRows
 
 __all__ = [
-    "CubeFamily",
     "SeminormResult",
     "phi_plus",
     "phi_classical",
@@ -142,59 +141,6 @@ def phi_classical(f: GridFunction, cube: DyadicCube, p):
         return float(volume(cube)) * _float_pow(dev, q)
     dev = float(np.abs(region - avg).sum()) / cells
     return float(volume(cube)) * _float_pow(dev, q)
-
-
-@dataclass
-class CubeFamily:
-    """A family of dyadic subcubes meant to be pairwise non-overlapping."""
-
-    cubes: list[DyadicCube]
-
-    def validate(self) -> None:
-        """Raise unless the cubes are pairwise non-overlapping.
-
-        Aligned dyadic cubes overlap only by nesting, so it suffices to
-        check that no cube has another family member as an ancestor —
-        one shifted-index lookup per (cube, coarser level) pair.
-        """
-        by_level: dict[int, set[tuple]] = {}
-        for c in self.cubes:
-            key = (c.spatial, c.time)
-            seen = by_level.setdefault(c.level, set())
-            if key in seen:
-                raise InvalidParamsError(f"duplicate cube {c!r} in family")
-            seen.add(key)
-        for c in self.cubes:
-            for lvl in by_level:
-                if lvl >= c.level:
-                    continue
-                sh = c.level - lvl
-                anc = (tuple(s >> sh for s in c.spatial), c.time >> sh)
-                if anc in by_level[lvl]:
-                    raise InvalidParamsError(
-                        f"overlapping cubes in family: {c!r} has an ancestor present"
-                    )
-
-    def total_volume(self) -> Fraction:
-        return volume_sum(self.cubes)
-
-    def is_partition_of(self, root: DyadicCube) -> bool:
-        """True when the family tiles ``root`` exactly."""
-        self.validate()
-        if not all(contains(root, c) for c in self.cubes):
-            return False
-        return self.total_volume() == volume(root)
-
-    def weight(self, f: GridFunction, p, variant: str = "plus"):
-        """Sum of per-cube weights (exact when the per-cube weights are)."""
-        if variant == "plus":
-            terms = [phi_plus(f, c, p) for c in self.cubes]
-        elif variant == "classical":
-            terms = [phi_classical(f, c, p) for c in self.cubes]
-        else:
-            raise InvalidParamsError(f"unknown weight variant {variant!r}")
-        zero = Fraction(0) if terms and isinstance(terms[0], Fraction) else 0.0
-        return sum(terms, zero)
 
 
 @dataclass

@@ -68,6 +68,7 @@ from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
+    _in_float_range,
     average,
     counts_above,
     exceed_ranks,
@@ -127,7 +128,7 @@ class LemmaParams:
 
 
 def lemma_params(n: int, p, b) -> LemmaParams:
-    """Validate p > 1 and 0 < b < 2^{-n}."""
+    """Validate p > 1 and 0 < b < 2^{-n}, with a nonzero float for b."""
     pF, _ = _norm_exponent(p)
     try:
         bF = Fraction(b)
@@ -135,6 +136,10 @@ def lemma_params(n: int, p, b) -> LemmaParams:
         raise InvalidParamsError(f"b {b!r} is not a number") from exc
     if not (0 < bF < Fraction(1, 1 << n)):
         raise InvalidParamsError(f"b must lie in (0, 2^-{n}), got {b!r}")
+    try:  # lam0 and the proof constant divide by float(b)
+        _in_float_range(bF, Fraction)
+    except InvalidParamsError:
+        raise InvalidParamsError("b lies outside the float range: its float is 0") from None
     return LemmaParams(int(n), pF, bF)
 
 
@@ -514,7 +519,8 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         # lam^p is inf past the float range (bound 0) and 0 below it (bound inf)
         lam_p = _float_pow(lamN, params.p)
         bound = math.inf if lam_p == 0.0 else C * Kp / lam_p
-        ok = cG / cells <= bound * (1.0 + _REL_TOL)
+        # an empty E(lam) meets any bound, also the nan of inf/inf
+        ok = cG == 0 or cG / cells <= bound * (1.0 + _REL_TOL)
         dist_ok = cD <= cA
         passed_p9 &= ok
         passed_dist &= dist_ok

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -44,21 +45,41 @@ def cell_value(f: GridFunction, idx: tuple[int, ...]) -> Fraction | float:
     return Fraction(int(v), f.denom) if f.is_fixed else float(v)
 
 
-def cells_of(f: GridFunction, cube: DyadicCube):
-    """Leaf-cell indices covered by a cube, as tuples."""
-    sh = f.L - cube.level
+def cells_of(cube: DyadicCube, L: int):
+    """Level-L cell indices covered by a cube, as tuples in index order."""
+    sh = L - cube.level
     sides = [range(c << sh, (c + 1) << sh) for c in cube.spatial]
     sides.append(range(cube.time << sh, (cube.time + 1) << sh))
     return itertools.product(*sides)
 
+
+def cube_cells(cube: DyadicCube, L: int) -> set[tuple[int, ...]]:
+    """Level-L cells covered by a cube, as a set of index tuples."""
+    return set(cells_of(cube, L))
+
+
+def covers_once(cubes, root: DyadicCube, L: int, *, partition: bool) -> bool:
+    """Cell-count check of a family of cubes against root's level-L cells.
+
+    True when every cube lies in root and no cell is covered twice (a
+    non-overlapping family; a repeated cube covers its cells twice);
+    with ``partition``, also when every cell of root is covered.
+    """
+    counts = Counter(cell for c in cubes for cell in cells_of(c, L))
+    inside = cube_cells(root, L)
+    if not counts.keys() <= inside or any(m > 1 for m in counts.values()):
+        return False
+    return not partition or len(counts) == len(inside)
+
+
 def naive_block_sum(f: GridFunction, cube: DyadicCube):
     """Sum of the raw cell entries inside a cube (Python ints in fixed mode)."""
     conv = int if f.is_fixed else float
-    return sum(conv(f.values[idx]) for idx in cells_of(f, cube))
+    return sum(conv(f.values[idx]) for idx in cells_of(cube, f.L))
 
 
 def naive_average(f: GridFunction, cube: DyadicCube):
-    vals = [cell_value(f, idx) for idx in cells_of(f, cube)]
+    vals = [cell_value(f, idx) for idx in cells_of(cube, f.L)]
     if f.is_fixed:
         return sum(vals, Fraction(0)) / len(vals)
     return sum(vals) / len(vals)
@@ -67,9 +88,9 @@ def naive_average(f: GridFunction, cube: DyadicCube):
 def naive_pos_part_average(f: GridFunction, domain, base: DyadicCube, ref: DyadicCube):
     """Mean of (f - mean(f over ref))^+ over base or base ∪ base+."""
     r = naive_average(f, ref)
-    idxs = list(cells_of(f, base))
+    idxs = list(cells_of(base, f.L))
     if domain == "union":
-        idxs += list(cells_of(f, forward(base)))
+        idxs += list(cells_of(forward(base), f.L))
     vals = [max(cell_value(f, i) - r, 0) for i in idxs]
     if f.is_fixed:
         return sum(vals, Fraction(0)) / len(vals)
@@ -79,7 +100,7 @@ def naive_pos_part_average(f: GridFunction, domain, base: DyadicCube, ref: Dyadi
 def naive_distribution_measure(f: GridFunction, root: DyadicCube, lam) -> Fraction:
     """|{x in root : f(x) - mean(f over root++) > lam}|, cell by cell."""
     r = naive_average(f, forward(root, 2))
-    count = sum(1 for idx in cells_of(f, root) if cell_value(f, idx) - r > lam)
+    count = sum(1 for idx in cells_of(root, f.L) if cell_value(f, idx) - r > lam)
     return Fraction(count, 1 << (f.L * f.n))
 
 
@@ -191,12 +212,13 @@ def naive_phi_plus(f: GridFunction, cube: DyadicCube, p: int) -> Fraction:
 
 def naive_phi_classical(f: GridFunction, cube: DyadicCube, p: int) -> Fraction:
     r = naive_average(f, cube)
-    vals = [abs(cell_value(f, i) - r) for i in cells_of(f, cube)]
+    vals = [abs(cell_value(f, i) - r) for i in cells_of(cube, f.L)]
     m = sum(vals, Fraction(0)) / len(vals)
     return Fraction(1, 1 << (cube.level * f.n)) * m**p
 
 
 def all_subcubes(root: DyadicCube, max_level: int):
+    """Every dyadic subcube of root down to max_level, root included (depth first)."""
     stack = [root]
     while stack:
         c = stack.pop()

@@ -22,7 +22,6 @@ from jnplus import cli
 # public methods of its classes; any name not listed here has none.
 # Exception and Enum classes take no parameters of their own and are skipped.
 OPTIONAL_PARAMS = {
-    "CubeFamily.weight": 1,
     "GeneratorSpec": 4,
     "GridFunction": 2,
     "LemmaContext": 1,

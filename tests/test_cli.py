@@ -312,6 +312,19 @@ def test_exit_2_names_a_lambda_outside_the_float_range(tmp_path, capsys, command
 
 
 @pytest.mark.parametrize(
+    "command", [("verify", "theorem"), ("verify", "good-lambda"), ("decompose", "--lambda", "auto")]
+)
+def test_exit_2_names_a_b_outside_the_float_range(tmp_path, capsys, command):
+    """b = 1e-400 lies in (0, 2^-n) but its float is 0, and lam0 and the
+    proof constant divide by it: an input error naming b, not a
+    ZeroDivisionError."""
+    path = _uniform_grid(capsys, tmp_path)
+    code, stdout, stderr = run(capsys, *command, "--input", path, "--p", "2", "--b", "1e-400")
+    assert code == 2 and stdout == ""
+    assert stderr == "error: b lies outside the float range: its float is 0\n"
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ("decompose",),
@@ -349,6 +362,21 @@ def test_theorem_lambda_power_past_float_range_bounds_by_0(tmp_path, capsys, mod
     assert code == 0
     (rec,) = json.loads(stdout)["records"]
     assert rec["bound"] == 0.0 and rec["E-grid"]["exact"] == "0" and rec["pass"]
+
+
+def test_theorem_empty_set_passes_a_nan_bound(tmp_path, capsys):
+    """K^p and lam^p both past the float range make the bound inf/inf = nan;
+    E(lam) is empty there, and an empty set meets any bound."""
+    path = tmp_path / "big.json"
+    doc = {"version": 1, "n": 1, "L": 1, "mode": "f64", "values": [1e300] + [0.0] * 5}
+    path.write_text(json.dumps(doc))
+    code, stdout, _ = run(
+        capsys, "verify", "theorem", "--input", str(path), "--p", "2", "--b", "1/8",
+        "--lambda", "1e200",
+    )
+    assert code == 0
+    (rec,) = json.loads(stdout)["records"]
+    assert rec["bound"] == "nan" and rec["E-grid"]["exact"] == "0" and rec["pass"]
 
 
 def test_theorem_lambda_power_under_float_range_bounds_by_inf(tmp_path, capsys):

@@ -15,9 +15,10 @@ from jnplus import (
     default_manifest,
     gen,
     root_cube,
-    subcubes,
 )
 from jnplus.corpus import MAX_CELLS
+
+from helpers import all_subcubes
 
 
 def test_determinism():
@@ -49,7 +50,7 @@ def test_martingale_means_telescope():
     spec = GeneratorSpec(kind="dyadic-martingale", n=2, L=3, seed=4)
     f = gen(spec)
     assert int(f.values.min()) >= 0
-    for c in subcubes(root_cube(2), f.L):
+    for c in all_subcubes(root_cube(2), f.L):
         if c.level < f.L:
             kids = children(c, f.L)
             mean_of_kids = sum((average(f, k) for k in kids), Fraction(0)) / len(kids)

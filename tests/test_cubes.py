@@ -1,32 +1,20 @@
-"""Dyadic cube geometry: translates, nesting, enumeration."""
+"""Dyadic cube geometry: translates, refinement, volume."""
 
-import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from jnplus import (
-    CubeRelation,
     DyadicCube,
     OutOfDomainError,
     children,
-    contains,
     forward,
-    parent,
-    relation,
     root_cube,
-    subcubes,
     volume,
 )
 
-
-def cube_cells(c: DyadicCube, L: int):
-    """Level-L cells covered by c, as index tuples."""
-    sh = L - c.level
-    sides = [range(s << sh, (s + 1) << sh) for s in c.spatial]
-    sides.append(range(c.time << sh, (c.time + 1) << sh))
-    return set(itertools.product(*sides))
+from helpers import cube_cells
 
 
 @st.composite
@@ -75,11 +63,8 @@ def test_forward_translate():
         forward(DyadicCube(0, (), 2))
 
 
-def test_time_interval():
-    c = DyadicCube(2, (), 5)
-    lo, hi = c.time_interval()
-    assert (lo, hi) == (Fraction(5, 4), Fraction(6, 4))
-    assert not c.in_unit_cube
+def test_in_unit_cube():
+    assert not DyadicCube(2, (), 5).in_unit_cube
     assert DyadicCube(2, (), 3).in_unit_cube
 
 
@@ -88,9 +73,10 @@ def test_children_parent_roundtrip():
     kids = children(c, 2)
     assert len(kids) == 4  # n = 2: 2 spatial halves x 2 time halves
     for kid in kids:
-        assert parent(kid) == c
-        assert contains(c, kid)
+        assert DyadicCube(kid.level - 1, tuple(s // 2 for s in kid.spatial), kid.time // 2) == c
+        assert cube_cells(kid, 2) <= cube_cells(c, 2)
         assert volume(kid) == volume(c) / 4
+    assert set().union(*(cube_cells(kid, 2) for kid in kids)) == cube_cells(c, 2)
 
 
 def test_children_below_grid_rejected():
@@ -101,47 +87,6 @@ def test_children_below_grid_rejected():
         children(c, 2)
 
 
-@given(cubes(), cubes())
-def test_relation_matches_cell_sets(a, b):
-    if a.n != b.n:
-        return
-    L = max(a.level, b.level)
-    ca, cb = cube_cells(a, L), cube_cells(b, L)
-    rel = relation(a, b)
-    if rel is CubeRelation.DISJOINT:
-        assert not (ca & cb)
-    elif rel is CubeRelation.EQUAL:
-        assert ca == cb
-    elif rel is CubeRelation.A_CONTAINS_B:
-        assert cb < ca
-    elif rel is CubeRelation.B_CONTAINS_A:
-        assert ca < cb
-    else:
-        # aligned dyadic boxes can never partially overlap
-        raise AssertionError(f"unexpected relation {rel}")
-
-
 @given(cubes())
 def test_volume_matches_cells(c):
     assert volume(c) == Fraction(len(cube_cells(c, 3)), (1 << 3) ** c.n)
-
-
-def test_subcubes_enumeration():
-    root = root_cube(2)
-    got = list(subcubes(root, 2))
-    # levels 0..2 inside the unit cube: 4^0 + 4^1 + 4^2
-    assert len(got) == 1 + 4 + 16
-    assert len(set(got)) == len(got)
-    for c in got:
-        assert contains(root, c)
-        assert c.in_unit_cube
-    levels = [c.level for c in got]
-    assert levels == sorted(levels)
-
-
-def test_subcubes_of_subcube():
-    base = DyadicCube(1, (), 1)
-    got = list(subcubes(base, 3))
-    assert len(got) == 1 + 2 + 4
-    for c in got:
-        assert contains(base, c)

@@ -28,13 +28,13 @@ from jnplus import (
     root_cube,
     scale_values,
     shift_values,
-    subcubes,
 )
 from jnplus._blocks import absdev_sums, clamped_sums
 from jnplus.grid import counts_above, exact, exceed_ranks, exceeds, union_sum
 from jnplus.maximal import positive_part_field
 
 from helpers import (
+    all_subcubes,
     cell_value,
     naive_average,
     naive_block_sum,
@@ -64,7 +64,7 @@ def fixed_grids(draw, max_n=2, max_L=2, denom=8):
 
 
 def grid_cubes(f):
-    return list(subcubes(root_cube(f.n), f.L))
+    return list(all_subcubes(root_cube(f.n), f.L))
 
 
 def test_construction_validation():
@@ -536,7 +536,7 @@ def test_multiply_and_clamp_ops_exact_at_the_guard(n, L):
                 c = DyadicCube(k, idx[:-1], idx[-1])
                 want = naive_phi_classical(f, c, 1) * (1 << (k * n))
                 assert Fraction(int(A[idx]), N * N * f.denom) == want, (k, idx)
-        for c in subcubes(root_cube(n), L):
+        for c in all_subcubes(root_cube(n), L):
             local = positive_part_field(f, c)
             full = maximal_function(offset_positive_part(f, forward(c, 2)), c)
             assert local.values.dtype == np.int64

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from jnplus import (
-    CubeFamily,
     DyadicCube,
     GeneratorSpec,
     GridFunction,
@@ -19,6 +18,7 @@ from jnplus import (
     bmo_plus_limit_form,
     bundled_example,
     default_manifest,
+    forward,
     gen,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
@@ -27,12 +27,12 @@ from jnplus import (
     root_cube,
     scale_values,
     shift_values,
-    volume,
 )
 from jnplus.reports import CubeRows, RatioRows
 from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
+    covers_once,
     naive_best_family,
     naive_phi_classical,
     naive_phi_plus,
@@ -121,9 +121,7 @@ def test_oracle_matches_dp(f):
 def test_witness_is_partition_and_achieves_weight(f):
     r = jnp_plus_dyadic(f, 2)
     cubes = r.witness.expand()
-    fam = CubeFamily(cubes)
-    fam.validate()
-    assert fam.is_partition_of(root_cube(f.n))
+    assert covers_once(cubes, root_cube(f.n), f.L, partition=True)
     direct = sum((phi_plus(f, c, 2) for c in cubes), Fraction(0))
     assert direct == r.weight
     assert r.witness_weights.expand() == [phi_plus(f, c, 2) for c in cubes]
@@ -207,23 +205,19 @@ def test_oracle_unknown_functional():
 
 
 def test_family_validation():
-    a = DyadicCube(1, (), 0)
-    b = DyadicCube(2, (), 1)  # nested inside a
-    fam = CubeFamily([a, b])
-    with pytest.raises(InvalidParamsError):
-        fam.validate()
-    ok = CubeFamily([a, DyadicCube(1, (), 1)])
-    ok.validate()
-    assert ok.total_volume() == 1
-    assert ok.is_partition_of(root_cube(1))
-    assert not CubeFamily([a]).is_partition_of(root_cube(1))
-
-
-def test_family_weight_matches_sum():
-    f = bundled_example()
-    fam = CubeFamily([DyadicCube(1, (), 0), DyadicCube(1, (), 1)])
-    w = fam.weight(f, 2)
-    assert w == phi_plus(f, DyadicCube(1, (), 0), 2) + phi_plus(f, DyadicCube(1, (), 1), 2)
+    """The cell-count check the witness tests use: overlap, a repeated
+    cube or a cube outside the root is rejected, and a partition covers
+    every cell of the root."""
+    root, L = root_cube(1), 3
+    a, half = DyadicCube(1, (), 0), DyadicCube(1, (), 1)
+    nested = DyadicCube(2, (), 1)  # inside a
+    for partition in (False, True):
+        assert not covers_once([a, nested], root, L, partition=partition)
+        assert not covers_once([a, a], root, L, partition=partition)
+        assert not covers_once([forward(half)], root, L, partition=partition)
+        assert covers_once([a, half], root, L, partition=partition)
+    assert covers_once([a], root, L, partition=False)
+    assert not covers_once([a], root, L, partition=True)
 
 
 def test_value_is_pth_root_of_weight():
@@ -291,12 +285,12 @@ def test_witness_is_row_views():
             cubes, weights = r.witness.expand(), r.witness_weights.expand()
             assert len(r.witness) == len(cubes) == len(weights)
             assert sum(weights, Fraction(0)) == r.weight
-            CubeFamily(cubes).validate()
+            assert covers_once(cubes, r.root, f.L, partition=False)
         for r in tree + oracle:
             phi = phi_plus if r.functional.startswith("jnp-plus") else phi_classical
             assert r.witness_weights.expand() == [phi(f, c, 2) for c in r.witness.expand()]
         for r in tree:
             assert len(r.witness) == r.details["witness-size"]
-            assert CubeFamily(r.witness.expand()).is_partition_of(r.root)
+            assert covers_once(r.witness.expand(), r.root, f.L, partition=True)
         for r in single:
             assert len(r.witness) == 1
