@@ -18,7 +18,9 @@ This module owns the mode decision for the rest of the package:
   compare on float64 cells; every superlevel set, stopping condition
   and distribution set goes through it.  :func:`exceed_ranks` decides
   it for a whole ascending list of lam in one pass with the same cuts,
-  and :func:`counts_above` counts those ranks per lam.
+  and :func:`counts_above` counts those ranks per lam.  A
+  :class:`Thresholds` list carries each lam's exact ratio, read once,
+  so the cuts of many arrays against one list read no lam again.
 * :meth:`GridFunction.scalar` lifts a threshold or constant to the
   mode's scalar (Fraction or float), :meth:`GridFunction.threshold`
   lifts a threshold that the reports must hold as a float too, and
@@ -60,6 +62,7 @@ from .errors import GridFormatError, InvalidParamsError, OutOfDomainError
 __all__ = [
     "int64_fits",
     "exceeds",
+    "Thresholds",
     "exceed_ranks",
     "counts_above",
     "is_grid_size",
@@ -94,21 +97,59 @@ def int64_fits(magnitude: int) -> bool:
     return int(magnitude).bit_length() <= _GUARD_BITS
 
 
+class Thresholds:
+    """An ascending list of thresholds with each one's exact ratio read once.
+
+    ``values`` holds the thresholds as given (a grid's scalars) and
+    ``ratios`` their (numerator, denominator) pairs, read from the values
+    unless the caller has them.  :func:`exceed_ranks` takes one in place
+    of a list, and then :func:`_cuts` reads the pairs on integer cells
+    instead of reading every threshold again.  A slice is again one.
+    """
+
+    def __init__(self, values, ratios: list[tuple[int, int]] | None = None) -> None:
+        self.values = values
+        if ratios is None:
+            fracs = (lam if isinstance(lam, Fraction) else Fraction(lam) for lam in values)
+            ratios = [lam.as_integer_ratio() for lam in fracs]
+        self.ratios = ratios
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Thresholds(self.values[i], self.ratios[i])
+        return self.values[i]
+
+    def floats(self) -> list[float]:
+        """Each threshold's float, from its ratio: rounded once, as float() rounds it."""
+        return [num / den for num, den in self.ratios]
+
+    def times(self, c) -> "Thresholds":
+        """c * each threshold, for a factor c of the values' kind (Fraction or float)."""
+        return Thresholds([c * lam for lam in self.values])
+
+
 def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
     """Per lam, the cut t with numer / (count * denom) > lam exactly when numer > t.
 
-    Integer numerators (int64 or object) get floor(lam*count*denom),
-    from each lam's numerator and denominator, read once.  int64 cells
-    stay below 2^62 (:func:`int64_fits`), so a cut past that is clamped
-    to +-2^62 and stays an int64.  Float64 cells (f64 mode, ``denom``
-    None) get lam * count, exact because ``count`` is a power of two.
-    The cut never decreases as lam grows.
+    Integer numerators (int64 or object) get floor(lam*count*denom) from
+    each lam's numerator and denominator, the ``ratios`` of a
+    :class:`Thresholds` (read here for any other list).  int64 cells stay below
+    2^62 (:func:`int64_fits`), so a cut past that is clamped to +-2^62
+    and stays an int64.  Float64 cells (f64 mode, ``denom`` None) get
+    lam * count, exact because ``count`` is a power of two.  The cut
+    never decreases as lam grows.
     """
     if numer.dtype.kind == "f":
         return [float(lam) * count for lam in lams]
     scale = count * denom
-    fracs = (lam if isinstance(lam, Fraction) else Fraction(lam) for lam in lams)
-    cuts = [num * scale // den for num, den in (lam.as_integer_ratio() for lam in fracs)]
+    ratios = (lams if isinstance(lams, Thresholds) else Thresholds(lams)).ratios
+    cuts = [num * scale // den for num, den in ratios]
     top = 1 << _GUARD_BITS
     if numer.dtype == np.int64 and cuts and (max(cuts) > top or min(cuts) < -top):
         cuts = [min(max(t, -top), top) for t in cuts]

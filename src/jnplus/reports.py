@@ -139,7 +139,9 @@ def canonical_json(obj: Any) -> str:
     of building the :func:`jsonify` tree and running json's pure-Python
     indenting encoder over it.  A frozen dataclass that the document
     holds more than once (one ``LemmaParams`` sits in every report of a
-    sweep) is rendered once per indent and its text reused.
+    sweep) is rendered once per indent and its text reused, and so is
+    the sorted key layout of dicts with the same str keys (every record
+    of a sweep).
     """
     parts: list[str] = []
     _write(obj, parts.append, "\n", {})
@@ -150,32 +152,65 @@ def canonical_json(obj: Any) -> str:
 _encode_str = json.encoder.encode_basestring_ascii
 
 
+def _float_text(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else f'"{x!r}"'
+
+
+def _ratio_text(num: int, den: int, exact: str, nl: str) -> str:
+    # scalar_json's {"decimal", "exact"} pair, laid out as _ratio_items writes it
+    ind = nl + "  "
+    return f'{{{ind}"decimal": "{_decimal(num, den)}",{ind}"exact": "{exact}"{nl}}}'
+
+
+def _fraction_text(x: Fraction, nl: str) -> str:
+    # a Fraction's str, from its numerator and denominator read in one call
+    num, den = x.as_integer_ratio()
+    return _ratio_text(num, den, f"{num}/{den}" if den != 1 else int.__repr__(num), nl)
+
+
+# the text of a value of exactly one of these types, at any indent
+_SCALAR_TEXT = {
+    str: _encode_str,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
 def _write(obj: Any, put, nl: str, memo: dict) -> None:
     """Append the JSON text of ``obj``; ``nl`` is a newline plus the current indent.
 
-    The branches follow :func:`jsonify`'s order and then json's rules for
-    what it returns; plain str and int come first, as they have no
-    ``to_json_dict``.  ``memo`` maps (id, nl) of a frozen dataclass to
-    the object and its text; holding the object keeps its id unique
-    while the document is written.
+    A dict, list, tuple, Fraction or JSON scalar of exactly that type is
+    written by its own branch.  Anything else (a subclass, a report
+    object, a row view) takes :func:`_write_other`.
     """
-    if obj is None:
-        put("null")
-    elif obj is True:
-        put("true")
-    elif obj is False:
-        put("false")
-    elif type(obj) is str:
-        put(_encode_str(obj))
-    elif type(obj) is int:
-        put(int.__repr__(obj))
-    elif isinstance(obj, Fraction):
-        # scalar_json's {"decimal", "exact"} pair, laid out as _ratio_items writes it
-        ind = nl + "  "
-        dec = _decimal(obj.numerator, obj.denominator)
-        put(f'{{{ind}"decimal": "{dec}",{ind}"exact": "{obj}"{nl}}}')
+    t = type(obj)
+    if t is dict:
+        _write_dict(obj, put, nl, memo)
+    elif t is Fraction:
+        put(_fraction_text(obj, nl))
+    elif t in _SCALAR_TEXT:
+        put(_SCALAR_TEXT[t](obj))
+    elif t is list or t is tuple:
+        _write_list(obj, put, nl, memo)
+    else:
+        _write_other(obj, put, nl, memo)
+
+
+def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
+    """:func:`_write` for any other type.
+
+    The branches follow :func:`jsonify`'s order and then json's rules for
+    what it returns; a subclass of a JSON type lands here, so its own
+    ``__str__`` or ``__repr__`` is used where jsonify uses it.  ``memo``
+    maps (id, nl) of a frozen dataclass to the object and its text;
+    holding the object keeps its id unique while the document is written.
+    """
+    if isinstance(obj, Fraction):
+        put(_ratio_text(obj.numerator, obj.denominator, str(obj), nl))
     elif isinstance(obj, float):
-        put(float.__repr__(obj) if math.isfinite(obj) else f'"{obj!r}"')
+        put(_float_text(obj))
     elif isinstance(obj, DyadicCube):
         _write_cube(obj, put, nl)
     elif isinstance(obj, CubeRows):
@@ -277,16 +312,45 @@ def _write_list(seq, put, nl: str, memo: dict) -> None:
     put(nl + "]")
 
 
+_STR_ONLY = frozenset([str])
+
+
 def _write_dict(d: dict, put, nl: str, memo: dict) -> None:
+    """Write a dict with keys sorted.
+
+    A dict whose keys are all exactly str looks its keys' sorted order
+    and texts up in ``memo`` by (insertion-order key tuple, nl), made
+    once per document and indent, and puts a scalar value in one piece
+    with its key.  Other keys go through str(), as :func:`jsonify` does.
+    """
     if not d:
         put("{}")
         return
     ind = nl + "  "
-    sep = "{" + ind
-    for k, v in sorted({str(k): v for k, v in d.items()}.items()):
-        put(f"{sep}{_encode_str(k)}: ")
-        _write(v, put, ind, memo)
-        sep = "," + ind
+    keys = tuple(d)
+    if not _STR_ONLY.issuperset(map(type, keys)):
+        sep = "{" + ind
+        for k, v in sorted({str(k): v for k, v in d.items()}.items()):
+            put(f"{sep}{_encode_str(k)}: ")
+            _write(v, put, ind, memo)
+            sep = "," + ind
+        put(nl + "}")
+        return
+    layout = memo.get((keys, nl))
+    if layout is None:
+        ordered = sorted(keys)
+        heads = [("," if i else "{") + ind + _encode_str(k) + ": " for i, k in enumerate(ordered)]
+        layout = memo[keys, nl] = list(zip(heads, ordered))
+    for head, k in layout:
+        v = d[k]
+        t = type(v)
+        if t in _SCALAR_TEXT:
+            put(head + _SCALAR_TEXT[t](v))
+        elif t is Fraction:
+            put(head + _fraction_text(v, ind))
+        else:
+            put(head)
+            _write(v, put, ind, memo)
     put(nl + "}")
 
 

@@ -68,6 +68,7 @@ from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
+    Thresholds,
     _in_float_range,
     average,
     counts_above,
@@ -200,22 +201,38 @@ def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
     return _in_caller_order(_decay_steps(ctx, lams), at)
 
 
-def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[list, list[int]]:
-    """The lams of a sweep or theorem run (default ``default_lambda_grid(ctx)``),
-    lifted by :meth:`GridFunction.threshold`; each must be positive.  The one owner
-    of lam order: ascending, repeats kept, with each one's position in the caller's list."""
+def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
+    """The lams of a sweep or theorem run, ascending and lifted once, and
+    each one's position in the caller's list: the one owner of lam order.
+
+    The default ``default_lambda_grid(ctx)`` is already distinct,
+    ascending and positive floats, so each lifts exactly by itself, its
+    largest alone can leave the float range (:meth:`GridFunction.threshold`),
+    and its positions are its own order.  A caller's lams are each
+    lifted by :meth:`GridFunction.threshold`, must be positive, and are
+    sorted, repeats kept.
+    """
+    f = ctx.f
     if lambdas is None:
-        lambdas = default_lambda_grid(ctx)
-    lamNs = [ctx.f.threshold(lam) for lam in lambdas]
+        grid = default_lambda_grid(ctx)
+        if grid:
+            f.threshold(grid[-1])
+        values = [Fraction(lam) for lam in grid] if f.is_fixed else grid
+        ratios = [lam.as_integer_ratio() for lam in grid]
+        return Thresholds(values, ratios), list(range(len(grid)))
+    lamNs = [f.threshold(lam) for lam in lambdas]
     if not all(lamN > 0 for lamN in lamNs):
         raise InvalidParamsError("lambda must be positive")
     at = sorted(range(len(lamNs)), key=lamNs.__getitem__)
-    return [lamNs[i] for i in at], at
+    return Thresholds([lamNs[i] for i in at]), at
 
 
 def _in_caller_order(results: list, at: list[int]) -> list:
     """Per-lam results of :func:`_lambda_list`'s ascending lams, at their positions ``at``."""
-    return [r for _, r in sorted(zip(at, results), key=lambda pair: pair[0])]
+    out = [None] * len(results)
+    for i, r in zip(at, results):
+        out[i] = r
+    return out
 
 
 def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
@@ -226,7 +243,7 @@ def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return counts_above(hi, m) - counts_above(np.minimum(lo, hi), m)
 
 
-def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
+def _decay_steps(ctx: LemmaContext, lams: Thresholds) -> list[VerificationReport]:
     """The decay-step reports at the ascending lams, decided on rank arrays.
 
     With m lams, ``grid.exceed_ranks`` turns each array into ranks r in
@@ -258,14 +275,14 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
     f, params, root, K, g = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g
     m, n = len(lams), f.n
     b = f.scalar(params.b)
-    blams = [b * lam for lam in lams]
+    blams = lams.times(b)
     cells = 1 << (f.L * n)
     field, scale = ctx.field.values, ctx.field.denom_scale
     eE = exceed_ranks(field, 1, scale, lams)
     E_counts = counts_above(eE, m).tolist()
     B_counts = counts_above(exceed_ranks(field, 1, scale, blams), m).tolist()
     # admissible: not (g_fwd_avg > b*lam), a suffix as b*lam grows
-    i0 = bisect_left(blams, ctx.g_fwd_avg)
+    i0 = bisect_left(blams.values, ctx.g_fwd_avg)
 
     # per lam index: stopping cubes, and cells where p6 or p8 fails
     stops, fail6, fail8 = (np.zeros(m, dtype=np.intp) for _ in range(3))
@@ -275,8 +292,8 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
         for _ in range(f.L - root.level):
             tops.append(blocked(tops[-1], 2).max(axis=in_block(n)))
         one_minus = 1 - (1 << n) * b
-        # p8's thresholds, at the admissible lams only
-        under = [None] * i0 + [one_minus * lam for lam in lams[i0:]]
+        # p8's thresholds, at the admissible lams i >= i0 only
+        under = lams[i0:].times(one_minus)
         for k, A, e in stopping_ranks(g, root, blams):
             stops += _held(A, e, m)
             lo, hi = np.maximum(A, i0), np.minimum(e, tops.pop())
@@ -288,7 +305,8 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
                 local_j = positive_part_field(f, cube)
                 sub = np.clip(eE[tuple(slice(i * w, (i + 1) * w) for i in row)], s, t)
                 r6 = exceed_ranks(local.values, 1, local.denom_scale, lams[s:t]) + s
-                r8 = exceed_ranks(local_j.values, 1, local_j.denom_scale, under[s:t]) + s
+                under_st = under[s - i0 : t - i0]
+                r8 = exceed_ranks(local_j.values, 1, local_j.denom_scale, under_st) + s
                 fail6 += _held(np.minimum(r6, sub), np.maximum(r6, sub), m)
                 fail8 += _held(r8, sub, m)
         # A and e of the leaf level: the cell's ancestors' and its own largest rank
@@ -307,11 +325,12 @@ def _decay_steps(ctx: LemmaContext, lams: list) -> list[VerificationReport]:
         lhs_scale, rhs_scale = wd**v, wn**v * cells**v
     aK, qinv = float(params.a) * K.value, 1.0 / float(params.q)
     reports = []
-    for i, (lamN, blam, cE, cB) in enumerate(zip(lams, blams, E_counts, B_counts)):
+    columns = zip(lams, lams.floats(), blams, E_counts, B_counts)
+    for i, (lamN, lam_f, blam, cE, cB) in enumerate(columns):
         E_lam, E_blam = Fraction(cE, cells), Fraction(cB, cells)
         # cE / cells is float(E_lam): both round the same rational once;
         # aK / lam may be inf, and an empty E(b*lam) bounds E(lam) by 0
-        rhs_float = aK / float(lamN) * (cB / cells) ** qinv if cB else 0.0
+        rhs_float = aK / lam_f * (cB / cells) ** qinv if cB else 0.0
         admissible = i >= i0
         if not admissible:
             main_ok = p6_ok = p8_ok = True
@@ -365,30 +384,38 @@ def proof_constant(n: int, p, b) -> float:
     with S_N = sum_{k=1}^{N} k q^{-(k-1)}.  The terms converge (S_N ->
     p^2), so the sup is a running max iterated until successive terms
     change by less than ``_SERIES_TOL`` relative, joined with the limit
-    term a^p * b^{-p^2}.
+    term a^p * b^{-p^2}.  A C past the float range (b tiny, or p large)
+    is an InvalidParamsError naming n, p and b.
     """
     params = lemma_params(n, p, b)
     pf = float(params.p)
     qf = float(params.q)
     af = float(params.a)
     bf = float(params.b)
-    small = (2.0 / bf) ** pf
-    qinv = 1.0 / qf
-    SN = 0.0
-    best = -math.inf
-    prev = None
-    for N in range(1, _SERIES_MAX_TERMS + 1):
-        SN += N * qinv ** (N - 1)
-        qN = qinv**N
-        term = af ** (pf - pf * qN) * bf ** (-SN + qN - (N + 2) * pf * qN) * 2.0 ** (
-            (1 + pf) * qN
+    try:
+        small = (2.0 / bf) ** pf
+        qinv = 1.0 / qf
+        SN = 0.0
+        best = -math.inf
+        prev = None
+        for N in range(1, _SERIES_MAX_TERMS + 1):
+            SN += N * qinv ** (N - 1)
+            qN = qinv**N
+            term = af ** (pf - pf * qN) * bf ** (-SN + qN - (N + 2) * pf * qN) * 2.0 ** (
+                (1 + pf) * qN
+            )
+            best = max(best, term)
+            if prev is not None and abs(term - prev) <= _SERIES_TOL * max(abs(term), 1.0):
+                break
+            prev = term
+        C = max(small, best, af**pf * bf ** (-pf * pf))
+    except OverflowError:
+        C = math.inf
+    if not math.isfinite(C):
+        raise InvalidParamsError(
+            f"the proof constant C(n={n}, p={params.p}, b={bf!r}) lies outside the float range"
         )
-        best = max(best, term)
-        if prev is not None and abs(term - prev) <= _SERIES_TOL * max(abs(term), 1.0):
-            break
-        prev = term
-    limit = af**pf * bf ** (-pf * pf)
-    return max(small, best, limit)
+    return C
 
 
 def default_lambda_grid(ctx: LemmaContext) -> list[float]:
@@ -396,6 +423,9 @@ def default_lambda_grid(ctx: LemmaContext) -> list[float]:
 
     ``_GRID_COUNT`` values from (max f - min f) * 2^{-10} up to max g + 1,
     plus the ladder points lambda0 and b^{-k} lambda0 for k = 1.._LADDER.
+    A b whose b^{-_LADDER} passes the float range is an InvalidParamsError
+    naming it; a ladder point that reaches inf stays in the list, where
+    :func:`_lambda_list` refuses it as a threshold.
     """
     f = ctx.f
     hi = float(ctx.g.max_value()) + 1.0
@@ -407,8 +437,15 @@ def default_lambda_grid(ctx: LemmaContext) -> list[float]:
     grid = list(np.logspace(math.log10(lo), math.log10(hi), _GRID_COUNT))
     lam0 = ctx.lam0
     if lam0 > 0.0:
+        bf = float(ctx.params.b)
+        try:
+            steps = [bf**-k for k in range(1, _LADDER + 1)]
+        except OverflowError:
+            raise InvalidParamsError(
+                f"b={bf!r} is too small: b^-{_LADDER} lies outside the float range"
+            ) from None
         grid.append(lam0)
-        grid.extend(lam0 * float(ctx.params.b) ** -k for k in range(1, _LADDER + 1))
+        grid.extend(lam0 * step for step in steps)
     return sorted({float(x) for x in grid if x > 0.0})
 
 
@@ -506,6 +543,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     # distribution set of every lambda > 0
     columns = zip(
         lams,
+        lams.floats(),
         counts(field_g.values, field_g.denom_scale),
         counts(field_a.values, field_a.denom_scale),
         counts(g.region(root), g.denom),
@@ -515,9 +553,9 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     passed_dist = True
     emp_grid = 0.0
     emp_aug = 0.0
-    for lamN, cG, cA, cD in columns:
+    for lamN, lam_f, cG, cA, cD in columns:
         # lam^p is inf past the float range (bound 0) and 0 below it (bound inf)
-        lam_p = _float_pow(lamN, params.p)
+        lam_p = _float_pow(lam_f, params.p)
         bound = math.inf if lam_p == 0.0 else C * Kp / lam_p
         # an empty E(lam) meets any bound, also the nan of inf/inf
         ok = cG == 0 or cG / cells <= bound * (1.0 + _REL_TOL)
@@ -537,7 +575,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
                 "dist": Fraction(cD, cells),
                 "bound": bound,
                 "pass": bool(ok and dist_ok),
-                "branch": "iteration" if float(lamN) > lam0 else "trivial",
+                "branch": "iteration" if lam_f > lam0 else "trivial",
             }
         )
     records = _in_caller_order(records, at)

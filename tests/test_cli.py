@@ -325,6 +325,48 @@ def test_exit_2_names_a_b_outside_the_float_range(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "theorem", "--b", "1e-40"),
+        ("verify", "good-lambda", "--b", "1e-40"),
+        ("decompose", "--lambda", "auto", "--b", "1e-40"),
+        ("verify", "theorem", "--b", "1e-300", "--lambda", "1"),
+    ],
+)
+def test_exit_2_names_a_tiny_b(tmp_path, capsys, argv):
+    """A b with a nonzero float can still overflow a float power: b^-8 of
+    the default lambda ladder at 1e-40, (2/b)^p of the proof constant at
+    1e-300.  Each is an input error naming b, not an OverflowError."""
+    path = _uniform_grid(capsys, tmp_path)
+    code, stdout, stderr = run(capsys, *argv, "--input", path, "--p", "2")
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and "outside the float range" in stderr
+    assert f"b={float(Fraction(argv[argv.index('--b') + 1]))!r}" in stderr
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"version": 1, "n": 1, "L": 1, "mode": "f64", "values": [1e300] + [0.0] * 5},
+        {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1, "values": [2**1000] + [0] * 5},
+    ],
+    ids=["f64", "big-integer"],
+)
+@pytest.mark.parametrize("command", ["good-lambda", "theorem"])
+def test_exit_2_names_a_default_lambda_past_the_float_range(tmp_path, capsys, doc, command):
+    """K near the top of the float range puts the default grid's ladder
+    points lambda0 * 8^k at inf: refused as a threshold, whether the grid
+    lifts lambdas to floats or to Fractions."""
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(
+        capsys, "verify", command, "--input", str(path), "--p", "2", "--b", "1/8"
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == "error: threshold inf lies outside the float range\n"
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ("decompose",),

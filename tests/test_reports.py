@@ -120,6 +120,15 @@ class _Tag(str):
     pass
 
 
+class _Renamed(str):
+    # jsonify writes a key as str(key)
+    def __str__(self):
+        return "renamed-" + str.__str__(self)
+
+
+_THIRD = Fraction(-7, 3)
+
+
 WRITER_CASES = [
     {},
     [],
@@ -154,6 +163,20 @@ WRITER_CASES = [
     VerificationReport("p6", math.inf, 0.5, False, True, False, details={"k": [1, 2]}),
     {"a": [_PARAMS, _PARAMS], "b": _PARAMS, "c": [{"d": _PARAMS}, [_PARAMS]]},
     [_Frozen(3), _Frozen(2), [_Frozen(3)], _Frozen(0), {"x": _Frozen(1)}],
+    # dicts of one key set share a sorted key layout per indent
+    {
+        "records": [{"lam": Fraction(k, 3), "pass": k % 2 == 0, "n": k} for k in range(3)],
+        "nested": [
+            [{"n": 9, "pass": False, "lam": Fraction(9)}],
+            {"n": -1, "lam": 0.5, "pass": None},
+        ],
+    },
+    [{"x": 1, "y": "a", "z": [1.5]}, {"z": [2.5], "y": "b", "x": 2}, {"y": "c", "x": 3, "z": []}],
+    [{"k": 1, "j": 2}, {_Tag("k"): 3, "j": 4}, {"k": 5, _Tag("j"): 6}],
+    [{"k": 1, "j": 2}, {_Renamed("k"): 3, "j": 4}, {"j": 5, _Renamed("k"): 6}],
+    [{1: "int key", "1": "str key"}, {"1": "str key", 1: "int key"}],
+    [{"v": v} for v in (1.5, np.float64(2.5), True, 1, np.float64(-np.inf), False, 0)],
+    {"a": _THIRD, "b": [_THIRD, {"c": _THIRD}], "d": {"e": [[_THIRD]]}},
 ]
 
 
