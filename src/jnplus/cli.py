@@ -38,7 +38,7 @@ from .errors import InvalidParamsError, JnplusError
 from .grid import GridFunction
 from .gridio import load_grid, open_for_write, save_grid
 from .maximal import cz_decompose, maximal_function
-from .reports import canonical_json, jsonify
+from .reports import canonical_json, scalar_json
 from .seminorms import (
     antichain_oracle,
     bmo_plus_dyadic,
@@ -157,7 +157,7 @@ def _cmd_maximal(args) -> int:
         "min": field.min_value(),
     }
     if args.out:
-        doc = jsonify(summary)
+        doc = {k: scalar_json(v) for k, v in summary.items()}
         doc["denom-scale"] = field.denom_scale
         doc["values"] = field.values.tolist()
         with open_for_write(args.out) as fh:

@@ -100,19 +100,16 @@ def int64_fits(magnitude: int) -> bool:
 class Thresholds:
     """An ascending list of thresholds with each one's exact ratio read once.
 
-    ``values`` holds the thresholds as given (a grid's scalars) and
-    ``ratios`` their (numerator, denominator) pairs, read from the values
-    unless the caller has them.  :func:`exceed_ranks` takes one in place
-    of a list, and then :func:`_cuts` reads the pairs on integer cells
-    instead of reading every threshold again.  A slice is again one.
+    ``values`` holds the thresholds as given (Fractions or floats) and
+    ``ratios`` each one's exact (numerator, denominator), read here.
+    :func:`exceed_ranks` takes one in place of a list, and then
+    :func:`_cuts` reads the pairs on integer cells instead of reading
+    every threshold again.  A slice is again one, built from its values.
     """
 
-    def __init__(self, values, ratios: list[tuple[int, int]] | None = None) -> None:
+    def __init__(self, values) -> None:
         self.values = values
-        if ratios is None:
-            fracs = (lam if isinstance(lam, Fraction) else Fraction(lam) for lam in values)
-            ratios = [lam.as_integer_ratio() for lam in fracs]
-        self.ratios = ratios
+        self.ratios = [lam.as_integer_ratio() for lam in values]
 
     def __len__(self) -> int:
         return len(self.values)
@@ -122,7 +119,7 @@ class Thresholds:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Thresholds(self.values[i], self.ratios[i])
+            return Thresholds(self.values[i])
         return self.values[i]
 
     def floats(self) -> list[float]:
@@ -139,17 +136,18 @@ def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
 
     Integer numerators (int64 or object) get floor(lam*count*denom) from
     each lam's numerator and denominator, the ``ratios`` of a
-    :class:`Thresholds` (read here for any other list).  int64 cells stay below
-    2^62 (:func:`int64_fits`), so a cut past that is clamped to +-2^62
-    and stays an int64.  Float64 cells (f64 mode, ``denom`` None) get
-    lam * count, exact because ``count`` is a power of two.  The cut
-    never decreases as lam grows.
+    :class:`Thresholds` (any other list is lifted through Fraction into
+    one).  int64 cells stay below 2^62 (:func:`int64_fits`), so a cut
+    past that is clamped to +-2^62 and stays an int64.  Float64 cells
+    (f64 mode, ``denom`` None) get lam * count, exact because ``count``
+    is a power of two.  The cut never decreases as lam grows.
     """
     if numer.dtype.kind == "f":
         return [float(lam) * count for lam in lams]
     scale = count * denom
-    ratios = (lams if isinstance(lams, Thresholds) else Thresholds(lams)).ratios
-    cuts = [num * scale // den for num, den in ratios]
+    if not isinstance(lams, Thresholds):
+        lams = Thresholds([Fraction(lam) for lam in lams])
+    cuts = [num * scale // den for num, den in lams.ratios]
     top = 1 << _GUARD_BITS
     if numer.dtype == np.int64 and cuts and (max(cuts) > top or min(cuts) < -top):
         cuts = [min(max(t, -top), top) for t in cuts]

@@ -264,9 +264,11 @@ def select_subfamily(
     in index order.  The translate of block t is block t+1, inside a box of
     twice the root's time extent.  A top-down sweep over that box keeps
     per block the position of the kept translate covering it; a translate
-    that none covers is kept (aligned boxes are nested or disjoint).
+    that none covers is kept and owns itself (aligned boxes are nested or
+    disjoint).  Positions run coarse to fine, so an owner comes before the
+    cubes it covers and one pass gives ``groups`` its keys and members ascending.
     """
-    owners: list[np.ndarray] = []
+    groups: dict[int, list[int]] = {}
     owner = None
     start = 0
     for _, emit in masks:
@@ -280,14 +282,10 @@ def select_subfamily(
         free = got < 0
         got[free] = np.arange(start, start + len(got))[free]
         fwd[emit] = got
-        owners.append(got)
+        for i, j in enumerate(got.tolist(), start):
+            groups.setdefault(j, []).append(i)
         start += len(got)
-    owner_of = np.concatenate(owners)
-    order = np.argsort(owner_of, kind="stable")
-    kept, first = np.unique(owner_of[order], return_index=True)
-    subfamily = kept.tolist()
-    groups = {j: ids.tolist() for j, ids in zip(subfamily, np.split(order, first[1:]))}
-    return subfamily, groups
+    return list(groups), groups
 
 
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:

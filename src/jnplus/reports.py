@@ -8,8 +8,8 @@ plain values; this module alone turns them into JSON.  Long lists of
 cubes and of rationals can come as :class:`CubeRows` and
 :class:`RatioRows`, per-level arrays that :func:`canonical_json` writes
 without making an object per item.  :func:`canonical_json` writes a
-whole document in one walk, and :func:`jsonify` builds the same
-plain-value tree (expanding the row views to lists) for compact dumps.
+whole document in one walk; :func:`scalar_json` maps one number to its
+JSON value, for a compact dump of a few scalars.
 Serialization is canonical (sorted keys, stable float repr, exact
 rational strings alongside decimals in fixed mode) so identical inputs
 produce byte-identical reports.
@@ -33,7 +33,6 @@ __all__ = [
     "CubeRows",
     "RatioRows",
     "scalar_json",
-    "jsonify",
     "canonical_json",
 ]
 
@@ -114,30 +113,12 @@ def scalar_json(x: Any) -> Any:
     return x
 
 
-def jsonify(obj: Any) -> Any:
-    """Recursively convert package and report objects to JSON-serializable values."""
-    if isinstance(obj, (Fraction, float)):
-        return scalar_json(obj)
-    if isinstance(obj, DyadicCube):
-        return {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
-    if isinstance(obj, (CubeRows, RatioRows)):
-        return jsonify(obj.expand())
-    if isinstance(obj, dict):
-        return {str(k): jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonify(v) for v in obj]
-    if hasattr(obj, "to_json_dict"):
-        return jsonify(obj.to_json_dict())
-    return obj
-
-
 def canonical_json(obj: Any) -> str:
     """The canonical report text of ``obj``.
 
-    Byte for byte ``json.dumps(jsonify(obj), sort_keys=True, indent=2)``
-    plus a newline, written in one walk that appends to one list instead
-    of building the :func:`jsonify` tree and running json's pure-Python
-    indenting encoder over it.  A frozen dataclass that the document
+    Sorted keys, an indent of 2 and a final newline, written in one walk
+    that appends to one list, as :func:`_write` maps each value.  A
+    frozen dataclass that the document
     holds more than once (one ``LemmaParams`` sits in every report of a
     sweep) is rendered once per indent and its text reused, and so is
     the sorted key layout of dicts with the same str keys (every record
@@ -201,11 +182,13 @@ def _write(obj: Any, put, nl: str, memo: dict) -> None:
 def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
     """:func:`_write` for any other type.
 
-    The branches follow :func:`jsonify`'s order and then json's rules for
-    what it returns; a subclass of a JSON type lands here, so its own
-    ``__str__`` or ``__repr__`` is used where jsonify uses it.  ``memo``
-    maps (id, nl) of a frozen dataclass to the object and its text;
-    holding the object keeps its id unique while the document is written.
+    In order: a Fraction (subclasses too) as scalar_json's pair, its own
+    str as "exact"; a float as float's repr, or its own repr quoted when
+    not finite; a :class:`DyadicCube`; the row views; a dict, list or
+    tuple; an object's ``to_json_dict``; a str; an int as int's repr;
+    else a TypeError, as in json.  ``memo`` maps (id, nl) of a frozen
+    dataclass to the object and its text; holding the object keeps its
+    id unique while the document is written.
     """
     if isinstance(obj, Fraction):
         put(_ratio_text(obj.numerator, obj.denominator, str(obj), nl))
@@ -248,7 +231,8 @@ def _cube_template(level: int, n: int, nl: str) -> str:
 
 def _write_cube(c: DyadicCube, put, nl: str) -> None:
     if {type(c.level), type(c.time), *map(type, c.spatial)} != {int}:
-        _write_dict(jsonify(c), put, nl, {})  # json's rules for odd field types
+        # odd field types take the general path, field by field
+        _write_dict({"level": c.level, "spatial": list(c.spatial), "time": c.time}, put, nl, {})
         return
     put(_cube_template(c.level, c.n, nl) % (*c.spatial, c.time))
 
@@ -321,7 +305,7 @@ def _write_dict(d: dict, put, nl: str, memo: dict) -> None:
     A dict whose keys are all exactly str looks its keys' sorted order
     and texts up in ``memo`` by (insertion-order key tuple, nl), made
     once per document and indent, and puts a scalar value in one piece
-    with its key.  Other keys go through str(), as :func:`jsonify` does.
+    with its key.  Other keys are written as their str().
     """
     if not d:
         put("{}")

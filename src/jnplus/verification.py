@@ -218,8 +218,7 @@ def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
         if grid:
             f.threshold(grid[-1])
         values = [Fraction(lam) for lam in grid] if f.is_fixed else grid
-        ratios = [lam.as_integer_ratio() for lam in grid]
-        return Thresholds(values, ratios), list(range(len(grid)))
+        return Thresholds(values), list(range(len(grid)))
     lamNs = [f.threshold(lam) for lam in lambdas]
     if not all(lamN > 0 for lamN in lamNs):
         raise InvalidParamsError("lambda must be positive")

@@ -37,7 +37,7 @@ from jnplus import (
 from jnplus._blocks import block_count, box_origin, cubes_at, level_sums, root_box, upsample
 from jnplus.grid import exceeds
 from jnplus.maximal import positive_part_field
-from jnplus.reports import jsonify
+from jnplus.reports import CubeRows, RatioRows, scalar_json
 
 
 def cell_value(f: GridFunction, idx: tuple[int, ...]) -> Fraction | float:
@@ -305,6 +305,24 @@ def random_fixed_grid(rng: np.random.Generator, n: int, L: int, denom: int = 8) 
 
 def unit_root(n: int) -> DyadicCube:
     return root_cube(n)
+
+
+def jsonify(obj):
+    """The plain-value tree of a report: the reference mapping from package
+    and report objects to what json's own encoder writes."""
+    if isinstance(obj, (Fraction, float)):
+        return scalar_json(obj)
+    if isinstance(obj, DyadicCube):
+        return {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
+    if isinstance(obj, (CubeRows, RatioRows)):
+        return jsonify(obj.expand())
+    if isinstance(obj, dict):
+        return {str(k): jsonify(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonify(v) for v in obj]
+    if hasattr(obj, "to_json_dict"):
+        return jsonify(obj.to_json_dict())
+    return obj
 
 
 def oracle_canonical_json(doc) -> str:

@@ -11,7 +11,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import oracle_canonical_json, random_fixed_grid
+from helpers import jsonify, oracle_canonical_json, random_fixed_grid
 from jnplus import (
     DyadicCube,
     GeneratorSpec,
@@ -29,7 +29,7 @@ from jnplus import (
     root_cube,
     scale_values,
 )
-from jnplus.reports import CubeRows, RatioRows, jsonify, scalar_json
+from jnplus.reports import CubeRows, RatioRows, scalar_json
 
 
 def test_scalar_json_forms():
