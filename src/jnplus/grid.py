@@ -196,6 +196,14 @@ def counts_above(ranks: np.ndarray, m: int) -> np.ndarray:
     return np.cumsum(np.bincount(ranks.ravel(), minlength=m + 1)[:0:-1])[::-1]
 
 
+def _float_view(x) -> float:
+    """float(x), reading +-inf where an exact x lies past the float range, as an f64 value does."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _in_float_range(lam, lift):
     """``lift(lam)``, refused (InvalidParamsError, naming lam) when its float
     is infinite, or 0 while lam is not: the one float-range rule for thresholds."""

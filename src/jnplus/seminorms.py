@@ -68,7 +68,7 @@ from ._blocks import (
 )
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
-from .grid import GridFunction, average, pos_part_average, resolve_root
+from .grid import GridFunction, _float_view, average, pos_part_average, resolve_root
 from .reports import CubeRows, RatioRows
 
 __all__ = [
@@ -95,12 +95,16 @@ def _norm_exponent(p) -> tuple[Fraction, int | None]:
 
 
 def _pth_root(power, p: Fraction) -> float:
-    """float(power) ** (1/p), surviving powers outside the float range."""
+    """float(power) ** (1/p), surviving powers outside the float range: inf
+    where the root lies past it too."""
     try:
         base = float(power)
     except OverflowError:
         ln = math.log(power.numerator) - math.log(power.denominator)
-        return math.exp(ln / float(p))
+        try:
+            return math.exp(ln / float(p))
+        except OverflowError:
+            return math.inf
     return base ** (1.0 / float(p))
 
 
@@ -320,7 +324,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         functional=kind,
         p=None,
         weight=val,
-        value=float(val),
+        value=_float_view(val),
         exact=f.is_fixed,
         mode=f.mode,
         root=root,

@@ -69,6 +69,7 @@ from .errors import InvalidParamsError
 from .grid import (
     GridFunction,
     Thresholds,
+    _float_view,
     _in_float_range,
     average,
     counts_above,
@@ -167,7 +168,8 @@ class LemmaContext:
         self.seminorm: SeminormResult = jnp_plus_dyadic(f, self.params.p, self.root)
         K, params = self.seminorm, self.params
         vol = float(volume(self.root))
-        self.lam0 = 2.0 * K.value / (float(params.b) * vol ** (1.0 / float(params.p)))
+        # b, then the root factor: their product can underflow to 0
+        self.lam0 = 2.0 * K.value / float(params.b) / vol ** (1.0 / float(params.p))
 
     @cached_property
     def field(self) -> MaximalField:
@@ -206,17 +208,14 @@ def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
     each one's position in the caller's list: the one owner of lam order.
 
     The default ``default_lambda_grid(ctx)`` is already distinct,
-    ascending and positive floats, so each lifts exactly by itself, its
-    largest alone can leave the float range (:meth:`GridFunction.threshold`),
-    and its positions are its own order.  A caller's lams are each
+    ascending, positive floats in the float range, so each lifts exactly
+    by itself and its positions are its own order.  A caller's lams are each
     lifted by :meth:`GridFunction.threshold`, must be positive, and are
     sorted, repeats kept.
     """
     f = ctx.f
     if lambdas is None:
         grid = default_lambda_grid(ctx)
-        if grid:
-            f.threshold(grid[-1])
         values = [Fraction(lam) for lam in grid] if f.is_fixed else grid
         return Thresholds(values), list(range(len(grid)))
     lamNs = [f.threshold(lam) for lam in lambdas]
@@ -422,30 +421,35 @@ def default_lambda_grid(ctx: LemmaContext) -> list[float]:
 
     ``_GRID_COUNT`` values from (max f - min f) * 2^{-10} up to max g + 1,
     plus the ladder points lambda0 and b^{-k} lambda0 for k = 1.._LADDER.
-    A b whose b^{-_LADDER} passes the float range is an InvalidParamsError
-    naming it; a ladder point that reaches inf stays in the list, where
-    :func:`_lambda_list` refuses it as a threshold.
+    An exact value past the float range reads inf.  A b whose
+    b^{-_LADDER} passes the float range is an InvalidParamsError naming
+    it, and so is a largest lambda (the span's top or a ladder point)
+    that reaches inf, as a threshold outside the float range.
     """
     f = ctx.f
-    hi = float(ctx.g.max_value()) + 1.0
-    lo = (float(f.max_value()) - float(f.min_value())) * 2.0**-10
-    if lo <= 0.0:
+    hi = _float_view(ctx.g.max_value()) + 1.0
+    lo = (_float_view(f.max_value()) - _float_view(f.min_value())) * 2.0**-10
+    if not lo > 0.0:  # also the nan of inf - inf, when both f values pass the float range
         lo = hi * 2.0**-10
     if hi <= lo:
         hi = 2.0 * lo
+    _in_float_range(hi, float)  # before logspace, which warns on an infinite span
     grid = list(np.logspace(math.log10(lo), math.log10(hi), _GRID_COUNT))
+    bf = float(ctx.params.b)
+    try:
+        steps = [bf**-k for k in range(1, _LADDER + 1)]
+    except OverflowError:
+        raise InvalidParamsError(
+            f"b={bf!r} is too small: b^-{_LADDER} lies outside the float range"
+        ) from None
     lam0 = ctx.lam0
     if lam0 > 0.0:
-        bf = float(ctx.params.b)
-        try:
-            steps = [bf**-k for k in range(1, _LADDER + 1)]
-        except OverflowError:
-            raise InvalidParamsError(
-                f"b={bf!r} is too small: b^-{_LADDER} lies outside the float range"
-            ) from None
         grid.append(lam0)
         grid.extend(lam0 * step for step in steps)
-    return sorted({float(x) for x in grid if x > 0.0})
+    grid = sorted({float(x) for x in grid if x > 0.0})
+    if grid:
+        _in_float_range(grid[-1], float)
+    return grid
 
 
 @dataclass
@@ -532,7 +536,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     lams, at = _lambda_list(ctx, lambdas)
     m, cells = len(lams), 1 << (f.L * f.n)
     C = proof_constant(f.n, params.p, params.b)
-    Kp = float(K.weight) if K.exact else K.value ** float(params.p)
+    Kp = _float_view(K.weight) if K.exact else K.value ** float(params.p)
 
     def counts(numer: np.ndarray, denom: int | None) -> list[int]:
         # every lambda's superlevel count of one array in one pass

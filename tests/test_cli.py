@@ -366,6 +366,43 @@ def test_exit_2_names_a_default_lambda_past_the_float_range(tmp_path, capsys, do
     assert stderr == "error: threshold inf lies outside the float range\n"
 
 
+_PB = ("--p", "2", "--b", "1/8")
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (("seminorm", "--p", "2"), 0),
+        (("verify", "theorem", *_PB), 2),
+        (("verify", "good-lambda", *_PB), 2),
+        (("verify", "theorem", *_PB, "--lambda", "1"), 0),
+        (("verify", "good-lambda", *_PB, "--lambda", "1"), 0),
+        (("decompose", "--lambda", "auto"), 2),
+    ],
+    ids=["seminorm", "theorem", "good-lambda", "theorem-at-1", "good-lambda-at-1", "decompose"],
+)
+def test_exact_values_past_the_float_range(tmp_path, capsys, argv, want):
+    """A fixed grid with a 2^1100 cell: a float view of an exact value past
+    the float range reads inf, as an f64 value does, so the seminorms and
+    K read "inf"; the default lambda grid then reaches inf, which is refused
+    as a threshold (exit 2) before numpy sees an infinite span."""
+    path = tmp_path / "huge.json"
+    doc = {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1, "values": [2**1100] + [0] * 5}
+    path.write_text(json.dumps(doc))
+    code, stdout, stderr = run(capsys, *argv, "--input", str(path))
+    assert code == want
+    if want == 2:
+        assert stdout == "" and stderr == "error: threshold inf lies outside the float range\n"
+        return
+    assert stderr == ""
+    out = json.loads(stdout)
+    if argv[0] == "seminorm":
+        for key in ("jnp-plus", "jnp-classical", "bmo-plus", "bmo-limit"):
+            assert out[key]["value"] == "inf" and out[key]["weight"]["decimal"] == "inf"
+    else:
+        assert out["K"] == "inf" and out["pass"] is True
+
+
 @pytest.mark.parametrize(
     "command",
     [

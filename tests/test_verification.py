@@ -239,6 +239,18 @@ def test_lambda0_formula():
     assert LemmaContext(f, 2, Fraction(1, 4)).lam0 == pytest.approx(want, rel=1e-12)
 
 
+def test_lambda0_with_a_subnormal_b_on_a_small_root():
+    """b * |root|^(1/p) underflows to 0 for b = 5e-324 on a leaf root: lam0
+    divides by b and by the root factor in turn, and the default grid then
+    refuses b by name (b^-8 passes the float range)."""
+    f = GridFunction(1, 8, list(range(768)), "fixed", 1)
+    ctx = LemmaContext(f, 2, 5e-324, DyadicCube(8, (), 3))
+    assert ctx.lam0 == 2.0 * ctx.seminorm.value / 5e-324 / 2.0**-4
+    for check in (lemma_sweep, theorem_check):
+        with pytest.raises(InvalidParamsError, match=r"b=5e-324 is too small"):
+            check(ctx)
+
+
 def test_default_lambda_grid_shape():
     f = bundled_example()
     ctx = LemmaContext(f, 2, Fraction(1, 4))
