@@ -197,7 +197,7 @@ def counts_above(ranks: np.ndarray, m: int) -> np.ndarray:
 
 
 def _float_view(x) -> float:
-    """float(x), reading +-inf where an exact x lies past the float range, as an f64 value does."""
+    """float(x), and +-inf where an exact x lies past the float range, as in f64 mode."""
     try:
         return float(x)
     except OverflowError:

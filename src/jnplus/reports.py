@@ -118,11 +118,10 @@ def canonical_json(obj: Any) -> str:
 
     Sorted keys, an indent of 2 and a final newline, written in one walk
     that appends to one list, as :func:`_write` maps each value.  A
-    frozen dataclass that the document
-    holds more than once (one ``LemmaParams`` sits in every report of a
-    sweep) is rendered once per indent and its text reused, and so is
-    the sorted key layout of dicts with the same str keys (every record
-    of a sweep).
+    frozen dataclass that the document holds more than once (one
+    ``LemmaParams`` sits in every report of a sweep) is rendered once per
+    indent and its text reused, and so is the sorted key layout of dicts
+    with the same str keys (every record of a sweep).
     """
     parts: list[str] = []
     _write(obj, parts.append, "\n", {})

@@ -209,9 +209,9 @@ def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
 
     The default ``default_lambda_grid(ctx)`` is already distinct,
     ascending, positive floats in the float range, so each lifts exactly
-    by itself and its positions are its own order.  A caller's lams are each
-    lifted by :meth:`GridFunction.threshold`, must be positive, and are
-    sorted, repeats kept.
+    by itself and its positions are its own order.  A caller's lams are
+    each lifted by :meth:`GridFunction.threshold`, must be positive, and
+    are sorted, repeats kept.
     """
     f = ctx.f
     if lambdas is None:

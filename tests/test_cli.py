@@ -113,6 +113,7 @@ def test_maximal_summary_and_dump(example_path, tmp_path, capsys):
     summary = json.loads(stdout)
     assert summary["max"]["exact"] == "4"
     dumped = json.loads(Path(out).read_text())
+    assert {k: dumped[k] for k in summary} == summary  # the summary's values, mapped alike
     assert dumped["denom-scale"] == 4
     assert dumped["values"] == [8, 8, 16, 0]
 
