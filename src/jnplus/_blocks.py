@@ -141,23 +141,23 @@ def _deviation_sums(gf: GridFunction, k: int, ref: np.ndarray, T: int, kind: str
     raise OutOfDomainError(f"the f64 {kind} deviation sums of f at level {k} overflow")
 
 
-def upsample(arr: np.ndarray, n: int) -> np.ndarray:
-    """Each entry repeated over its 2^n children (one dyadic level finer)."""
-    for ax in range(n):
+def upsample(arr: np.ndarray) -> np.ndarray:
+    """Each entry repeated over its 2^n children (one dyadic level finer), n = arr.ndim."""
+    for ax in range(arr.ndim):
         arr = np.repeat(arr, 2, axis=ax)
     return arr
 
 
-def children_sum(arr: np.ndarray, n: int) -> np.ndarray:
-    """Per parent block, the sum of its 2^n children (one dyadic level coarser)."""
-    return blocked(arr, 2).sum(axis=in_block(n))
+def children_sum(arr: np.ndarray) -> np.ndarray:
+    """Per parent block, the sum of its 2^n children (one dyadic level coarser), n = arr.ndim."""
+    return blocked(arr, 2).sum(axis=in_block(arr.ndim))
 
 
-def level_sums(arr: np.ndarray, n: int, depth: int) -> list[np.ndarray]:
+def level_sums(arr: np.ndarray, depth: int) -> list[np.ndarray]:
     """Block sums of ``arr`` at ``depth`` coarser levels and its own, coarse to fine."""
     out = [arr]
     for _ in range(depth):
-        out.append(children_sum(out[-1], n))
+        out.append(children_sum(out[-1]))
     out.reverse()
     return out
 

@@ -130,16 +130,16 @@ def _child_rank(shape: tuple[int, ...]) -> np.ndarray:
 
 def _zero_sum_adjust(inc: np.ndarray, n: int) -> np.ndarray:
     """Shift integer increments so every 2^n sibling block sums to zero."""
-    totals = children_sum(inc, n)
+    totals = children_sum(inc)
     q, r = np.divmod(totals, 1 << n)  # totals = q*2^n + r, 0 <= r < 2^n
     rank = _child_rank(inc.shape)
-    return inc - upsample(q, n) - (rank < upsample(r, n))
+    return inc - upsample(q) - (rank < upsample(r))
 
 
 def _martingale_box(rng: np.random.Generator, n: int, L: int, denom: int) -> np.ndarray:
     vals = np.full((1,) * n, int(rng.integers(0, 2 * denom + 1)), dtype=np.int64)
     for _ in range(L):
-        vals = upsample(vals, n)
+        vals = upsample(vals)
         inc = rng.integers(-denom, denom + 1, size=vals.shape)
         vals = vals + _zero_sum_adjust(inc, n)
     return vals

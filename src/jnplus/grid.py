@@ -496,29 +496,20 @@ def average(f: GridFunction, cube: DyadicCube):
 def union_sum(f: GridFunction, cube: DyadicCube):
     """Sum of the cell entries of f over cube ∪ cube+ (int in fixed mode, else float)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        total = sum(r.sum() for r in _domain_regions(f, "union", cube))
+        total = sum(r.sum() for r in (f.region(cube), f.region(forward(cube))))
     if not (f.is_fixed or math.isfinite(total)):
         raise OutOfDomainError(f"the f64 sum of f over {cube} ∪ {forward(cube)} overflows")
     return int(total) if f.is_fixed else float(total)
 
 
-def _domain_regions(f: GridFunction, domain: str, base: DyadicCube) -> list[np.ndarray]:
-    if domain == "cube":
-        return [f.region(base)]
-    if domain == "union":
-        return [f.region(base), f.region(forward(base))]
-    raise OutOfDomainError(f"unknown domain token {domain!r} (use 'cube' or 'union')")
+def pos_part_average(f: GridFunction, base: DyadicCube, ref: DyadicCube):
+    """Mean over base ∪ base+ of (f - mean(f over ref))^+.
 
-
-def pos_part_average(f: GridFunction, domain: str, base: DyadicCube, ref: DyadicCube):
-    """Mean over the domain of (f - mean(f over ref))^+.
-
-    ``domain`` is ``"cube"`` (the base cube alone) or ``"union"`` (base
-    together with its forward translate).  The clamp is nonlinear, so
-    this iterates the domain's cells one by one rather than summing them.
+    The clamp is nonlinear, so this iterates the cells one by one rather
+    than summing them.
     """
     ravg = average(f, ref)
-    regions = _domain_regions(f, domain, base)
+    regions = [f.region(base), f.region(forward(base))]
     count = sum(r.size for r in regions)
     if f.is_fixed:
         rn, rd = ravg.numerator, ravg.denominator
@@ -599,4 +590,4 @@ def shift_values(f: GridFunction, s) -> GridFunction:
 
 def refine(f: GridFunction) -> GridFunction:
     """The same function at resolution L+1 (each cell split into 2^n)."""
-    return GridFunction(f.n, f.L + 1, upsample(f.values, f.n), f.mode, f.denom)
+    return GridFunction(f.n, f.L + 1, upsample(f.values), f.mode, f.denom)

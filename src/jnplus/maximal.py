@@ -101,20 +101,21 @@ class MaximalField:
         return self._value(self.values.min())
 
 
-def _running_max(fwd: list[np.ndarray], n: int, fixed: bool) -> np.ndarray:
+def _running_max(fwd: list[np.ndarray]) -> np.ndarray:
     """Top-down running maximum of forward means, one entry per level.
 
     ``fwd[j]`` holds the sums over the forward translates of the
     level-(r+j) subcubes of a level-r root, down to the leaf level.  At
     each level the means are joined with the maximum inherited from the
-    ancestors.  Fixed mode returns numerators over 2^{(L-r)n} times the
-    cell denominator; f64 mode returns the means.
+    ancestors.  Integer sums (fixed mode) give numerators over
+    2^{(L-r)n} times the cell denominator; float sums (f64) give the means.
     """
-    depth = len(fwd) - 1
+    depth, n = len(fwd) - 1, fwd[0].ndim
+    fixed = fwd[0].dtype.kind != "f"
     running: np.ndarray | None = None
     for j, sums in enumerate(fwd):
         lvl = sums * (1 << (j * n)) if fixed else sums / (1 << ((depth - j) * n))
-        running = lvl if running is None else np.maximum(upsample(running, n), lvl)
+        running = lvl if running is None else np.maximum(upsample(running), lvl)
     assert running is not None
     return running
 
@@ -133,7 +134,7 @@ def maximal_function(
     root = resolve_root(f, root)
     r = root.level
     fwd = [f.block_sums(k)[root_box(root, k, time_shift=1)] for k in range(r, f.L + 1)]
-    running = _running_max(fwd, f.n, f.is_fixed)
+    running = _running_max(fwd)
     if variant == "augmented":
         leaf = f.region(root)
         if f.is_fixed:
@@ -165,8 +166,8 @@ def positive_part_field(f: GridFunction, cube: DyadicCube) -> MaximalField:
     else:
         h = np.maximum(a - ref / N, 0.0)
     # the forward translate of a block is the next block in time
-    fwd = [s[..., 1 : s.shape[-1] // 2 + 1] for s in level_sums(h, f.n, f.L - r)]
-    running = _running_max(fwd, f.n, f.is_fixed)
+    fwd = [s[..., 1 : s.shape[-1] // 2 + 1] for s in level_sums(h, f.L - r)]
+    running = _running_max(fwd)
     scale = N * f.denom * (1 << ((f.L - r) * f.n)) if f.is_fixed else None
     running.setflags(write=False)
     return MaximalField(cube, "grid", f.n, f.L, f.mode, scale, running)
@@ -179,18 +180,21 @@ class Decomposition:
     ``stopping`` lists the maximal dyadic subcubes whose forward mean
     exceeds the threshold, as per-level index rows: one entry per level
     of the root, coarse to fine down to the grid's, index order within a
-    level.  ``subfamily`` holds the list positions of the cubes whose
-    forward translates are maximal with respect to inclusion among all
-    forward translates; ``groups`` maps each such position j to every
-    position i whose forward translate lies inside that of j (j itself
-    included), ascending.
+    level.  ``groups`` maps the list position j of each cube whose
+    forward translate is maximal with respect to inclusion among all
+    forward translates to every position i whose forward translate lies
+    inside that of j (j itself included), ascending; ``subfamily`` lists
+    those positions j.
     """
 
     root: DyadicCube
     threshold: Fraction | float
     stopping: CubeRows
-    subfamily: list[int]
     groups: dict[int, list[int]]
+
+    @property
+    def subfamily(self) -> list[int]:
+        return list(self.groups)
 
     def total_volume(self) -> Fraction:
         return self.stopping.volume()
@@ -235,7 +239,7 @@ def stopping_ranks(
         e = exceed_ranks(fwd, block_count(f, k), f.denom, lams)
         yield k, A, e
         if k < f.L:
-            A = upsample(np.maximum(A, e), f.n)
+            A = upsample(np.maximum(A, e))
 
 
 def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition:
@@ -250,14 +254,11 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     lam_n = f.scalar(lam)
     masks = [(k, e > A) for k, A, e in stopping_ranks(f, root, [lam_n])]
     stopping = CubeRows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
-    subfamily, groups = select_subfamily(masks)
-    return Decomposition(root, lam_n, stopping, subfamily, groups)
+    return Decomposition(root, lam_n, stopping, select_subfamily(masks))
 
 
-def select_subfamily(
-    masks: list[tuple[int, np.ndarray]],
-) -> tuple[list[int], dict[int, list[int]]]:
-    """Positions of the stopping cubes whose forward translates are maximal, and the grouping.
+def select_subfamily(masks: list[tuple[int, np.ndarray]]) -> dict[int, list[int]]:
+    """The stopping cubes whose forward translates are maximal, each with the cubes it covers.
 
     ``masks`` holds the per-level stopping masks of a root, coarse to fine,
     as :func:`cz_decompose` reads them; cubes are numbered level by level
@@ -276,7 +277,7 @@ def select_subfamily(
         if owner is None:
             owner = np.full(emit.shape[:-1] + (2 * T,), -1, dtype=np.intp)
         else:
-            owner = upsample(owner, emit.ndim)
+            owner = upsample(owner)
         fwd = owner[..., 1 : T + 1]
         got = fwd[emit]
         free = got < 0
@@ -285,7 +286,7 @@ def select_subfamily(
         for i, j in enumerate(got.tolist(), start):
             groups.setdefault(j, []).append(i)
         start += len(got)
-    return list(groups), groups
+    return groups
 
 
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:
@@ -294,16 +295,15 @@ def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.n
     return f.block_sums(k)[(*space, t + steps)]
 
 
-def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> VerificationReport:
+def check_p1(f: GridFunction, dec: Decomposition) -> VerificationReport:
     """Stopping condition sharpness and the superlevel tiling, cellwise.
 
     Asserts for each stopping cube: mean(f over Q_j+) > lam strictly and
-    the parent (when one exists inside root) fails the condition; then
-    that the union of the stopping cubes equals {M f > lam} cell for
-    cell (grid variant).  Exact in fixed mode.
+    the parent (when one exists inside ``dec.root``) fails the condition;
+    then that the union of the stopping cubes equals {M f > lam} cell
+    for cell (grid variant).  Exact in fixed mode.
     """
-    root = resolve_root(f, root)
-    lam = dec.threshold
+    root, lam = dec.root, dec.threshold
     strict_ok = parent_ok = True
     mask = np.zeros((1,) * f.n, dtype=bool)  # the cubes' union over the root box
     for k, rows in dec.stopping.levels:
@@ -312,7 +312,7 @@ def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
         if k > root.level:
             fwd = _forward_sums(f, k - 1, rows >> 1, 1)  # the parents' translates
             parent_ok &= not exceeds(fwd, block_count(f, k - 1), f.denom, lam).any()
-            mask = upsample(mask, f.n)
+            mask = upsample(mask)
         mask[tuple((rows - box_origin(root, k)).T)] = True
     field = maximal_function(f, root, "grid")
     identity_ok = bool(np.array_equal(field.superlevel_mask(lam), mask))
@@ -334,15 +334,15 @@ def check_p1(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> Ve
     )
 
 
-def check_p2(f: GridFunction, root: DyadicCube | None, dec: Decomposition) -> VerificationReport:
+def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     """Two-step forward means of stopping cubes stay below 2^n * threshold.
 
     Admissible exactly when the threshold is at least the forward mean of
-    the root (equivalently, the root itself is not a stopping cube); an
+    ``dec.root`` (equivalently, the root itself is not a stopping cube); an
     inadmissible call flags and asserts nothing.  A threshold without a
     float raises InvalidParamsError (:meth:`GridFunction.threshold`).
     """
-    root = resolve_root(f, root)
+    root = dec.root
     lam = f.threshold(dec.threshold)
     root_fwd_avg = average(f, forward(root))
     admissible = not (root_fwd_avg > lam)

@@ -52,6 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from math import lcm
 
@@ -123,7 +124,7 @@ def phi_plus(f: GridFunction, cube: DyadicCube, p):
     Cell-by-cell route, independent of the block engine.
     """
     q, p_int = _norm_exponent(p)
-    ppa = pos_part_average(f, "union", cube, forward(cube, 2))
+    ppa = pos_part_average(f, cube, forward(cube, 2))
     if f.is_fixed and p_int is not None:
         return volume(cube) * ppa**p_int
     return float(volume(cube)) * _float_pow(ppa, q)
@@ -153,7 +154,8 @@ class SeminormResult:
 
     ``weight`` is the optimized objective: the p-th power of the
     seminorm for the jnp functionals, the supremum itself for the bmo
-    functionals.  ``value`` is always the seminorm as a float.
+    functionals (``p`` None).  ``value``, the seminorm as a float, and
+    ``exact``, whether ``weight`` is a Fraction, are read from it.
     ``witness`` attains ``weight`` (for the jnp functionals a full
     partition of the root; for the bmo functionals a single cube), with
     per-cube weights alongside in ``witness_weights``.  Both are row
@@ -164,13 +166,19 @@ class SeminormResult:
     functional: str
     p: Fraction | None
     weight: Fraction | float
-    value: float
-    exact: bool
     mode: str
     root: DyadicCube
     witness: CubeRows = field(repr=False)
     witness_weights: RatioRows = field(repr=False)
     details: dict = field(default_factory=dict)
+
+    @cached_property
+    def value(self) -> float:
+        return _float_view(self.weight) if self.p is None else _pth_root(self.weight, self.p)
+
+    @property
+    def exact(self) -> bool:
+        return isinstance(self.weight, Fraction)
 
     def to_json_dict(self) -> dict:
         return {
@@ -188,7 +196,7 @@ class SeminormResult:
 
 
 def _tree_dp(
-    phi: dict[int, np.ndarray], n: int
+    phi: dict[int, np.ndarray],
 ) -> tuple[object, list[tuple[int, np.ndarray, np.ndarray]]]:
     """Maximize the summed weight over antichains of the subcube tree.
 
@@ -204,18 +212,18 @@ def _tree_dp(
     take: dict[int, np.ndarray] = {ks[-1]: np.ones(phi[ks[-1]].shape, dtype=bool)}
     best = phi[ks[-1]]
     for k in reversed(ks[:-1]):
-        child = children_sum(best, n)
+        child = children_sum(best)
         t = phi[k] > child
         take[k] = t
         best = np.where(t, phi[k], child)
     levels = []
-    covered = np.zeros((1,) * n, dtype=bool)  # the blocks under a chosen ancestor
+    covered = np.zeros(best.shape, dtype=bool)  # the blocks under a chosen ancestor
     for k in ks:
         chosen = take[k] & ~covered
         levels.append((k, np.argwhere(chosen), phi[k][chosen]))
         if k < ks[-1]:
-            covered = upsample(covered | chosen, n)
-    return best[(0,) * n], levels
+            covered = upsample(covered | chosen)
+    return best[(0,) * best.ndim], levels
 
 
 def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
@@ -257,7 +265,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
     q, p_int = _norm_exponent(p)
     exact = f.is_fixed and p_int is not None
     # the weight arrays die with this call; the witness keeps only its own cubes
-    num, levels = _tree_dp(_level_weights(f, root, variant, q, p_int), f.n)
+    num, levels = _tree_dp(_level_weights(f, root, variant, q, p_int))
     if exact:
         base = (2 * f.denom) if variant == "plus" else f.denom
         D = base**p_int * (1 << (2 * f.L * f.n * p_int))
@@ -268,14 +276,10 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         power = float(num)
         D = None
     witness = CubeRows([(k, idx + box_origin(root, k)) for k, idx, _ in levels])
-    functional = "jnp-plus" if variant == "plus" else "jnp-classical"
-    value = _pth_root(power, q)
     return SeminormResult(
-        functional=functional,
+        functional="jnp-plus" if variant == "plus" else "jnp-classical",
         p=q,
         weight=power,
-        value=value,
-        exact=exact,
         mode=f.mode,
         root=root,
         witness=witness,
@@ -324,8 +328,6 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         functional=kind,
         p=None,
         weight=val,
-        value=_float_view(val),
-        exact=f.is_fixed,
         mode=f.mode,
         root=root,
         witness=CubeRows([at]),
@@ -457,8 +459,6 @@ def antichain_oracle(
         functional=functional + "-oracle",
         p=q,
         weight=power,
-        value=_pth_root(power, q),
-        exact=exact,
         mode=f.mode,
         root=root,
         witness=CubeRows(

@@ -164,7 +164,7 @@ def boolean_stopping_levels(f: GridFunction, root: DyadicCube, lam):
         fwd = f.block_sums(k)[root_box(root, k, time_shift=1)]
         chosen = exceeds(fwd, block_count(f, k), f.denom, lam) & ~covered
         out.append((k, chosen))
-        covered = upsample(covered | chosen, f.n)
+        covered = upsample(covered | chosen)
     return out
 
 
@@ -375,7 +375,7 @@ def naive_good_lambda(ctx: LemmaContext, lam) -> VerificationReport:
             main_ok = float(E_lam) <= rhs_float * (1.0 + 1e-9) + 1e-18
         stopping = boolean_stopping_levels(ctx.g, root, blam)
         dec_size = sum(int(chosen.sum()) for _, chosen in stopping)
-        hits = level_sums(E_mask, f.n, f.L - root.level)
+        hits = level_sums(E_mask, f.L - root.level)
         inside = sum(int(h[chosen].sum()) for (_, chosen), h in zip(stopping, hits))
         p6_ok = inside == E_count
         one_minus = (1 - (1 << f.n) * b) * lamN

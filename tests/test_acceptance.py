@@ -105,7 +105,7 @@ def test_criterion_02_stopping_cubes_exact_on_corpus(pinned_sweeps):
     lam_count = 0
     for f, lambdas, decs in pinned_sweeps:
         for lam, dec in zip(lambdas, decs):
-            r = check_p1(f, None, dec)
+            r = check_p1(f, dec)
             assert r.passed and r.exact, (f.n, f.L, lam)
             lam_count += 1
     print(f"ACCEPTANCE 2 stopping-exactness: PASS ({lam_count} "
@@ -118,7 +118,7 @@ def test_criterion_03_forward_mean_bound_exact_on_corpus(pinned_sweeps):
     admissible = inadmissible = 0
     for f, lambdas, decs in pinned_sweeps:
         for lam, dec in zip(lambdas, decs):
-            r = check_p2(f, None, dec)
+            r = check_p2(f, dec)
             assert r.passed and r.exact, (f.n, f.L, lam)
             if r.admissible:
                 admissible += 1

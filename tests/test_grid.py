@@ -104,12 +104,7 @@ def test_average_matches_naive(f):
 def test_pos_part_average_matches_naive(f):
     for c in grid_cubes(f):
         ref = forward(c, 2)
-        for domain in ("cube", "union"):
-            got = pos_part_average(f, domain, c, ref)
-            want = naive_pos_part_average(
-                f, domain if domain == "union" else "cube", c, ref
-            )
-            assert got == want
+        assert pos_part_average(f, c, ref) == naive_pos_part_average(f, "union", c, ref)
 
 
 def test_average_f64():

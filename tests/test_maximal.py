@@ -200,7 +200,8 @@ def test_select_subfamily_non_overlapping_forwards():
 
 
 def _matches_naive(f, root, lams) -> tuple[int, int]:
-    """Check cz_decompose at each lam against naive_cz + naive_select_subfamily.
+    """Check cz_decompose at each lam against naive_cz + naive_select_subfamily,
+    and check_p1 and check_p2 on its decomposition of ``root``.
 
     Returns the count of families checked (a lam where f < 0 on
     root ∪ root+ ends the sweep) and of those with a group of two or more.
@@ -217,6 +218,7 @@ def _matches_naive(f, root, lams) -> tuple[int, int]:
         assert isinstance(dec.stopping, CubeRows)
         assert dec.stopping.expand() == want, (f.n, f.L, root, lam)
         assert (dec.subfamily, dec.groups) == naive_select_subfamily(want), (f.n, f.L, root, lam)
+        assert check_p1(f, dec).passed and check_p2(f, dec).passed, (f.n, f.L, root, lam)
         checked += 1
         merged += len(dec.subfamily) < len(want)
     return checked, merged
@@ -243,6 +245,7 @@ def test_decomposition_matches_naive_reference_off_origin_and_n3():
         (GeneratorSpec("dyadic-martingale", 2, 4, seed=9),
          [DyadicCube(1, (1,), 0), DyadicCube(2, (2,), 3)]),
         (GeneratorSpec("uniform-random", 3, 2, seed=4, denom=64), [None, DyadicCube(1, (1, 0), 1)]),
+        (GeneratorSpec("uniform-random", 1, 4, seed=3, denom=8), [DyadicCube(1, (), 0)]),
     ]
     counts = np.zeros(2, dtype=int)
     for spec, roots in cases:
@@ -322,7 +325,7 @@ def test_p1_p2_match_per_cube_means_on_corpus(mode):
                 break
             lam = dec.threshold
             cubes = dec.stopping.expand()
-            r1, r2 = check_p1(f, None, dec), check_p2(f, None, dec)
+            r1, r2 = check_p1(f, dec), check_p2(f, dec)
             assert r1.details["strict-at-stopping"] == all(
                 average(f, forward(c)) > lam for c in cubes
             )
@@ -349,10 +352,10 @@ def test_p1_p2_match_per_cube_means_on_corpus(mode):
 def test_p1_p2_p3_on_worked_example():
     f = bundled_example()
     dec = cz_decompose(f, None, Fraction(1, 2))
-    r1 = check_p1(f, None, dec)
+    r1 = check_p1(f, dec)
     assert r1.passed and r1.exact
     assert r1.details["superlevel-identity"]
-    r2 = check_p2(f, None, dec)
+    r2 = check_p2(f, dec)
     assert r2.passed
     # admissible: lam = 1/2 >= mean over the root's forward box = 0? no:
     # mean(f over [1,2)) = 0, so the threshold clears it
@@ -369,7 +372,7 @@ def test_p2_bound_value():
         f = random_fixed_grid(rng, 1, 2)
         lam = Fraction(int(rng.integers(1, 24)), 8)
         dec = cz_decompose(f, None, lam)
-        r = check_p2(f, None, dec)
+        r = check_p2(f, dec)
         assert r.passed
         if r.admissible:
             for c in dec.stopping.expand():
@@ -405,7 +408,7 @@ def test_check_p2_names_a_threshold_past_the_float_range():
     dec = cz_decompose(f, None, Fraction(10**400))
     assert len(dec.stopping) == 0
     with pytest.raises(InvalidParamsError, match="outside the float range"):
-        check_p2(f, None, dec)
+        check_p2(f, dec)
 
 
 _LAMBDA_ENTRY_POINTS = {

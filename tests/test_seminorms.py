@@ -252,7 +252,7 @@ def test_array_witness_matches_recursive_walk(variant):
                             (DyadicCube(1, (1,) * (f.n - 1), 1), 2)):
                 q, p_int = _norm_exponent(p)
                 phi = _level_weights(f, root, variant, q, p_int)
-                num, levels = _tree_dp(phi, f.n)
+                num, levels = _tree_dp(phi)
                 want_num, want_cubes, want_raw = recursive_witness(phi, root, f.n)
                 raw = [w for _, _, ws in levels for w in ws.tolist()]
                 r = functional(f, p, root)
