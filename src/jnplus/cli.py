@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 
 from . import __version__
 from .corpus import GeneratorSpec, gen as generate
 from .errors import InvalidParamsError, JnplusError
-from .grid import GridFunction
+from .grid import GridFunction, _float_view
 from .gridio import load_grid, open_for_write, save_grid
 from .maximal import cz_decompose, maximal_function
 from .reports import canonical_json, scalar_json
@@ -133,13 +134,18 @@ def _cmd_seminorm(args) -> int:
         classical = jnp_classical_dyadic(f, args.p)
         bmo = bmo_plus_dyadic(f)
         limit = bmo_plus_limit_form(f)
+    over = None
+    if limit.value > 0:
+        over = bmo.value / limit.value
+        if math.isnan(over):  # both float views are inf: the weights' exact quotient
+            over = _float_view(bmo.weight / limit.weight)
     _emit(
         {
             "jnp-plus": plus,
             "jnp-classical": classical,
             "bmo-plus": bmo,
             "bmo-limit": limit,
-            "bmo-over-limit": bmo.value / limit.value if limit.value > 0 else None,
+            "bmo-over-limit": over,
         },
         args.out,
     )

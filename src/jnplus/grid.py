@@ -204,6 +204,14 @@ def _float_view(x) -> float:
         return math.inf if x > 0 else -math.inf
 
 
+def _float_array(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as float64, object entries read by :func:`_float_view`, so that
+    an exact entry past the float range reads +-inf."""
+    if arr.dtype != object:
+        return arr.astype(np.float64)
+    return np.array([_float_view(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
+
+
 def _in_float_range(lam, lift):
     """``lift(lam)``, refused (InvalidParamsError, naming lam) when its float
     is infinite, or 0 while lam is not: the one float-range rule for thresholds."""

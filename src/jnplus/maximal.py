@@ -43,7 +43,7 @@ from ._blocks import block_count, box_origin, level_sums, root_box, upsample
 from .cubes import DyadicCube, forward
 from .errors import InvalidParamsError, NegativeInputError
 from .grid import GridFunction, average, exceed_ranks, exceeds, resolve_root, union_sum
-from .grid import _in_float_range
+from .grid import _float_view, _in_float_range
 from .reports import CubeRows, VerificationReport
 
 __all__ = [
@@ -364,8 +364,8 @@ def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     lhs = worst if worst is not None else f.scalar(0)
     return VerificationReport(
         inequality_id="p2",
-        lhs=float(lhs),
-        rhs=float(bound),
+        lhs=_float_view(lhs),
+        rhs=_float_view(bound),
         admissible=admissible,
         passed=passed,
         exact=f.is_fixed,
@@ -413,14 +413,14 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
     field_aug = maximal_function(f, root, "augmented")
     measure_aug = field_aug.superlevel_measure(lam_n)
     if integral > 0:
-        observed_aug = float(measure_aug) * float(lam_n) / float(integral)
+        observed_aug = float(measure_aug) * float(lam_n) / _float_view(integral)
     else:
         observed_aug = 0.0
 
     return VerificationReport(
         inequality_id="p3",
         lhs=float(sum_qj),
-        rhs=float(rhs),
+        rhs=_float_view(rhs),
         admissible=True,
         passed=passed,
         exact=f.is_fixed,

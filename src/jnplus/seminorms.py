@@ -69,7 +69,7 @@ from ._blocks import (
 )
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
-from .grid import GridFunction, _float_view, average, pos_part_average, resolve_root
+from .grid import GridFunction, _float_array, _float_view, average, pos_part_average, resolve_root
 from .reports import CubeRows, RatioRows
 
 __all__ = [
@@ -256,7 +256,7 @@ def _level_weights(
             N = block_count(f, k)
             scale = float(half * N * N * (f.denom if f.is_fixed else 1))
             with np.errstate(over="ignore"):  # a power past the float range is inf
-                phi[k] = (T.astype(np.float64) / scale) ** float(q) * 2.0 ** (-k * f.n)
+                phi[k] = (_float_array(T) / scale) ** float(q) * 2.0 ** (-k * f.n)
     return phi
 
 

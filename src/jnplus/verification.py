@@ -591,7 +591,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         u, v = params.p.numerator, params.p.denominator
         passed_p11 = p11_lhs**u * V**v <= 2**u * K.weight**v
     else:
-        passed_p11 = float(p11_lhs) <= p11_rhs * (1.0 + _REL_TOL) + 1e-18
+        passed_p11 = _float_view(p11_lhs) <= p11_rhs * (1.0 + _REL_TOL) + 1e-18
 
     return TheoremRun(
         p=params.p,

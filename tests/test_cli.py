@@ -367,40 +367,66 @@ def test_exit_2_names_a_default_lambda_past_the_float_range(tmp_path, capsys, do
     assert stderr == "error: threshold inf lies outside the float range\n"
 
 
-_PB = ("--p", "2", "--b", "1/8")
+_HUGE_GRIDS = {
+    "big-integer": {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1,
+                    "values": [2**1100] + [0] * 5},
+    "f64": {"version": 1, "n": 1, "L": 1, "mode": "f64", "values": [1e300] + [0.0] * 5},
+}
 
 
-@pytest.mark.parametrize(
-    "argv,want",
-    [
-        (("seminorm", "--p", "2"), 0),
-        (("verify", "theorem", *_PB), 2),
-        (("verify", "good-lambda", *_PB), 2),
-        (("verify", "theorem", *_PB, "--lambda", "1"), 0),
-        (("verify", "good-lambda", *_PB, "--lambda", "1"), 0),
-        (("decompose", "--lambda", "auto"), 2),
-    ],
-    ids=["seminorm", "theorem", "good-lambda", "theorem-at-1", "good-lambda-at-1", "decompose"],
-)
-def test_exact_values_past_the_float_range(tmp_path, capsys, argv, want):
-    """A fixed grid with a 2^1100 cell: a float view of an exact value past
-    the float range reads inf, as an f64 value does, so the seminorms and
-    K read "inf"; the default lambda grid then reaches inf, which is refused
-    as a threshold (exit 2) before numpy sees an infinite span."""
+def _huge_sweep():
+    """(grid, argv, exit status) of every subcommand on the two grids of
+    _HUGE_GRIDS: the lines that take p at p = 3/2, 2 and 3, the rest once.
+    Only an auto lambda grid exits 2.  The big-integer grid's lines at
+    p = 2 carry the bare command names as ids."""
+    for grid in _HUGE_GRIDS:
+        for p in ("3/2", "2", "3"):
+            pb = ("--p", p, "--b", "1/8")
+            lines = {
+                "seminorm": (("seminorm", "--p", p), 0),
+                "oracle-plus": (("oracle", "--p", p, "--functional", "jnp-plus"), 0),
+                "oracle-classical": (("oracle", "--p", p, "--functional", "jnp-classical"), 0),
+                "decompose": (("decompose", "--lambda", "auto", *pb), 2),
+                "good-lambda": (("verify", "good-lambda", *pb), 2),
+                "good-lambda-at-1": (("verify", "good-lambda", *pb, "--lambda", "1"), 0),
+                "theorem": (("verify", "theorem", *pb), 2),
+                "theorem-at-1": (("verify", "theorem", *pb, "--lambda", "1"), 0),
+            }
+            tag = "" if (grid, p) == ("big-integer", "2") else f"{grid}-p{p.replace('/', ':')}-"
+            for name, (argv, want) in lines.items():
+                yield pytest.param(grid, argv, want, id=tag + name)
+        for variant in ("grid", "augmented"):
+            argv = ("maximal", "--variant", variant)
+            yield pytest.param(grid, argv, 0, id=f"{grid}-maximal-{variant}")
+        yield pytest.param(grid, ("decompose", "--lambda", "1"), 0, id=f"{grid}-decompose-at-1")
+
+
+@pytest.mark.parametrize("grid,argv,want", list(_huge_sweep()))
+def test_exact_values_past_the_float_range(tmp_path, capsys, grid, argv, want):
+    """A fixed grid with a 2^1100 cell and an f64 grid with a 1e300 cell,
+    through every subcommand: a float view of an exact value past the float
+    range reads inf, as an f64 value does, so the jnp seminorms and K read
+    "inf" and no report holds a nan; the default lambda grid then reaches
+    inf, which is refused as a threshold (exit 2) before numpy sees an
+    infinite span."""
     path = tmp_path / "huge.json"
-    doc = {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1, "values": [2**1100] + [0] * 5}
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(_HUGE_GRIDS[grid]))
     code, stdout, stderr = run(capsys, *argv, "--input", str(path))
-    assert code == want
+    assert code == want and '"nan"' not in stdout
     if want == 2:
         assert stdout == "" and stderr == "error: threshold inf lies outside the float range\n"
         return
     assert stderr == ""
     out = json.loads(stdout)
     if argv[0] == "seminorm":
-        for key in ("jnp-plus", "jnp-classical", "bmo-plus", "bmo-limit"):
-            assert out[key]["value"] == "inf" and out[key]["weight"]["decimal"] == "inf"
-    else:
+        # the bmo suprema are finite on the f64 grid; their ratio is 2 on both
+        keys = ("jnp-plus", "jnp-classical", "bmo-plus", "bmo-limit")
+        for key in keys if grid == "big-integer" else keys[:2]:
+            weight = out[key]["weight"]
+            assert out[key]["value"] == "inf"
+            assert (weight["decimal"] if isinstance(weight, dict) else weight) == "inf"
+        assert out["bmo-over-limit"] == 2.0
+    elif argv[0] == "verify":
         assert out["K"] == "inf" and out["pass"] is True
 
 

@@ -411,6 +411,18 @@ def test_check_p2_names_a_threshold_past_the_float_range():
         check_p2(f, dec)
 
 
+def test_exact_bounds_past_the_float_range_read_inf():
+    """A bound past the float range reads inf in the report, as in f64
+    mode: p3's integral 2^1100 and 2*integral/lam, and p2's 2^n*lam for
+    a lam near the float maximum."""
+    f = GridFunction(1, 1, [2**1100] + [0] * 5, "fixed", 1)
+    r3 = weak_type_check(f, None, 1)
+    assert r3.passed and r3.rhs == float("inf")
+    g = GridFunction(1, 1, [0, 0, 1, 1, 0, 0], "fixed", 1)
+    r2 = check_p2(g, cz_decompose(g, None, 1.7e308))
+    assert r2.passed and r2.admissible and r2.rhs == float("inf")
+
+
 _LAMBDA_ENTRY_POINTS = {
     "cz_decompose": lambda f, lam: cz_decompose(f, None, lam),
     "superlevel_mask": lambda f, lam: maximal_function(f).superlevel_mask(lam),
