@@ -342,9 +342,8 @@ def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     inadmissible call flags and asserts nothing.  A threshold without a
     float raises InvalidParamsError (:meth:`GridFunction.threshold`).
     """
-    root = dec.root
     lam = f.threshold(dec.threshold)
-    root_fwd_avg = average(f, forward(root))
+    root_fwd_avg = average(f, forward(dec.root))
     admissible = not (root_fwd_avg > lam)
     bound = lam * (1 << f.n)
     worst = None
