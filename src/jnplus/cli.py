@@ -196,17 +196,16 @@ def _cmd_good_lambda(args) -> int:
     f = load_grid(args.input)
     lambdas = _parse_lambdas(args.lambdas, f)
     ctx = LemmaContext(f, args.p, args.b)
-    reports = lemma_sweep(ctx, lambdas)
-
-    failed = [i for r in reports for i in r.details.get("failed-ids", [])]
+    rows = lemma_sweep(ctx, lambdas)
+    failed = rows.failed_ids()
     _emit(
         {
             "params": ctx.params,
             "K": ctx.seminorm.value,
-            "reports": reports,
-            "admissible-count": sum(1 for r in reports if r.admissible),
+            "reports": rows,
+            "admissible-count": rows.admissible_count(),
             "pass": not failed,
-            "failed": sorted(set(failed)),
+            "failed": failed,
         },
         args.out,
     )

@@ -50,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import math
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Iterator, Literal
 
@@ -98,37 +99,58 @@ def int64_fits(magnitude: int) -> bool:
 
 
 class Thresholds:
-    """An ascending list of thresholds with each one's exact ratio read once.
+    """An ascending list of thresholds, held by each one's exact ratio.
 
-    ``values`` holds the thresholds as given (Fractions or floats) and
-    ``ratios`` each one's exact (numerator, denominator), read here.
+    ``ratios`` holds each threshold's exact (numerator, denominator) in
+    lowest terms, read once.  A float list (f64 mode) also holds its
+    ``floats`` as given, and its items are those floats; an exact list
+    holds the ratios alone, and an item is read as its ratio's Fraction.
     :func:`exceed_ranks` takes one in place of a list, and then
     :func:`_cuts` reads the pairs on integer cells instead of reading
-    every threshold again.  A slice is again one, built from its values.
+    every threshold again.  A slice is again one.
     """
 
-    def __init__(self, values) -> None:
-        self.values = values
-        self.ratios = [lam.as_integer_ratio() for lam in values]
+    def __init__(self, ratios: list[tuple[int, int]], floats: list[float] | None = None) -> None:
+        self.ratios = ratios
+        self.exact = floats is None
+        self._floats = floats
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.ratios)
 
     def __iter__(self):
-        return iter(self.values)
+        return map(self.__getitem__, range(len(self.ratios)))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Thresholds(self.values[i])
-        return self.values[i]
+            return Thresholds(self.ratios[i], None if self.exact else self._floats[i])
+        return Fraction(*self.ratios[i]) if self.exact else self._floats[i]
 
     def floats(self) -> list[float]:
-        """Each threshold's float, from its ratio: rounded once, as float() rounds it."""
-        return [num / den for num, den in self.ratios]
+        """Each threshold's float: its ratio rounded once, as float() rounds it."""
+        return [num / den for num, den in self.ratios] if self.exact else self._floats
 
-    def times(self, c) -> "Thresholds":
-        """c * each threshold, for a factor c of the values' kind (Fraction or float)."""
-        return Thresholds([c * lam for lam in self.values])
+    def count_below(self, x) -> int:
+        """How many thresholds lie below the number x, compared exactly."""
+        xn, xd = x.as_integer_ratio()
+        return bisect_left(self.ratios, True, key=lambda r: r[0] * xd >= xn * r[1])
+
+    def times(self, c) -> Thresholds:
+        """c * each threshold, for a factor c of the list's kind (Fraction or float).
+
+        An exact list multiplies each ratio by c's and reduces the pair by
+        one gcd; a float list holds the float products.
+        """
+        if not self.exact:
+            products = [c * lam for lam in self._floats]
+            return Thresholds([x.as_integer_ratio() for x in products], products)
+        cn, cd = c.as_integer_ratio()
+        out = []
+        for num, den in self.ratios:
+            num, den = num * cn, den * cd
+            g = math.gcd(num, den)
+            out.append((num // g, den // g))
+        return Thresholds(out)
 
 
 def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
@@ -146,7 +168,7 @@ def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
         return [float(lam) * count for lam in lams]
     scale = count * denom
     if not isinstance(lams, Thresholds):
-        lams = Thresholds([Fraction(lam) for lam in lams])
+        lams = Thresholds([Fraction(lam).as_integer_ratio() for lam in lams])
     cuts = [num * scale // den for num, den in lams.ratios]
     top = 1 << _GUARD_BITS
     if numer.dtype == np.int64 and cuts and (max(cuts) > top or min(cuts) < -top):
@@ -170,11 +192,12 @@ def exceed_ranks(numer: np.ndarray, count: int, denom: int | None, lams) -> np.n
     with rank r exceeds lams[i] (as :func:`exceeds` decides it) exactly
     when i < r.  Equal lams may repeat.  The ranks come in an array of
     numer's shape (at least one axis), int16 while there are fewer than
-    2^15 lams.  One lam is decided by :func:`exceeds` alone.
+    2^15 lams.  One lam is decided on its cut alone, as :func:`exceeds` decides it.
     """
-    if len(lams) == 1:
-        return exceeds(numer, count, denom, lams[0]).astype(np.int16)
-    cuts = np.array(_cuts(numer, count, denom, lams), dtype=numer.dtype)
+    cuts = _cuts(numer, count, denom, lams)
+    if len(cuts) == 1:  # exceeds, on the cut already made
+        return (numer > cuts[0]).astype(np.int16)
+    cuts = np.array(cuts, dtype=numer.dtype)
     ranks = np.empty(numer.shape, dtype=np.int16 if len(cuts) < 1 << 15 else np.intp)
     # the number of cuts strictly below each entry, a slab of rows at a
     # time: searchsorted makes an intp array and a contiguous copy of a
@@ -357,7 +380,9 @@ class GridFunction:
 
     def scalar(self, x):
         """``x`` as this grid's scalar: a Fraction in fixed mode, an in-range float in f64."""
-        return Fraction(x) if self.is_fixed else _in_float_range(x, float)
+        if self.is_fixed:
+            return x if type(x) is Fraction else Fraction(x)
+        return _in_float_range(x, float)
 
     def threshold(self, lam):
         """:meth:`scalar` of ``lam``, refused outside the float range in fixed mode too."""

@@ -7,9 +7,12 @@ A report object's ``to_json_dict`` returns its fields by report key as
 plain values; this module alone turns them into JSON.  Long lists of
 cubes and of rationals can come as :class:`CubeRows` and
 :class:`RatioRows`, per-level arrays that :func:`canonical_json` writes
-without making an object per item.  :func:`canonical_json` writes a
-whole document in one walk; :func:`scalar_json` maps one number to its
-JSON value, for a compact dump of a few scalars.
+without making an object per item, and the per-lam records of a sweep
+and of a theorem run as :class:`LemmaRows` and :class:`TheoremRows`,
+columns that it writes from one template per view.
+:func:`canonical_json` writes a whole document in one walk;
+:func:`scalar_json` maps one number to its JSON value, for a compact
+dump of a few scalars.
 Serialization is canonical (sorted keys, stable float repr, exact
 rational strings alongside decimals in fixed mode) so identical inputs
 produce byte-identical reports.
@@ -27,11 +30,14 @@ import numpy as np
 
 from ._blocks import cubes_at
 from .cubes import DyadicCube
+from .grid import Thresholds
 
 __all__ = [
     "VerificationReport",
     "CubeRows",
     "RatioRows",
+    "LemmaRows",
+    "TheoremRows",
     "scalar_json",
     "canonical_json",
 ]
@@ -84,6 +90,130 @@ class RatioRows:
         if D is None:
             return [float(w) for raw in self.raws for w in raw.tolist()]
         return [Fraction(w, D) for raw in self.raws for w in raw.tolist()]
+
+
+class _LambdaRows:
+    """Items held as columns by ascending lam index: item i is the one
+    that ``_item`` builds at index ``order[i]``."""
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self._item(j) for j in self.order[i]]
+        return self._item(self.order[i])
+
+    def __iter__(self):
+        return map(self._item, self.order)
+
+
+@dataclass(frozen=True, eq=False)
+class LemmaRows(_LambdaRows):
+    """The decay-step reports of one sweep, held as columns.
+
+    Per ascending lam index j: ``lams`` and ``blams`` (the b*lams) as
+    :class:`jnplus.grid.Thresholds`, the cell counts of E(lam) and
+    E(b*lam) over ``cells``, the main inequality's right side ``rhs``,
+    the flags ``main_ok``, ``p6_ok`` and ``p8_ok`` and the stopping-cube
+    count ``stops``.  Below the first admissible index ``i0`` nothing
+    is asserted: the flags are True and the count is 0.  ``params``,
+    ``K``, ``K_weight`` and ``exact`` are shared by every report.
+    Report i is the one at ascending index ``order[i]``; indexing or
+    iterating builds it as a :class:`VerificationReport`.
+    """
+
+    lams: Thresholds
+    blams: Thresholds
+    order: list[int]
+    i0: int
+    cells: int
+    E_counts: list[int]
+    B_counts: list[int]
+    rhs: list[float]
+    main_ok: list[bool]
+    p6_ok: list[bool]
+    p8_ok: list[bool]
+    stops: list[int]
+    params: Any
+    K: float
+    K_weight: Any
+    exact: bool
+
+    def admissible_count(self) -> int:
+        return len(self.order) - self.i0
+
+    def failed_ids(self) -> list[str]:
+        """The checks that failed at some lam, sorted."""
+        return sorted(name for name, ok in self._checks() if not all(ok))
+
+    def _checks(self):
+        return (("Lemma", self.main_ok), ("p6", self.p6_ok), ("p8", self.p8_ok))
+
+    def _failed(self, j: int) -> list[str]:
+        return [name for name, ok in self._checks() if not ok[j]]
+
+    def _item(self, j: int) -> VerificationReport:
+        cE, cells = self.E_counts[j], self.cells
+        E_lam = Fraction(cE, cells)
+        failed = self._failed(j)
+        return VerificationReport(
+            inequality_id="Lemma",
+            lhs=cE / cells,
+            rhs=self.rhs[j],
+            admissible=j >= self.i0,
+            passed=not failed,
+            exact=self.exact,
+            lhs_exact=str(E_lam) if self.lams.exact else None,
+            details={
+                "lambda": self.lams[j],
+                "b-lambda": self.blams[j],
+                "params": self.params,
+                "K": self.K,
+                "K-weight": self.K_weight,
+                "E-lambda": E_lam,
+                "E-b-lambda": Fraction(self.B_counts[j], cells),
+                "stopping-count": self.stops[j],
+                "p6-pass": self.p6_ok[j],
+                "p8-pass": self.p8_ok[j],
+                "failed-ids": failed,
+            },
+        )
+
+
+@dataclass(frozen=True, eq=False)
+class TheoremRows(_LambdaRows):
+    """The per-lam records of one theorem run, held as columns.
+
+    Per ascending lam index j: ``lams`` as a
+    :class:`jnplus.grid.Thresholds`, the cell counts of E_grid, E_aug and
+    the distribution set over ``cells``, the measure ``bound``, the
+    ``passed`` flag and the proof ``branch``.  Record i is the one at
+    ascending index ``order[i]``; indexing or iterating builds it as a
+    dict.
+    """
+
+    lams: Thresholds
+    order: list[int]
+    cells: int
+    grid_counts: list[int]
+    aug_counts: list[int]
+    dist_counts: list[int]
+    bound: list[float]
+    passed: list[bool]
+    branch: list[str]
+
+    def _item(self, j: int) -> dict:
+        cells = self.cells
+        return {
+            "lambda": self.lams[j],
+            "E-grid": Fraction(self.grid_counts[j], cells),
+            "E-aug": Fraction(self.aug_counts[j], cells),
+            "dist": Fraction(self.dist_counts[j], cells),
+            "bound": self.bound[j],
+            "pass": self.passed[j],
+            "branch": self.branch[j],
+        }
 
 
 def _decimal(num: int, den: int) -> str:
@@ -148,12 +278,14 @@ def _fraction_text(x: Fraction, nl: str) -> str:
     return _ratio_text(num, den, f"{num}/{den}" if den != 1 else int.__repr__(num), nl)
 
 
+_BOOL_TEXT = {True: "true", False: "false"}
+
 # the text of a value of exactly one of these types, at any indent
 _SCALAR_TEXT = {
     str: _encode_str,
     int: int.__repr__,
     float: _float_text,
-    bool: {True: "true", False: "false"}.__getitem__,
+    bool: _BOOL_TEXT.__getitem__,
     type(None): lambda _: "null",
 }
 
@@ -199,6 +331,10 @@ def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
         _write_items(_cube_items(obj, nl + "  "), put, nl)
     elif isinstance(obj, RatioRows):
         _write_items(_ratio_items(obj, nl + "  "), put, nl)
+    elif isinstance(obj, LemmaRows):
+        _write_items(_lemma_items(obj, nl + "  ", memo), put, nl)
+    elif isinstance(obj, TheoremRows):
+        _write_items(_theorem_items(obj, nl + "  ", memo), put, nl)
     elif isinstance(obj, dict):
         _write_dict(obj, put, nl, memo)
     elif isinstance(obj, (list, tuple)):
@@ -280,6 +416,122 @@ def _ratio_items(rows: RatioRows, nl: str):
                 g = math.gcd(w, D)
                 exact = f"{w // g}/{D // g}" if g != D else str(w // g)
                 yield head + _decimal(w, D) + mid + exact + tail
+
+
+def _threshold_texts(lams: Thresholds, nl: str) -> list[str]:
+    # each lam as _write writes its Fraction (from the ratio) or float, as a value at indent nl
+    if not lams.exact:
+        return [_float_text(x) for x in lams.floats()]
+    return [_ratio_text(n, d, f"{n}/{d}" if d != 1 else str(n), nl) for n, d in lams.ratios]
+
+
+def _exact_text(count: int, cells: int) -> str:
+    # str(Fraction(count, cells))
+    g = math.gcd(count, cells)
+    return f"{count // g}/{cells // g}" if g != cells else str(count // g)
+
+
+def _count_texts(counts: list[int], cells: int, nl: str, memo: dict) -> list[str]:
+    # each Fraction count/cells as _write writes it at indent nl; memo maps a
+    # count to its text, made once per distinct count
+    out = []
+    for c in counts:
+        text = memo.get(c)
+        if text is None:
+            text = memo[c] = _ratio_text(c, cells, _exact_text(c, cells), nl)
+        out.append(text)
+    return out
+
+
+# records formatted by one % call.  A sweep's 73 records in one call ran no
+# faster, and its strings of ~100 KB raised the peak RSS of a corpus-chain
+# lap by 2-3 MB (the heap fragments); runs of 8 stay near 10 KB
+_RECORD_RUN = 8
+
+
+def _record_items(first: dict, columns: dict, order: list[int], nl: str, memo: dict):
+    """Runs of a row view's records in ``order``, as :func:`_write` writes each at indent nl.
+
+    ``columns`` maps each per-record key ("outer/inner" inside a nested
+    dict) to its value texts by ascending lam index.  The template is
+    the record ``first`` as :func:`_write_dict` writes it, with a %s slot
+    for each such key, so every value the records share is written once;
+    one % call formats a run of records from it.
+    """
+    sample = dict(first)
+    for name in columns:
+        outer, _, inner = name.rpartition("/")
+        d = sample
+        if outer:
+            d = sample[outer] = dict(sample[outer])
+        d[inner] = "\0" + name  # a str no report holds
+    parts: list[str] = []
+    _write_dict(sample, parts.append, nl, memo)
+    template = "".join(parts).replace("%", "%%")
+    marks = {name: _encode_str("\0" + name) for name in columns}
+    names = sorted(columns, key=lambda name: template.index(marks[name]))
+    for mark in marks.values():
+        template = template.replace(mark, "%s")
+    k = len(names)
+    flat = [""] * (k * len(order))
+    for s, name in enumerate(names):
+        col = columns[name]
+        flat[s::k] = [col[j] for j in order]
+    for start in range(0, len(order), _RECORD_RUN):
+        stop = min(start + _RECORD_RUN, len(order))
+        yield f",{nl}".join([template] * (stop - start)) % tuple(flat[start * k : stop * k])
+
+
+def _lemma_items(rows: LemmaRows, nl: str, memo: dict):
+    # the reports of a sweep as _write writes each VerificationReport at indent nl
+    if not len(rows):
+        return
+    ind2 = nl + "    "  # the details' keys
+    counts: dict[int, str] = {}
+    passed = [a and b and c for a, b, c in zip(rows.main_ok, rows.p6_ok, rows.p8_ok)]
+    columns = {
+        "admissible": ["false"] * rows.i0 + ["true"] * (len(rows.E_counts) - rows.i0),
+        "lhs": [float.__repr__(c / rows.cells) for c in rows.E_counts],
+        "pass": [_BOOL_TEXT[ok] for ok in passed],
+        "rhs": [_float_text(x) for x in rows.rhs],
+        "details/lambda": _threshold_texts(rows.lams, ind2),
+        "details/b-lambda": _threshold_texts(rows.blams, ind2),
+        "details/E-lambda": _count_texts(rows.E_counts, rows.cells, ind2, counts),
+        "details/E-b-lambda": _count_texts(rows.B_counts, rows.cells, ind2, counts),
+        "details/stopping-count": [int.__repr__(c) for c in rows.stops],
+        "details/p6-pass": [_BOOL_TEXT[ok] for ok in rows.p6_ok],
+        "details/p8-pass": [_BOOL_TEXT[ok] for ok in rows.p8_ok],
+        "details/failed-ids": [
+            "[]" if ok else _list_text(rows._failed(j), ind2, memo) for j, ok in enumerate(passed)
+        ],
+    }
+    if rows.lams.exact:
+        columns["lhs-exact"] = [f'"{_exact_text(c, rows.cells)}"' for c in rows.E_counts]
+    yield from _record_items(rows[0].to_json_dict(), columns, rows.order, nl, memo)
+
+
+def _theorem_items(rows: TheoremRows, nl: str, memo: dict):
+    # the records of a theorem run as _write writes each record dict at indent nl
+    if not len(rows):
+        return
+    ind = nl + "  "
+    counts: dict[int, str] = {}
+    columns = {
+        "lambda": _threshold_texts(rows.lams, ind),
+        "E-grid": _count_texts(rows.grid_counts, rows.cells, ind, counts),
+        "E-aug": _count_texts(rows.aug_counts, rows.cells, ind, counts),
+        "dist": _count_texts(rows.dist_counts, rows.cells, ind, counts),
+        "bound": [_float_text(x) for x in rows.bound],
+        "pass": [_BOOL_TEXT[ok] for ok in rows.passed],
+        "branch": [_encode_str(b) for b in rows.branch],
+    }
+    yield from _record_items(rows[0], columns, rows.order, nl, memo)
+
+
+def _list_text(seq, nl: str, memo: dict) -> str:
+    parts: list[str] = []
+    _write_list(seq, parts.append, nl, memo)
+    return "".join(parts)
 
 
 def _write_list(seq, put, nl: str, memo: dict) -> None:

@@ -238,7 +238,9 @@ def _level_weights(
 
     Exact integer numerators (object arrays) on the common denominator
     of the module docstring in fixed mode with integer p; floats
-    otherwise.
+    otherwise.  A float weight divides the block sum by its scale
+    half*N^2*denom; where that scale has no float, each quotient is
+    taken exactly and rounded once (inf past the float range).
     """
     exact = f.is_fixed and p_int is not None
     phi: dict[int, np.ndarray] = {}
@@ -254,9 +256,14 @@ def _level_weights(
             phi[k] = T.astype(object) ** p_int * (1 << (k * f.n * (2 * p_int - 1)))
         else:
             N = block_count(f, k)
-            scale = float(half * N * N * (f.denom if f.is_fixed else 1))
+            scale = half * N * N * (f.denom if f.is_fixed else 1)
+            try:
+                ratio = _float_array(T) / float(scale)
+            except OverflowError:  # no float scale: each quotient exact, rounded once
+                ratio = np.array([_float_view(Fraction(t, scale)) for t in T.ravel().tolist()])
+                ratio = ratio.reshape(T.shape)
             with np.errstate(over="ignore"):  # a power past the float range is inf
-                phi[k] = (_float_array(T) / scale) ** float(q) * 2.0 ** (-k * f.n)
+                phi[k] = ratio ** float(q) * 2.0 ** (-k * f.n)
     return phi
 
 

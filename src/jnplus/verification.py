@@ -31,7 +31,10 @@ context, so a sweep over many lam recomputes none of it.
   the one stopping rule, each block against the b*lams, so each
   stopping cube, each cell of E(lam) and each p6/p8 failure holds on one
   interval of lam indices, and the two local fields of a visited
-  stopping cube are built once per sweep.
+  stopping cube are built once per sweep.  The reports come as one
+  :class:`jnplus.reports.LemmaRows`: per-lam columns of counts, flags
+  and floats, with the values every report shares held once.  Indexing
+  it builds a lam's :class:`VerificationReport`.
 
 * ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
@@ -45,6 +48,8 @@ context, so a sweep over many lam recomputes none of it.
   both variants.  It counts |E(lam)|, the augmented measure and the
   distribution measure of every lam in one pass over each array
   (``grid.exceed_ranks`` on the ascending list of ``_lambda_list``).
+  Its records come as one :class:`jnplus.reports.TheoremRows`, whose
+  items are the record dicts.
 
 Measures are exact rationals in fixed mode.  The final inequality of
 the lemma and the theorem bound involve p-th roots and the iterated
@@ -56,7 +61,6 @@ tolerance; the report's ``exact`` flag says which.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -79,7 +83,7 @@ from .grid import (
     union_sum,
 )
 from .maximal import MaximalField, maximal_function, positive_part_field, stopping_ranks
-from .reports import VerificationReport
+from .reports import LemmaRows, TheoremRows, VerificationReport
 from .seminorms import SeminormResult, jnp_plus_dyadic, _float_pow, _norm_exponent
 
 __all__ = [
@@ -191,46 +195,42 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     return lemma_sweep(ctx, [lam])[0]
 
 
-def lemma_sweep(ctx: LemmaContext, lambdas=None) -> list[VerificationReport]:
+def lemma_sweep(ctx: LemmaContext, lambdas=None) -> LemmaRows:
     """The decay step of :func:`good_lambda_check` at every lam of a list.
 
     The default list is ``default_lambda_grid(ctx)``.  The reports come
-    in the order of ``lambdas``, repeats included; the step itself is
-    decided for all of them at once, on the ascending list (see
-    :func:`_decay_steps`).
+    in the order of ``lambdas``, repeats included, as one
+    :class:`jnplus.reports.LemmaRows`; the step itself is decided for
+    all of them at once, on the ascending list (see :func:`_decay_steps`).
     """
-    lams, at = _lambda_list(ctx, lambdas)
-    return _in_caller_order(_decay_steps(ctx, lams), at)
+    return _decay_steps(ctx, *_lambda_list(ctx, lambdas))
 
 
 def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
     """The lams of a sweep or theorem run, ascending and lifted once, and
-    each one's position in the caller's list: the one owner of lam order.
+    the ascending index of each lam of the caller's list: the one owner
+    of lam order.
 
     The default ``default_lambda_grid(ctx)`` is already distinct,
     ascending, positive floats in the float range, so each lifts exactly
-    by itself and its positions are its own order.  A caller's lams are
-    each lifted by :meth:`GridFunction.threshold`, must be positive, and
-    are sorted, repeats kept.
+    by itself and its order is its own.  A caller's lams are each lifted
+    by :meth:`GridFunction.threshold`, must be positive, and are sorted,
+    repeats kept.  A fixed grid's list is exact: it holds the ratios alone.
     """
     f = ctx.f
     if lambdas is None:
-        grid = default_lambda_grid(ctx)
-        values = [Fraction(lam) for lam in grid] if f.is_fixed else grid
-        return Thresholds(values), list(range(len(grid)))
-    lamNs = [f.threshold(lam) for lam in lambdas]
-    if not all(lamN > 0 for lamN in lamNs):
-        raise InvalidParamsError("lambda must be positive")
-    at = sorted(range(len(lamNs)), key=lamNs.__getitem__)
-    return Thresholds([lamNs[i] for i in at]), at
-
-
-def _in_caller_order(results: list, at: list[int]) -> list:
-    """Per-lam results of :func:`_lambda_list`'s ascending lams, at their positions ``at``."""
-    out = [None] * len(results)
-    for i, r in zip(at, results):
-        out[i] = r
-    return out
+        values = default_lambda_grid(ctx)
+        order = list(range(len(values)))
+    else:
+        lamNs = [f.threshold(lam) for lam in lambdas]
+        if not all(lamN > 0 for lamN in lamNs):
+            raise InvalidParamsError("lambda must be positive")
+        at = sorted(range(len(lamNs)), key=lamNs.__getitem__)
+        values, order = [lamNs[i] for i in at], [0] * len(at)
+        for j, i in enumerate(at):
+            order[i] = j
+    ratios = [lam.as_integer_ratio() for lam in values]
+    return Thresholds(ratios, None if f.is_fixed else values), order
 
 
 def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
@@ -241,8 +241,9 @@ def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return counts_above(hi, m) - counts_above(np.minimum(lo, hi), m)
 
 
-def _decay_steps(ctx: LemmaContext, lams: Thresholds) -> list[VerificationReport]:
-    """The decay-step reports at the ascending lams, decided on rank arrays.
+def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int]) -> LemmaRows:
+    """The decay-step reports at the ascending lams, decided on rank arrays,
+    as the columns of a :class:`jnplus.reports.LemmaRows` in ``order``.
 
     With m lams, ``grid.exceed_ranks`` turns each array into ranks r in
     [0, m]: an entry exceeds lams[i] (or b*lams[i]) exactly when i < r.
@@ -280,7 +281,7 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds) -> list[VerificationReport
     E_counts = counts_above(eE, m).tolist()
     B_counts = counts_above(exceed_ranks(field, 1, scale, blams), m).tolist()
     # admissible: not (g_fwd_avg > b*lam), a suffix as b*lam grows
-    i0 = bisect_left(blams.values, ctx.g_fwd_avg)
+    i0 = blams.count_below(ctx.g_fwd_avg)
 
     # per lam index: stopping cubes, and cells where p6 or p8 fails
     stops, fail6, fail8 = (np.zeros(m, dtype=np.intp) for _ in range(3))
@@ -309,7 +310,10 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds) -> list[VerificationReport
                 fail8 += _held(r8, sub, m)
         # A and e of the leaf level: the cell's ancestors' and its own largest rank
         fail6 += _held(np.maximum(np.maximum(A, e), i0), eE, m)
-    stop_counts, p6_fails, p8_fails = stops.tolist(), fail6.tolist(), fail8.tolist()
+    # nothing is asserted below i0
+    stops[:i0] = 0
+    ok6, ok8 = fail6 == 0, fail8 == 0
+    ok6[:i0] = ok8[:i0] = True
 
     exact_main = K.exact  # an exact seminorm implies a fixed-mode grid
     if exact_main:
@@ -322,56 +326,38 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds) -> list[VerificationReport
         wn, wd = K.weight.numerator, K.weight.denominator
         lhs_scale, rhs_scale = wd**v, wn**v * cells**v
     aK, qinv = float(params.a) * K.value, 1.0 / float(params.q)
-    reports = []
-    columns = zip(lams, lams.floats(), blams, E_counts, B_counts)
-    for i, (lamN, lam_f, blam, cE, cB) in enumerate(columns):
-        E_lam, E_blam = Fraction(cE, cells), Fraction(cB, cells)
-        # cE / cells is float(E_lam): both round the same rational once;
+    rhs, main_ok = [], []
+    columns = zip(lams.ratios, lams.floats(), E_counts, B_counts)
+    for i, ((ln, ld), lam_f, cE, cB) in enumerate(columns):
         # aK / lam may be inf, and an empty E(b*lam) bounds E(lam) by 0
         rhs_float = aK / lam_f * (cB / cells) ** qinv if cB else 0.0
-        admissible = i >= i0
-        if not admissible:
-            main_ok = p6_ok = p8_ok = True
-            dec_size = 0
+        rhs.append(rhs_float)
+        if i < i0:
+            main_ok.append(True)
+        elif exact_main:
+            lhs = (cE * ad * ln) ** u * lhs_scale
+            main_ok.append(lhs <= (an * ld) ** u * cB ** (u - v) * rhs_scale)
         else:
-            if exact_main:
-                ln, ld = lamN.numerator, lamN.denominator
-                lhs = (cE * ad * ln) ** u * lhs_scale
-                main_ok = lhs <= (an * ld) ** u * cB ** (u - v) * rhs_scale
-            else:
-                main_ok = cE / cells <= rhs_float * (1.0 + _REL_TOL) + 1e-18
-            p6_ok, p8_ok = p6_fails[i] == 0, p8_fails[i] == 0
-            dec_size = stop_counts[i]
-        failed = [
-            name
-            for name, ok in (("Lemma", main_ok), ("p6", p6_ok), ("p8", p8_ok))
-            if admissible and not ok
-        ]
-        reports.append(
-            VerificationReport(
-                inequality_id="Lemma",
-                lhs=cE / cells,
-                rhs=rhs_float,
-                admissible=admissible,
-                passed=main_ok and p6_ok and p8_ok,
-                exact=exact_main,
-                lhs_exact=str(E_lam) if f.is_fixed else None,
-                details={
-                    "lambda": lamN,
-                    "b-lambda": blam,
-                    "params": params,
-                    "K": K.value,
-                    "K-weight": K.weight,
-                    "E-lambda": E_lam,
-                    "E-b-lambda": E_blam,
-                    "stopping-count": dec_size,
-                    "p6-pass": p6_ok,
-                    "p8-pass": p8_ok,
-                    "failed-ids": failed,
-                },
-            )
-        )
-    return reports
+            # cE / cells is float(|E(lam)|): both round the same rational once
+            main_ok.append(cE / cells <= rhs_float * (1.0 + _REL_TOL) + 1e-18)
+    return LemmaRows(
+        lams=lams,
+        blams=blams,
+        order=order,
+        i0=i0,
+        cells=cells,
+        E_counts=E_counts,
+        B_counts=B_counts,
+        rhs=rhs,
+        main_ok=main_ok,
+        p6_ok=ok6.tolist(),
+        p8_ok=ok8.tolist(),
+        stops=stops.tolist(),
+        params=params,
+        K=K.value,
+        K_weight=K.weight,
+        exact=exact_main,
+    )
 
 
 def proof_constant(n: int, p, b) -> float:
@@ -463,7 +449,7 @@ class TheoremRun:
     K_weight: Fraction | float
     lam0: float
     C_proof: float
-    records: list[dict] = field(repr=False)
+    records: TheoremRows = field(repr=False)
     passed_p9: bool
     passed_p11: bool
     passed_dist: bool
@@ -507,16 +493,18 @@ class TheoremRun:
         }
 
     def to_csv(self) -> str:
+        rows = self.records
+        cells, lam_f = rows.cells, rows.lams.floats()
         lines = ["lambda,E_grid,E_aug,dist,bound,pass"]
-        for r in self.records:
+        for j in rows.order:
             lines.append(
                 "{lam!r},{eg!r},{ea!r},{ds!r},{bd!r},{ok}".format(
-                    lam=float(r["lambda"]),
-                    eg=float(r["E-grid"]),
-                    ea=float(r["E-aug"]),
-                    ds=float(r["dist"]),
-                    bd=float(r["bound"]),
-                    ok=int(bool(r["pass"])),
+                    lam=lam_f[j],
+                    eg=rows.grid_counts[j] / cells,
+                    ea=rows.aug_counts[j] / cells,
+                    ds=rows.dist_counts[j] / cells,
+                    bd=float(rows.bound[j]),
+                    ok=int(rows.passed[j]),
                 )
             )
         return "\n".join(lines) + "\n"
@@ -533,10 +521,11 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     """
     f, params, root, K, g, lam0 = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g, ctx.lam0
     field_g, field_a = ctx.field, maximal_function(g, root, "augmented")
-    lams, at = _lambda_list(ctx, lambdas)
+    lams, order = _lambda_list(ctx, lambdas)
     m, cells = len(lams), 1 << (f.L * f.n)
     C = proof_constant(f.n, params.p, params.b)
-    Kp = _float_view(K.weight) if K.exact else K.value ** float(params.p)
+    pf = float(params.p)
+    Kp = _float_view(K.weight) if K.exact else K.value**pf
 
     def counts(numer: np.ndarray, denom: int | None) -> list[int]:
         # every lambda's superlevel count of one array in one pass
@@ -544,21 +533,17 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
 
     # g is (f - mean(f over root++))^+, so on the root it holds the
     # distribution set of every lambda > 0
-    columns = zip(
-        lams,
-        lams.floats(),
-        counts(field_g.values, field_g.denom_scale),
-        counts(field_a.values, field_a.denom_scale),
-        counts(g.region(root), g.denom),
-    )
-    records: list[dict] = []
+    G = counts(field_g.values, field_g.denom_scale)
+    A = counts(field_a.values, field_a.denom_scale)
+    D = counts(g.region(root), g.denom)
+    bounds, passed, branches = [], [], []
     passed_p9 = True
     passed_dist = True
     emp_grid = 0.0
     emp_aug = 0.0
-    for lamN, lam_f, cG, cA, cD in columns:
+    for lam_f, cG, cA, cD in zip(lams.floats(), G, A, D):
         # lam^p is inf past the float range (bound 0) and 0 below it (bound inf)
-        lam_p = _float_pow(lam_f, params.p)
+        lam_p = _float_pow(lam_f, pf)
         bound = math.inf if lam_p == 0.0 else C * Kp / lam_p
         # an empty E(lam) meets any bound, also the nan of inf/inf
         ok = cG == 0 or cG / cells <= bound * (1.0 + _REL_TOL)
@@ -570,23 +555,15 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
             emp_grid = max(emp_grid, lam_p * (cG / cells) / Kp if Kp > 0.0 else math.inf)
         if cA:
             emp_aug = max(emp_aug, lam_p * (cA / cells) / Kp if Kp > 0.0 else math.inf)
-        records.append(
-            {
-                "lambda": lamN,
-                "E-grid": Fraction(cG, cells),
-                "E-aug": Fraction(cA, cells),
-                "dist": Fraction(cD, cells),
-                "bound": bound,
-                "pass": bool(ok and dist_ok),
-                "branch": "iteration" if lam_f > lam0 else "trivial",
-            }
-        )
-    records = _in_caller_order(records, at)
+        bounds.append(bound)
+        passed.append(bool(ok and dist_ok))
+        branches.append("iteration" if lam_f > lam0 else "trivial")
+    records = TheoremRows(lams, order, cells, G, A, D, bounds, passed, branches)
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
     V = volume(root)
     p11_lhs = g.ratio(union_sum(g, root), g.cells_in(root))
-    p11_rhs = 2.0 * K.value / float(V) ** (1.0 / float(params.p))
+    p11_rhs = 2.0 * K.value / float(V) ** (1.0 / pf)
     if K.exact:
         u, v = params.p.numerator, params.p.denominator
         passed_p11 = p11_lhs**u * V**v <= 2**u * K.weight**v

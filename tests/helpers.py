@@ -37,7 +37,7 @@ from jnplus import (
 from jnplus._blocks import block_count, box_origin, cubes_at, level_sums, root_box, upsample
 from jnplus.grid import exceeds
 from jnplus.maximal import positive_part_field
-from jnplus.reports import CubeRows, RatioRows, scalar_json
+from jnplus.reports import CubeRows, LemmaRows, RatioRows, TheoremRows, scalar_json
 
 
 def cell_value(f: GridFunction, idx: tuple[int, ...]) -> Fraction | float:
@@ -316,6 +316,8 @@ def jsonify(obj):
         return {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
     if isinstance(obj, (CubeRows, RatioRows)):
         return jsonify(obj.expand())
+    if isinstance(obj, (LemmaRows, TheoremRows)):
+        return jsonify(list(obj))
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -22,9 +22,10 @@ from jnplus import (
     load_grid,
     save_grid,
 )
-from jnplus import cli
+from jnplus import cli, verification
 from jnplus.cli import main
 from jnplus.corpus import MAX_CELLS
+from jnplus.reports import TheoremRows, VerificationReport
 
 
 @pytest.fixture
@@ -431,6 +432,30 @@ def test_exact_values_past_the_float_range(tmp_path, capsys, grid, argv, want):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("seminorm", "--p", "3/2"),
+        ("verify", "theorem", "--p", "3/2", "--b", "1/8", "--lambda", "1"),
+    ],
+)
+def test_denominator_past_the_float_range_at_a_non_integer_p(tmp_path, capsys, argv):
+    """Cells 2^1101 and 0 over the denominator 2^1100, whose float is inf:
+    the float weights of a non-integer p divide each block sum exactly, so
+    the report equals that of the same values, 2 and 0, over 1."""
+    texts = []
+    for denom, top in ((2**1100, 2**1101), (1, 2)):
+        path = tmp_path / f"grid{denom.bit_length()}.json"
+        doc = {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": denom,
+               "values": [top] + [0] * 5}
+        path.write_text(json.dumps(doc))
+        code, stdout, stderr = run(capsys, *argv, "--input", str(path))
+        assert code == 0 and stderr == ""
+        texts.append(stdout)
+    assert texts[0] == texts[1]
+    assert '"nan"' not in texts[0] and '"inf"' not in texts[0]
+
+
+@pytest.mark.parametrize(
     "command",
     [
         ("decompose",),
@@ -690,6 +715,65 @@ def test_decompose_makes_no_cube_per_stopping_cube(tmp_path, capsys, monkeypatch
     # one root per decomposition, and the lambda grid's root and its
     # translate; not one stopping cube
     assert len(created) == len(decs) + 2
+
+
+@pytest.mark.parametrize("mode", ["fixed:16", "f64"])
+@pytest.mark.parametrize("command", ["good-lambda", "theorem"])
+def test_verify_makes_no_object_per_lambda(tmp_path, capsys, monkeypatch, command, mode):
+    """From the sweep or theorem call to the written report and CSV, a
+    verify run builds as many VerificationReports, theorem record dicts
+    and Fractions at the 73 default lambdas as at 5 listed ones: the
+    records are written from columns, not from an object per lambda.
+    The default grid's own reads of the grid's extremes are not counted."""
+    path = str(tmp_path / "grid.bin")
+    save_grid(gen(GeneratorSpec("uniform-random", 2, 4, 3, mode.split(":")[0], 16)), path)
+    on, built = [False], {}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            if on[0]:
+                built[name] = built.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def starting(fn):
+        def wrapper(*args, **kwargs):
+            on[0] = True
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def pausing(fn):
+        def wrapper(*args, **kwargs):
+            on[0] = False
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                on[0] = True
+        return wrapper
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
+    monkeypatch.setattr(
+        VerificationReport, "__init__", counted("report", VerificationReport.__init__)
+    )
+    monkeypatch.setattr(TheoremRows, "_item", counted("record", TheoremRows._item))
+    monkeypatch.setattr(cli, "lemma_sweep", starting(cli.lemma_sweep))
+    monkeypatch.setattr(cli, "theorem_check", starting(cli.theorem_check))
+    monkeypatch.setattr(verification, "default_lambda_grid", pausing(default_lambda_grid))
+    key = "reports" if command == "good-lambda" else "records"
+    extra = ("--csv", str(tmp_path / "run.csv")) if command == "theorem" else ()
+    counts = []
+    for lambdas in ("auto", "0.25,0.5,1,2,4"):
+        on[0], built = False, {}
+        code, stdout, _ = run(
+            capsys, "verify", command, "--input", path, "--p", "2", "--b", "1/8",
+            "--lambda", lambdas, *extra,
+        )
+        assert code == 0
+        counts.append((len(json.loads(stdout)[key]), built))
+    (m_auto, auto), (m_list, listed) = counts
+    assert (m_auto, m_list) == (73, 5)
+    assert auto == listed
+    assert auto.get("report", 0) <= 1 and auto.get("record", 0) <= 1
 
 
 @pytest.mark.parametrize("command", [["verify", "theorem"], ["verify", "good-lambda"]])

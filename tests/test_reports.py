@@ -3,7 +3,7 @@
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -16,20 +16,26 @@ from jnplus import (
     DyadicCube,
     GeneratorSpec,
     GridFunction,
+    LemmaContext,
     VerificationReport,
     antichain_oracle,
     bmo_plus_dyadic,
     bmo_plus_limit_form,
     canonical_json,
     cz_decompose,
+    default_lambda_grid,
+    default_manifest,
     gen,
+    good_lambda_check,
     jnp_classical_dyadic,
     jnp_plus_dyadic,
     lemma_params,
+    lemma_sweep,
     root_cube,
     scale_values,
+    theorem_check,
 )
-from jnplus.reports import CubeRows, RatioRows, scalar_json
+from jnplus.reports import CubeRows, LemmaRows, RatioRows, TheoremRows, scalar_json
 
 
 def test_scalar_json_forms():
@@ -301,3 +307,83 @@ def test_decomposition_rows_match_json_encoder(n, L):
         if len(keys) >= 10 and keys != [str(j) for j in sorted(dec.groups)]:
             many += 1
     assert many >= 2
+
+
+def _verify_docs(ctx, lambdas=None):
+    """The sweep and the theorem run at ``lambdas``, alone and nested as
+    the CLI writes them."""
+    rows = lemma_sweep(ctx, lambdas)
+    run = theorem_check(ctx, lambdas)
+    assert isinstance(rows, LemmaRows) and isinstance(run.records, TheoremRows)
+    sweep = {"params": ctx.params, "K": ctx.seminorm.value, "reports": rows}
+    return [rows, run.records, sweep, run]
+
+
+def _assert_views_match_json_encoder(docs) -> None:
+    for doc in docs:
+        assert canonical_json(doc) == oracle_canonical_json(doc)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64", "scaled"])
+def test_lambda_rows_match_json_encoder_on_the_corpus(mode):
+    """The sweep's and the theorem's row views, written from one template
+    each, are json's own text of the reports and records that indexing
+    builds: on every corpus grid, in fixed, f64 and 2^40-scaled form, at
+    p = 3/2, 2 and 3 in turn."""
+    for j, s in enumerate(default_manifest()):
+        kind = "f64" if mode == "f64" else "fixed"
+        f = gen(GeneratorSpec(s.kind, s.n, s.L, s.seed, kind, s.denom, s.params))
+        if mode == "scaled":
+            f = scale_values(f, 1 << 40)
+        p = (Fraction(3, 2), 2, 3)[j % 3]
+        ctx = LemmaContext(f, p, Fraction(1, 1 << (s.n + 1)))
+        _assert_views_match_json_encoder(_verify_docs(ctx))
+
+
+def test_lambda_rows_match_json_encoder_in_caller_order():
+    """Listed lams out of order and repeated, a one-lam sweep and
+    good_lambda_check's one report."""
+    rng = np.random.default_rng(91)
+    for mode in ("fixed:16", "f64"):
+        f = gen(GeneratorSpec("uniform-random", 2, 3, 5, mode.split(":")[0], 16))
+        ctx = LemmaContext(f, 2, Fraction(1, 8))
+        grid = default_lambda_grid(ctx)
+        lams = [f.scalar(grid[i]) for i in rng.choice(len(grid), 12)] + [f.scalar(1)] * 2
+        lams = [lams[i] for i in rng.permutation(len(lams))]
+        rows = lemma_sweep(ctx, lams)
+        assert [r.details["lambda"] for r in rows] == lams
+        _assert_views_match_json_encoder(_verify_docs(ctx, lams))
+        _assert_views_match_json_encoder(_verify_docs(ctx, [lams[0]]))
+        report = good_lambda_check(ctx, lams[0])
+        assert canonical_json(report) == canonical_json(rows[0]) == oracle_canonical_json(report)
+
+
+def test_lambda_rows_match_json_encoder_past_the_float_range():
+    """A 2^1100 cell: K and the bounds read inf, and so does K's weight, a
+    float at p = 3/2 and an exact value whose decimal reads inf at p = 2."""
+    f = GridFunction(1, 1, [2**1100] + [0] * 5, "fixed", 1)
+    for p, weight in ((Fraction(3, 2), '"K-weight": "inf"'), (2, '"decimal": "inf"')):
+        docs = _verify_docs(LemmaContext(f, p, Fraction(1, 8)), [1, Fraction(1, 3)])
+        text = canonical_json(docs)
+        assert '"K": "inf"' in text and '"bound": "inf"' in text and weight in text
+        _assert_views_match_json_encoder(docs)
+
+
+def test_lambda_rows_match_json_encoder_where_checks_fail():
+    """A hand-built failing sweep (each check fails somewhere, so the
+    failed ids are not empty) and a theorem run whose bounds are nan."""
+    f = gen(GeneratorSpec("uniform-random", 1, 3, 2, "fixed", 16))
+    ctx = LemmaContext(f, 2, Fraction(1, 8))
+    rows, records = lemma_sweep(ctx), theorem_check(ctx).records
+    m = len(rows)
+    failing = replace(
+        rows,
+        main_ok=[i % 2 == 0 for i in range(m)],
+        p6_ok=[i % 3 != 0 for i in range(m)],
+        p8_ok=[i % 5 != 1 for i in range(m)],
+    )
+    assert failing.failed_ids() == ["Lemma", "p6", "p8"]
+    assert {tuple(r.details["failed-ids"]) for r in failing} > {(), ("Lemma", "p6", "p8")}
+    nan_bounds = replace(records, bound=[math.nan] * m, passed=[False] * m)
+    assert '"bound": "nan"' in canonical_json(nan_bounds)
+    _assert_views_match_json_encoder([failing, nan_bounds, {"reports": failing, "n": 1}])
