@@ -445,7 +445,7 @@ def _count_texts(counts: list[int], cells: int, nl: str, memo: dict) -> list[str
 
 # records formatted by one % call.  A sweep's 73 records in one call ran no
 # faster, and its strings of ~100 KB raised the peak RSS of a corpus-chain
-# lap by 2-3 MB (the heap fragments); runs of 8 stay near 10 KB
+# lap by 2-3 MB, while Python's own peak fell; runs of 8 stay near 10 KB
 _RECORD_RUN = 8
 
 
