@@ -21,6 +21,21 @@ cells, the identities used downstream are
 
 so multiplying cells by N puts per-cell comparisons against a block sum
 on one integer scale.
+
+Two more identities keep an object grid's deviation sums in int64 where
+its cells fit (:func:`_lifted_deviation_sums`).  With c = floor(r/N) and
+rho = r - c*N (so 0 <= rho < N), an integer v exceeds r/N exactly when
+v > c, and then
+
+    sum of max(v*N - r, 0)  =  N * sum of (v - c)^+  -  rho * #{v > c},
+
+whose per-cell terms stay below 2*max|v| where the products v*N do not
+fit.  Against a block's own sum S the terms v*N - S add up to 0, so
+
+    sum of |v*N - S|  =  2 * sum of max(v*N - S, 0).
+
+Every exact block reduction on such int64 terms goes through
+:func:`_exact_sums`, which hands the sums back as Python ints.
 """
 
 from __future__ import annotations
@@ -130,15 +145,69 @@ def absdev_sums(gf: GridFunction, k: int) -> np.ndarray:
 
 def _deviation_sums(gf: GridFunction, k: int, ref: np.ndarray, T: int, kind: str) -> np.ndarray:
     """Per level-k block before time index T: the sum over its cells of max(value*N - r, 0)
-    or |value*N - r| by ``kind``, r = ref[block].  f64 overflow raises OutOfDomainError."""
-    w = gf.side >> k
+    or |value*N - r| by ``kind``, r = ref[block].  f64 overflow raises OutOfDomainError.
+
+    Bounds, with M = max |cell| (so |r| <= M*N): a term v*N - r reaches
+    2*M*N per cell, and a block's sum 2*M*N^2.  An object grid whose cells
+    lift to int64 (:meth:`GridFunction._int64_cells`) reduces by
+    :func:`_lifted_deviation_sums`, whose quotient form keeps its per-cell
+    terms below 2*M where 2*M*N does not fit.  int64, f64 and other object
+    grids run the one expression below on their own cells.
+    """
+    w, N = gf.side >> k, block_count(gf, k)
+    cells, M = gf._int64_cells()
+    if cells is not None:
+        return _lifted_deviation_sums(cells[..., : T * w], M, N, w, ref[..., :T], kind)
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = blocked(gf.values[..., : T * w], w) * block_count(gf, k) - blocked(ref[..., :T], 1)
+        diff = blocked(gf.values[..., : T * w], w) * N - blocked(ref[..., :T], 1)
         dev = np.maximum(diff, 0) if kind == "clamped" else np.abs(diff)
         sums = dev.sum(axis=in_block(gf.n))
     if gf.is_fixed or np.isfinite(sums).all():
         return sums
     raise OutOfDomainError(f"the f64 {kind} deviation sums of f at level {k} overflow")
+
+
+def _lifted_deviation_sums(
+    cells: np.ndarray, M: int, N: int, w: int, ref: np.ndarray, kind: str
+) -> np.ndarray:
+    """:func:`_deviation_sums` on int64 ``cells`` with 2*M < 2^62, as Python ints.
+
+    Where the per-cell bound 2*M*N fits, the terms are formed as written.
+    Where it does not, they take the quotient form of the module docstring,
+    and the absolute sums are twice the clamped ones.
+    """
+    from .grid import int64_fits  # grid imports this module
+
+    v = blocked(cells, w)
+    if int64_fits(2 * M * N):
+        diff = v * N - blocked(ref.astype(np.int64), 1)
+        dev = np.maximum(diff, 0) if kind == "clamped" else np.abs(diff)
+        return _exact_sums(dev.reshape(cells.shape), 2 * M * N, w)
+    c = ref // N  # Python ints, so the floor is exact
+    rho = ref - c * N
+    d = v - blocked(c.astype(np.int64), 1)
+    above = d > 0
+    pos = np.where(above, d, 0).reshape(cells.shape)
+    sums = N * _exact_sums(pos, 2 * M, w) - rho * _exact_sums(above.reshape(cells.shape), 1, w)
+    return sums if kind == "clamped" else 2 * sums
+
+
+def _exact_sums(terms: np.ndarray, bound: int, w: int) -> np.ndarray:
+    """Per block of side w, the exact sum of the int64 (or boolean) ``terms``,
+    each of magnitude at most ``bound``, as Python ints (object dtype).
+
+    The sums run in int64 over the largest sub-blocks whose sums fit
+    (:func:`jnplus.grid.int64_fits`), and only the sub-block totals left
+    are added as Python ints.
+    """
+    from .grid import int64_fits  # grid imports this module
+
+    n = terms.ndim
+    s = w
+    while s > 1 and not int64_fits(bound * s**n):
+        s >>= 1
+    part = blocked(terms, s).sum(axis=in_block(n)).astype(object)
+    return part if s == w else blocked(part, w // s).sum(axis=in_block(n))
 
 
 def upsample(arr: np.ndarray) -> np.ndarray:

@@ -31,10 +31,15 @@ This module owns the mode decision for the rest of the package:
 Fixed-mode arrays have one of two dtypes, and :func:`exact` alone picks
 it: int64 while :func:`int64_fits` proves that the largest magnitude a
 computation reaches stays below 2^62, object dtype holding Python ints
-(exact at any magnitude) past that.  A grid's cells use the bound
+(exact at any magnitude) past that.  The grid-wide bound
 |value| * 2^{2Ln+3}, which covers every block sum and scaled comparison
-made on it; each derived grid (offset, scale, shift) runs one numpy
-expression on the dtype that ``exact`` picks for its own bound.
+made on a grid, picks its cells' dtype; each derived grid (offset,
+scale, shift) runs one numpy expression on the dtype that ``exact``
+picks for its own bound.  An object grid's block and deviation sums
+still reduce in int64 where its cells fit: while 2 * max |value| does,
+``exact`` makes it one int64 copy of its cells
+(:meth:`GridFunction._int64_cells`), and the sums come back as Python
+ints (:func:`jnplus._blocks._exact_sums`).
 Integer and boolean numpy input is cast in one step.  Float and object
 input (lists, JSON grids) is read cell by cell: an integral float is
 kept exactly, and a fraction, inf or nan is a GridFormatError.
@@ -56,7 +61,7 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from ._blocks import blocked, clamped_sums, in_block, root_box, upsample
+from ._blocks import _exact_sums, blocked, clamped_sums, in_block, root_box, upsample
 from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, InvalidParamsError, OutOfDomainError
 
@@ -342,6 +347,7 @@ class GridFunction:
             self.values = buf.copy()
         self.values.setflags(write=False)
         self._block_sums_cache: dict[int, np.ndarray] = {}
+        self._int64_copy: tuple[np.ndarray | None, int] | None = None
         self._clamped_sums_cache: dict[tuple[int, int], np.ndarray] | None = None
         self._prefix: PrefixTable | None = None
 
@@ -413,11 +419,33 @@ class GridFunction:
         cached = self._block_sums_cache.get(k)
         if cached is not None:
             return cached
-        with np.errstate(over="ignore", invalid="ignore"):
-            sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
+        cells, M = self._int64_cells()
+        if cells is not None:
+            sums = _exact_sums(cells, M, self.side >> k)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
         sums.setflags(write=False)
         self._block_sums_cache[k] = sums
         return sums
+
+    def _int64_cells(self) -> tuple[np.ndarray | None, int]:
+        """An object grid's cells as int64, and M = max |cell|, when 2*M fits.
+
+        (None, 0) for an int64 or f64 grid, and (None, M) for cells at or
+        past 2^61.  Made once through :func:`exact` and memoized, so the
+        block and deviation sums of an object grid reduce in int64 wherever
+        their terms fit (:func:`_blocks._exact_sums`).
+        """
+        if self.values.dtype != object:
+            return None, 0
+        if self._int64_copy is None:
+            M = _magnitude(self.values)
+            cells = exact(self.values, 2 * M) if int64_fits(2 * M) else None
+            if cells is not None:
+                cells.setflags(write=False)
+            self._int64_copy = (cells, M)
+        return self._int64_copy
 
     def clamped_sums(self, k: int, offset: int) -> np.ndarray:
         """:func:`_blocks.clamped_sums` of this grid at level k.

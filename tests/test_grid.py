@@ -507,6 +507,26 @@ def _grids_at_the_guard(n, L):
     return [GridFunction(n, L, (s * top).astype(np.int64), "fixed", 3) for s in signs]
 
 
+def _assert_deviation_sums_naive(f):
+    """The clamped (offsets 1 and 2) and absolute deviation sums of f at every
+    level against the cellwise references."""
+    n, L = f.n, f.L
+    for k in range(L + 1):
+        N = 1 << ((L - k) * n)
+        for offset in (1, 2):
+            C = clamped_sums(f, k, offset)
+            for idx in np.ndindex(*C.shape):
+                if idx[-1] + offset < 3 << k:
+                    c = DyadicCube(k, idx[:-1], idx[-1])
+                    want = naive_pos_part_average(f, "cube", c, forward(c, offset))
+                    assert Fraction(int(C[idx]), N * N * f.denom) == want, (k, offset, idx)
+        A = absdev_sums(f, k)
+        for idx in np.ndindex(*A.shape):
+            c = DyadicCube(k, idx[:-1], idx[-1])
+            want = naive_phi_classical(f, c, 1) * (1 << (k * n))
+            assert Fraction(int(A[idx]), N * N * f.denom) == want, (k, idx)
+
+
 @pytest.mark.parametrize("n,L", [(1, 2), (1, 3), (2, 2)])
 def test_multiply_and_clamp_ops_exact_at_the_guard(n, L):
     """At cells of +-(the guard limit - 1) the grid keeps int64 cells, and
@@ -517,20 +537,7 @@ def test_multiply_and_clamp_ops_exact_at_the_guard(n, L):
     that |value| * 2^{2Ln+3} bounds every scaled product."""
     for f in _grids_at_the_guard(n, L):
         assert f.values.dtype == np.int64
-        for k in range(L + 1):
-            N = 1 << ((L - k) * n)
-            for offset in (1, 2):
-                C = clamped_sums(f, k, offset)
-                for idx in np.ndindex(*C.shape):
-                    if idx[-1] + offset < 3 << k:
-                        c = DyadicCube(k, idx[:-1], idx[-1])
-                        want = naive_pos_part_average(f, "cube", c, forward(c, offset))
-                        assert Fraction(int(C[idx]), N * N * f.denom) == want, (k, offset, idx)
-            A = absdev_sums(f, k)
-            for idx in np.ndindex(*A.shape):
-                c = DyadicCube(k, idx[:-1], idx[-1])
-                want = naive_phi_classical(f, c, 1) * (1 << (k * n))
-                assert Fraction(int(A[idx]), N * N * f.denom) == want, (k, idx)
+        _assert_deviation_sums_naive(f)
         for c in all_subcubes(root_cube(n), L):
             local = positive_part_field(f, c)
             full = maximal_function(offset_positive_part(f, forward(c, 2)), c)
@@ -542,6 +549,48 @@ def test_multiply_and_clamp_ops_exact_at_the_guard(n, L):
             ("jnp-classical", jnp_classical_dyadic),
         ):
             assert dp(f, 2).weight == antichain_oracle(f, 2, functional=functional).weight
+
+
+def _object_grids(n, L, top):
+    """Object grids whose largest cell is ``top``: the four sign patterns of
+    :func:`_grids_at_the_guard` at +-top, and small cells of both signs with
+    one +top and one -top cell, so that block means are negative fractions
+    next to cells one above their floor."""
+    side = 1 << L
+    idx = np.indices((side,) * (n - 1) + (3 * side,))
+    t = idx[-1] // side
+    rng = np.random.default_rng(n * 1000 + L)
+    signs = [
+        np.where(t == 0, 1, -1),
+        np.where(t == 0, -1, 1),
+        np.where(idx.sum(axis=0) % 2 == 0, 1, -1),
+        rng.choice([-1, 1], size=t.shape),
+    ]
+    grids = [s.astype(object) * top for s in signs]
+    small = rng.integers(-5, 6, size=t.shape).astype(object)
+    small.flat[0], small.flat[small.size // 2] = top, -top
+    grids.append(small)
+    return [GridFunction(n, L, g, "fixed", 3) for g in grids]
+
+
+@pytest.mark.parametrize("n,L", [(1, 2), (1, 3), (2, 2), (3, 2)])
+@pytest.mark.parametrize("where", ["past-the-guard", "largest-lifted", "2^61"])
+def test_multiply_and_clamp_ops_exact_on_object_grids(n, L, where):
+    """The object-grid counterpart of the test above.  Cells just past the
+    grid guard, at +-(2^61 - 1) and at 2^61: the first two lift to one
+    int64 copy (2*max|cell| fits) and reduce in int64, the product form at
+    every level for the first and the quotient form below level L for the
+    second; the third keeps Python-int cells.  Block sums, clamped and
+    absolute deviation sums all match the cellwise references, and block
+    sums stay object arrays."""
+    top = {"past-the-guard": _guard_limit(n, L), "largest-lifted": 2**61 - 1, "2^61": 2**61}[where]
+    for f in _object_grids(n, L, top):
+        assert f.values.dtype == object
+        assert (f._int64_cells()[0] is not None) == (top < 2**61)
+        for k in range(L + 1):
+            assert f.block_sums(k).dtype == object
+        _assert_block_sums_naive(f)
+        _assert_deviation_sums_naive(f)
 
 
 def test_int64_extremes_and_unsigned_input():

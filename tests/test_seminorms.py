@@ -32,6 +32,7 @@ from jnplus.reports import CubeRows, RatioRows
 from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
+    corpus_grids,
     covers_once,
     naive_best_family,
     naive_phi_classical,
@@ -175,6 +176,32 @@ def test_homogeneity_and_shift():
     rs = jnp_plus_dyadic(shift_values(f, Fraction(7, 3)), 2)
     assert rs.weight == r.weight
     assert rs.witness.expand() == r.witness.expand()
+
+
+@pytest.mark.parametrize("scale", ["2^40", "largest-lifted"])
+def test_scaled_corpus_weights_and_witnesses(scale):
+    """Every corpus grid scaled by 2^40 (where the larger grids leave int64
+    cells but still reduce in int64), and scaled until its largest cell
+    sits just below 2^61 (the quotient form at every level but the finest):
+    each seminorm weight is the int64 grid's times the scale to the power
+    p (to the first power for the bmo forms), on the same witness cubes."""
+    p = 2
+    object_grids = 0
+    for f in corpus_grids("fixed"):
+        M = int(np.abs(f.values).max())
+        bits = 40 if scale == "2^40" else 61 - M.bit_length()
+        g = scale_values(f, 1 << bits)
+        object_grids += g.values.dtype == object
+        for fn, power in (
+            (lambda h: jnp_plus_dyadic(h, p), p),
+            (lambda h: jnp_classical_dyadic(h, p), p),
+            (bmo_plus_dyadic, 1),
+            (bmo_plus_limit_form, 1),
+        ):
+            want, got = fn(f), fn(g)
+            assert got.weight == want.weight * (1 << (bits * power))
+            assert got.witness.expand() == want.witness.expand()
+    assert object_grids >= (16 if scale == "2^40" else 50)
 
 
 def test_bad_exponent_rejected():
