@@ -197,13 +197,13 @@ def _cmd_good_lambda(args) -> int:
     lambdas = _parse_lambdas(args.lambdas, f)
     ctx = LemmaContext(f, args.p, args.b)
     rows = lemma_sweep(ctx, lambdas)
-    failed = rows.failed_ids()
+    failed = sorted(set().union(*rows.columns["failed-ids"]))
     _emit(
         {
             "params": ctx.params,
             "K": ctx.seminorm.value,
             "reports": rows,
-            "admissible-count": rows.admissible_count(),
+            "admissible-count": sum(rows.columns["admissible"]),
             "pass": not failed,
             "failed": failed,
         },

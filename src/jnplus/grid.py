@@ -240,16 +240,31 @@ def _float_array(arr: np.ndarray) -> np.ndarray:
     return np.array([_float_view(x) for x in arr.ravel().tolist()]).reshape(arr.shape)
 
 
+def _digits(n: int) -> int:
+    """The decimal digits of |n|, counted without writing n out."""
+    n = abs(n) or 1
+    d = int((n.bit_length() - 1) * 0.30102999566398120) + 1  # log10(2)
+    return d - (n < 10 ** (d - 1)) + (n >= 10**d)
+
+
 def _in_float_range(lam, lift):
-    """``lift(lam)``, refused (InvalidParamsError, naming lam) when its float
-    is infinite, or 0 while lam is not: the one float-range rule for thresholds."""
+    """``lift(lam)``, refused (InvalidParamsError) when its float is
+    infinite, or 0 while lam is not: the one float-range rule for thresholds.
+
+    The error names lam by that float, and an exact lam also by the
+    digits of its numerator and denominator, not by all of them.
+    """
     try:
         lam_n = lift(lam)
         x = float(lam_n)
     except OverflowError:
         x = math.inf
     if math.isinf(x) or (x == 0 and lam != 0):
-        raise InvalidParamsError(f"threshold {lam} lies outside the float range")
+        name = repr(x)
+        if not isinstance(lam, float):
+            num, den = lam.as_integer_ratio()
+            name += f" (an exact ratio of {_digits(num)}/{_digits(den)} digits)"
+        raise InvalidParamsError(f"threshold {name} lies outside the float range")
     return lam_n
 
 

@@ -132,14 +132,23 @@ def _check_header(doc: dict, where: str) -> tuple[int, int, str, int | None]:
     return n, L, mode, denom
 
 
+def _read_json(path: str):
+    """The JSON document in ``path``; malformed bytes are a GridFormatError naming the file.
+
+    ValueError covers invalid JSON, bytes that are not UTF-8 and an
+    integer past Python's limit on str-to-int digits.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
+
+
 def load_grid(path: str) -> GridFunction:
     """Read a grid written by :func:`save_grid` (either form)."""
     if path.endswith(".json"):
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
+        doc = _read_json(path)
         n, L, mode, denom = _check_header(doc, path)
         if "values" not in doc:
             raise GridFormatError("values: missing from JSON grid")
@@ -155,11 +164,7 @@ def load_grid(path: str) -> GridFunction:
     sidecar = path + ".json"
     if not os.path.exists(sidecar):
         raise GridFormatError(f"{sidecar}: sidecar header not found")
-    with open(sidecar, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise GridFormatError(f"{sidecar}: not valid JSON ({exc})") from exc
+    doc = _read_json(sidecar)
     if "values" in doc:
         raise GridFormatError("values: belongs in pure-JSON grids, not sidecars")
     n, L, mode, denom = _check_header(doc, sidecar)

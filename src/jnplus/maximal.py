@@ -26,9 +26,10 @@ scalar by :meth:`~jnplus.grid.GridFunction.scalar`.
 ascending list of thresholds on ranks, for :func:`cz_decompose` at one
 threshold and for ``verification.lemma_sweep`` at every b*lam.
 
-A decomposition holds its stopping cubes as per-level index rows
-(:class:`~jnplus.reports.CubeRows`), not as one object per cube, and
-the checks on it read each level's rows against that level's block sums.
+A decomposition holds its stopping cubes as level, spatial and time
+columns (:func:`~jnplus.reports.cube_rows`), not as one object per
+cube, and the checks on it read each level's index rows against that
+level's block sums.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from .cubes import DyadicCube, forward
 from .errors import InvalidParamsError, NegativeInputError
 from .grid import GridFunction, average, exceed_ranks, exceeds, resolve_root, union_sum
 from .grid import _float_view, _in_float_range
-from .reports import CubeRows, VerificationReport
+from .reports import Rows, VerificationReport, cube_rows
 
 __all__ = [
     "MaximalField",
@@ -178,9 +179,8 @@ class Decomposition:
     """Stopping-time decomposition of ``root`` at ``threshold``.
 
     ``stopping`` lists the maximal dyadic subcubes whose forward mean
-    exceeds the threshold, as per-level index rows: one entry per level
-    of the root, coarse to fine down to the grid's, index order within a
-    level.  ``groups`` maps the list position j of each cube whose
+    exceeds the threshold, as :func:`~jnplus.reports.cube_rows`: coarse
+    to fine, index order within a level.  ``groups`` maps the list position j of each cube whose
     forward translate is maximal with respect to inclusion among all
     forward translates to every position i whose forward translate lies
     inside that of j (j itself included), ascending; ``subfamily`` lists
@@ -189,7 +189,7 @@ class Decomposition:
 
     root: DyadicCube
     threshold: Fraction | float
-    stopping: CubeRows
+    stopping: Rows
     groups: dict[int, list[int]]
 
     @property
@@ -197,10 +197,10 @@ class Decomposition:
         return list(self.groups)
 
     def total_volume(self) -> Fraction:
-        return self.stopping.volume()
+        return _volume(self.stopping.columns["level"], self.root.n)
 
     def subfamily_volume(self) -> Fraction:
-        return self.stopping.take(self.subfamily).volume()
+        return _volume(self.stopping.columns["level"][self.subfamily], self.root.n)
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,6 +211,12 @@ class Decomposition:
             "groups": self.groups,
             "total-volume": self.total_volume(),
         }
+
+
+def _volume(levels: np.ndarray, n: int) -> Fraction:
+    """Summed volume of n-dimensional cubes at ``levels``: a level-k cube weighs 2^{-kn}."""
+    ks, counts = np.unique(levels, return_counts=True)
+    return sum((Fraction(c, 1 << (k * n)) for k, c in zip(ks.tolist(), counts.tolist())), Fraction(0))
 
 
 def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
@@ -253,7 +259,7 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     _require_nonneg(f, root)
     lam_n = f.scalar(lam)
     masks = [(k, e > A) for k, A, e in stopping_ranks(f, root, [lam_n])]
-    stopping = CubeRows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
+    stopping = cube_rows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
     return Decomposition(root, lam_n, stopping, select_subfamily(masks))
 
 
@@ -289,6 +295,15 @@ def select_subfamily(masks: list[tuple[int, np.ndarray]]) -> dict[int, list[int]
     return groups
 
 
+def _stopping_levels(f: GridFunction, dec: Decomposition) -> list[tuple[int, np.ndarray]]:
+    """Per level k of ``dec.root`` down to the grid's: the level-k stopping
+    cubes' absolute index rows, spatial ones first and time last."""
+    cols = dec.stopping.columns
+    names = [f"spatial-{i}" for i in range(f.n - 1)] + ["time"]
+    idx = np.column_stack([cols[name] for name in names])
+    return [(k, idx[cols["level"] == k]) for k in range(dec.root.level, f.L + 1)]
+
+
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:
     """Block sums over the ``steps``-forward translates of the level-k cubes at index rows."""
     *space, t = rows.T
@@ -306,7 +321,7 @@ def check_p1(f: GridFunction, dec: Decomposition) -> VerificationReport:
     root, lam = dec.root, dec.threshold
     strict_ok = parent_ok = True
     mask = np.zeros((1,) * f.n, dtype=bool)  # the cubes' union over the root box
-    for k, rows in dec.stopping.levels:
+    for k, rows in _stopping_levels(f, dec):
         fwd = _forward_sums(f, k, rows, 1)
         strict_ok &= bool(exceeds(fwd, block_count(f, k), f.denom, lam).all())
         if k > root.level:
@@ -350,7 +365,7 @@ def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     worst_cube = None
     if admissible:
         # the largest mean of each level, the first cube attaining it in list order
-        for k, rows in dec.stopping.levels:
+        for k, rows in _stopping_levels(f, dec):
             if not len(rows):
                 continue
             sums = _forward_sums(f, k, rows, 2)

@@ -20,12 +20,12 @@ toward the children so the extracted witness is a full partition.  The
 witness comes out of a top-down covering sweep as one index array per
 level, with the chosen cubes' raw weights.
 
-Every result here holds its witness in one form, the row views of
-:mod:`jnplus.reports`: the cubes per level as index rows
-(:class:`~jnplus.reports.CubeRows`) and their weights as raw values over
-one denominator (:class:`~jnplus.reports.RatioRows`).  The report writes
-them without a per-cube object; a caller that wants ``DyadicCube`` and
-weight lists calls ``expand()``.
+Every result holds its witness as two :class:`~jnplus.reports.Rows`
+of one length: the cubes as level, spatial and time columns
+(:func:`~jnplus.reports.cube_rows`) and their weights as raw values
+over one denominator (:class:`~jnplus.reports.Ratios`), or as floats.
+The report writes them without a per-cube object; a caller that wants
+``DyadicCube`` and weight lists calls ``expand()``.
 
 The weights are read only inside the root, which lies in Q0, so the
 block reductions cover Q0 and the one time block after it.
@@ -70,7 +70,7 @@ from ._blocks import (
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, _float_array, _float_view, average, pos_part_average, resolve_root
-from .reports import CubeRows, RatioRows
+from .reports import Ratios, Rows, Slot, cube_rows
 
 __all__ = [
     "SeminormResult",
@@ -158,9 +158,10 @@ class SeminormResult:
     ``exact``, whether ``weight`` is a Fraction, are read from it.
     ``witness`` attains ``weight`` (for the jnp functionals a full
     partition of the root; for the bmo functionals a single cube), with
-    per-cube weights alongside in ``witness_weights``.  Both are row
-    views, written by the report as they are; ``expand()`` turns them
-    into a ``DyadicCube`` list and a list of Fractions (exact) or floats.
+    per-cube weights alongside in ``witness_weights``.  Both are
+    :class:`~jnplus.reports.Rows`, written by the report as they are;
+    ``expand()`` turns them into a ``DyadicCube`` list and a list of
+    Fractions (exact) or floats.
     """
 
     functional: str
@@ -168,8 +169,8 @@ class SeminormResult:
     weight: Fraction | float
     mode: str
     root: DyadicCube
-    witness: CubeRows = field(repr=False)
-    witness_weights: RatioRows = field(repr=False)
+    witness: Rows = field(repr=False)
+    witness_weights: Rows = field(repr=False)
     details: dict = field(default_factory=dict)
 
     @cached_property
@@ -193,6 +194,15 @@ class SeminormResult:
             "witness-weights": self.witness_weights,
             "details": self.details,
         }
+
+
+def _weight_rows(raws, D: int | None) -> Rows:
+    """A witness's weights: the rationals raw/D, or the floats raw when D is None
+    (``raws`` a list, or an array of Python ints or of floats)."""
+    return Rows(_WEIGHT, {"weight": raws if D is None else Ratios(raws, D)})
+
+
+_WEIGHT = Slot("weight")
 
 
 def _tree_dp(
@@ -282,7 +292,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
     else:
         power = float(num)
         D = None
-    witness = CubeRows([(k, idx + box_origin(root, k)) for k, idx, _ in levels])
+    witness = cube_rows([(k, idx + box_origin(root, k)) for k, idx, _ in levels])
     return SeminormResult(
         functional="jnp-plus" if variant == "plus" else "jnp-classical",
         p=q,
@@ -290,7 +300,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         mode=f.mode,
         root=root,
         witness=witness,
-        witness_weights=RatioRows([raw for _, _, raw in levels], D),
+        witness_weights=_weight_rows(np.concatenate([raw for _, _, raw in levels]), D),
         details={"levels": f.L - root.level + 1, "witness-size": len(witness)},
     )
 
@@ -337,8 +347,8 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         weight=val,
         mode=f.mode,
         root=root,
-        witness=CubeRows([at]),
-        witness_weights=RatioRows([np.array([num], dtype=object)], D),
+        witness=cube_rows([at]),
+        witness_weights=_weight_rows([num], D),
     )
 
 
@@ -468,11 +478,9 @@ def antichain_oracle(
         weight=power,
         mode=f.mode,
         root=root,
-        witness=CubeRows(
+        witness=cube_rows(
             [(cs[0].level, np.array([[*c.spatial, c.time] for c in cs])) for cs in by_level]
         ),
-        witness_weights=RatioRows(
-            [np.array([wt[c] for c in cs], dtype=object) for cs in by_level], den
-        ),
+        witness_weights=_weight_rows([wt[c] for c in witness], den),
         details={"antichains": count, "tree-cubes": len(nodes)},
     )

@@ -32,9 +32,9 @@ context, so a sweep over many lam recomputes none of it.
   stopping cube, each cell of E(lam) and each p6/p8 failure holds on one
   interval of lam indices, and the two local fields of a visited
   stopping cube are built once per sweep.  The reports come as one
-  :class:`jnplus.reports.LemmaRows`: per-lam columns of counts, flags
-  and floats, with the values every report shares held once.  Indexing
-  it builds a lam's :class:`VerificationReport`.
+  :class:`jnplus.reports.Rows`: per-lam columns of counts, flags and
+  floats, and a report form that holds the values every report shares
+  once.  Indexing it builds a lam's :class:`VerificationReport`.
 
 * ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
@@ -48,8 +48,8 @@ context, so a sweep over many lam recomputes none of it.
   both variants.  It counts |E(lam)|, the augmented measure and the
   distribution measure of every lam in one pass over each array
   (``grid.exceed_ranks`` on the ascending list of ``_lambda_list``).
-  Its records come as one :class:`jnplus.reports.TheoremRows`, whose
-  items are the record dicts.
+  Its records come as one :class:`jnplus.reports.Rows`, whose items
+  are the record dicts.
 
 Measures are exact rationals in fixed mode.  The final inequality of
 the lemma and the theorem bound involve p-th roots and the iterated
@@ -83,7 +83,7 @@ from .grid import (
     union_sum,
 )
 from .maximal import MaximalField, maximal_function, positive_part_field, stopping_ranks
-from .reports import LemmaRows, TheoremRows, VerificationReport
+from .reports import Ratios, Rows, Slot, VerificationReport, _rational
 from .seminorms import SeminormResult, jnp_plus_dyadic, _float_pow, _norm_exponent
 
 __all__ = [
@@ -195,32 +195,31 @@ def good_lambda_check(ctx: LemmaContext, lam) -> VerificationReport:
     return lemma_sweep(ctx, [lam])[0]
 
 
-def lemma_sweep(ctx: LemmaContext, lambdas=None) -> LemmaRows:
+def lemma_sweep(ctx: LemmaContext, lambdas=None) -> Rows:
     """The decay step of :func:`good_lambda_check` at every lam of a list.
 
     The default list is ``default_lambda_grid(ctx)``.  The reports come
     in the order of ``lambdas``, repeats included, as one
-    :class:`jnplus.reports.LemmaRows`; the step itself is decided for
+    :class:`jnplus.reports.Rows`; the step itself is decided for
     all of them at once, on the ascending list (see :func:`_decay_steps`).
     """
     return _decay_steps(ctx, *_lambda_list(ctx, lambdas))
 
 
-def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int]]:
+def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int] | None]:
     """The lams of a sweep or theorem run, ascending and lifted once, and
     the ascending index of each lam of the caller's list: the one owner
     of lam order.
 
     The default ``default_lambda_grid(ctx)`` is already distinct,
     ascending, positive floats in the float range, so each lifts exactly
-    by itself and its order is its own.  A caller's lams are each lifted
+    by itself and its order is its own (None).  A caller's lams are each lifted
     by :meth:`GridFunction.threshold`, must be positive, and are sorted,
     repeats kept.  A fixed grid's list is exact: it holds the ratios alone.
     """
     f = ctx.f
     if lambdas is None:
-        values = default_lambda_grid(ctx)
-        order = list(range(len(values)))
+        values, order = default_lambda_grid(ctx), None
     else:
         lamNs = [f.threshold(lam) for lam in lambdas]
         if not all(lamN > 0 for lamN in lamNs):
@@ -241,9 +240,9 @@ def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return counts_above(hi, m) - counts_above(np.minimum(lo, hi), m)
 
 
-def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int]) -> LemmaRows:
+def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int] | None) -> Rows:
     """The decay-step reports at the ascending lams, decided on rank arrays,
-    as the columns of a :class:`jnplus.reports.LemmaRows` in ``order``.
+    as the columns of a :class:`jnplus.reports.Rows` in ``order``.
 
     With m lams, ``grid.exceed_ranks`` turns each array into ranks r in
     [0, m]: an entry exceeds lams[i] (or b*lams[i]) exactly when i < r.
@@ -340,24 +339,54 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int]) -> Lemma
         else:
             # cE / cells is float(|E(lam)|): both round the same rational once
             main_ok.append(cE / cells <= rhs_float * (1.0 + _REL_TOL) + 1e-18)
-    return LemmaRows(
-        lams=lams,
-        blams=blams,
-        order=order,
-        i0=i0,
-        cells=cells,
-        E_counts=E_counts,
-        B_counts=B_counts,
-        rhs=rhs,
-        main_ok=main_ok,
-        p6_ok=ok6.tolist(),
-        p8_ok=ok8.tolist(),
-        stops=stops.tolist(),
-        params=params,
-        K=K.value,
-        K_weight=K.weight,
+    ok6, ok8 = ok6.tolist(), ok8.tolist()
+    failed = [[] if a and b and c else _failed_ids(a, b, c) for a, b, c in zip(main_ok, ok6, ok8)]
+    columns = {
+        "lhs": [c / cells for c in E_counts],
+        "rhs": rhs,
+        "admissible": [False] * i0 + [True] * (m - i0),
+        "pass": [not ids for ids in failed],
+        "lambda": _lam_column(lams),
+        "b-lambda": _lam_column(blams),
+        "E-lambda": Ratios(E_counts, cells),
+        "E-b-lambda": Ratios(B_counts, cells),
+        "stopping-count": stops.tolist(),
+        "p6-pass": ok6,
+        "p8-pass": ok8,
+        "failed-ids": failed,
+    }
+    if lams.exact:
+        exact = {c: _rational(c, cells)[1] for c in dict.fromkeys(E_counts)}
+        columns["lhs-exact"] = [exact[c] for c in E_counts]
+    slot = {name: Slot(name) for name in columns}
+    details = {"params": params, "K": K.value, "K-weight": K.weight}
+    details.update((name, slot[name]) for name in _DETAIL_COLUMNS)
+    form = VerificationReport(
+        inequality_id="Lemma",
+        lhs=slot["lhs"],
+        rhs=slot["rhs"],
+        admissible=slot["admissible"],
+        passed=slot["pass"],
         exact=exact_main,
+        lhs_exact=slot.get("lhs-exact"),
+        details=details,
     )
+    return Rows(form, columns, order)
+
+
+def _failed_ids(*oks: bool) -> list[str]:
+    return [name for name, ok in zip(("Lemma", "p6", "p8"), oks) if not ok]
+
+
+_DETAIL_COLUMNS = ("lambda", "b-lambda", "E-lambda", "E-b-lambda", "stopping-count", "p6-pass",
+                   "p8-pass", "failed-ids")
+
+
+def _lam_column(lams: Thresholds):
+    """A lam list as a report column: its ratios when exact, else its floats."""
+    if not lams.exact:
+        return lams.floats()
+    return Ratios([num for num, _ in lams.ratios], [den for _, den in lams.ratios])
 
 
 def proof_constant(n: int, p, b) -> float:
@@ -449,7 +478,7 @@ class TheoremRun:
     K_weight: Fraction | float
     lam0: float
     C_proof: float
-    records: TheoremRows = field(repr=False)
+    records: Rows = field(repr=False)
     passed_p9: bool
     passed_p11: bool
     passed_dist: bool
@@ -494,19 +523,15 @@ class TheoremRun:
 
     def to_csv(self) -> str:
         rows = self.records
-        cells, lam_f = rows.cells, rows.lams.floats()
+        cols = rows.columns
+        lam = cols["lambda"]
+        floats = [lam.floats() if isinstance(lam, Ratios) else lam]
+        floats += [cols[name].floats() for name in ("E-grid", "E-aug", "dist")]
         lines = ["lambda,E_grid,E_aug,dist,bound,pass"]
-        for j in rows.order:
-            lines.append(
-                "{lam!r},{eg!r},{ea!r},{ds!r},{bd!r},{ok}".format(
-                    lam=lam_f[j],
-                    eg=rows.grid_counts[j] / cells,
-                    ea=rows.aug_counts[j] / cells,
-                    ds=rows.dist_counts[j] / cells,
-                    bd=float(rows.bound[j]),
-                    ok=int(rows.passed[j]),
-                )
-            )
+        for j in range(len(rows)) if rows.order is None else rows.order:
+            lam_f, eg, ea, ds = (col[j] for col in floats)
+            bd, ok = float(cols["bound"][j]), int(cols["pass"][j])
+            lines.append(f"{lam_f!r},{eg!r},{ea!r},{ds!r},{bd!r},{ok}")
         return "\n".join(lines) + "\n"
 
 
@@ -558,7 +583,16 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         bounds.append(bound)
         passed.append(bool(ok and dist_ok))
         branches.append("iteration" if lam_f > lam0 else "trivial")
-    records = TheoremRows(lams, order, cells, G, A, D, bounds, passed, branches)
+    columns = {
+        "lambda": _lam_column(lams),
+        "E-grid": Ratios(G, cells),
+        "E-aug": Ratios(A, cells),
+        "dist": Ratios(D, cells),
+        "bound": bounds,
+        "pass": passed,
+        "branch": branches,
+    }
+    records = Rows({name: Slot(name) for name in columns}, columns, order)
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
     V = volume(root)

@@ -37,7 +37,7 @@ from jnplus import (
 from jnplus._blocks import block_count, box_origin, cubes_at, level_sums, root_box, upsample
 from jnplus.grid import exceeds
 from jnplus.maximal import positive_part_field
-from jnplus.reports import CubeRows, LemmaRows, RatioRows, TheoremRows, scalar_json
+from jnplus.reports import Rows, scalar_json
 
 
 def cell_value(f: GridFunction, idx: tuple[int, ...]) -> Fraction | float:
@@ -314,10 +314,8 @@ def jsonify(obj):
         return scalar_json(obj)
     if isinstance(obj, DyadicCube):
         return {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
-    if isinstance(obj, (CubeRows, RatioRows)):
+    if isinstance(obj, Rows):
         return jsonify(obj.expand())
-    if isinstance(obj, (LemmaRows, TheoremRows)):
-        return jsonify(list(obj))
     if isinstance(obj, dict):
         return {str(k): jsonify(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -25,7 +25,7 @@ from jnplus import (
 from jnplus import cli, verification
 from jnplus.cli import main
 from jnplus.corpus import MAX_CELLS
-from jnplus.reports import TheoremRows, VerificationReport
+from jnplus.reports import Rows, VerificationReport
 
 
 @pytest.fixture
@@ -299,18 +299,60 @@ def _uniform_grid(capsys, tmp_path, mode="fixed:16") -> str:
     return path
 
 
-@pytest.mark.parametrize("lam", ["1e-400", "1e400"])
+@pytest.mark.parametrize(
+    "lam,name",
+    [
+        ("1e-400", "0.0 (an exact ratio of 1/401 digits)"),
+        ("1e400", "inf (an exact ratio of 401/1 digits)"),
+        ("1e-5000", "0.0 (an exact ratio of 1/5001 digits)"),
+        ("1e5000", "inf (an exact ratio of 5001/1 digits)"),
+    ],
+    ids=["1e-400", "1e400", "1e-5000", "1e5000"],
+)
 @pytest.mark.parametrize("command", ["good-lambda", "theorem"])
-def test_exit_2_names_a_lambda_outside_the_float_range(tmp_path, capsys, command, lam):
-    """A lam whose float is 0 or infinite is an input error that names it,
+def test_exit_2_names_a_lambda_outside_the_float_range(tmp_path, capsys, command, lam, name):
+    """A lam whose float is 0 or infinite is an input error that names it
+    by that float and the digits of its ratio, not by all of them, and
     not a ZeroDivisionError or OverflowError from a float bound."""
     path = _uniform_grid(capsys, tmp_path)
     code, stdout, stderr = run(
         capsys, "verify", command, "--input", path, "--p", "2", "--b", "1/8", "--lambda", lam
     )
     assert code == 2 and stdout == ""
-    assert stderr.startswith("error: ") and "outside the float range" in stderr
-    assert str(Fraction(lam)) in stderr
+    assert stderr == f"error: threshold {name} lies outside the float range\n"
+
+
+@pytest.mark.parametrize(
+    "argv,digits",
+    [
+        (("decompose", "--lambda", "1e5000"), 5001),
+        (("decompose", "--lambda", "1e-5000"), 5001),
+        (("seminorm", "--p", "2"), None),
+        (("oracle", "--p", "2"), None),
+        (("verify", "theorem", "--p", "2", "--b", "1/4", "--lambda", "1"), None),
+    ],
+    ids=["decompose-1e5000", "decompose-1e-5000", "seminorm", "oracle", "theorem"],
+)
+def test_exit_2_names_an_exact_text_past_the_digit_limit(tmp_path, capsys, argv, digits):
+    """A fixed-mode report with a rational whose numerator or denominator
+    has more digits than Python writes out (a lam of 10^5000 or 10^-5000,
+    or weights from a 10^4000 cell): a named error, not a ValueError, and
+    neither stdout nor the --out file is written."""
+    path = tmp_path / "long.json"
+    if digits:
+        path = _uniform_grid(capsys, tmp_path)
+    else:
+        doc = {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1,
+               "values": [10**4000] + [0] * 5}
+        path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    for extra in ((), ("--out", str(out))):
+        code, stdout, stderr = run(capsys, *argv, "--input", str(path), *extra)
+        assert code == 2 and stdout == "" and not out.exists()
+        name = f"{digits} digits" if digits else "digits"
+        assert stderr.startswith("error: an exact value of ")
+        limit = sys.get_int_max_str_digits()
+        assert stderr.endswith(f"{name} has no text under Python's limit of {limit} digits\n")
 
 
 @pytest.mark.parametrize(
@@ -755,7 +797,7 @@ def test_verify_makes_no_object_per_lambda(tmp_path, capsys, monkeypatch, comman
     monkeypatch.setattr(
         VerificationReport, "__init__", counted("report", VerificationReport.__init__)
     )
-    monkeypatch.setattr(TheoremRows, "_item", counted("record", TheoremRows._item))
+    monkeypatch.setattr(Rows, "_item", counted("record", Rows._item))
     monkeypatch.setattr(cli, "lemma_sweep", starting(cli.lemma_sweep))
     monkeypatch.setattr(cli, "theorem_check", starting(cli.theorem_check))
     monkeypatch.setattr(verification, "default_lambda_grid", pausing(default_lambda_grid))

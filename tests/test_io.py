@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from jnplus import GridFormatError, GridFunction, load_grid, save_grid
+from jnplus.cli import main
 
 from helpers import random_fixed_grid
 
@@ -148,6 +149,32 @@ def test_non_integer_fixed_values_rejected(tmp_path):
         path.write_text(json.dumps(dict(header, values=values)))
         with pytest.raises(GridFormatError, match="values"):
             load_grid(str(path))
+
+
+_HEADER = b'"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1'
+
+
+@pytest.mark.parametrize(
+    "grid,name,text",
+    [
+        ("grid.json", "grid.json", b"{" + _HEADER + b', "values": [0, 0, 0, 0, 0, 0], "x": "\xff"}'),
+        ("grid.bin", "grid.bin.json", b"{" + _HEADER + b', "x": "\xff"}'),
+        ("grid.json", "grid.json", b"{" + _HEADER + b', "values": [1' + b"0" * 5000 + b", 0, 0, 0, 0, 0]}"),
+    ],
+    ids=["json-not-utf8", "sidecar-not-utf8", "json-integer-past-digit-limit"],
+)
+def test_malformed_bytes_name_the_file(tmp_path, capsys, grid, name, text):
+    """Bytes that are not UTF-8, and a JSON integer past Python's limit on
+    str-to-int digits, are a GridFormatError naming the file: exit 2."""
+    (tmp_path / name).write_bytes(text)
+    (tmp_path / "grid.bin").write_bytes(b"\x00" * 48)
+    path, named = str(tmp_path / grid), f"{tmp_path / name}: not valid JSON ("
+    with pytest.raises(GridFormatError) as err:
+        load_grid(path)
+    assert str(err.value).startswith(named)
+    assert main(["maximal", "--input", path]) == 2
+    out, errors = capsys.readouterr()
+    assert out == "" and errors.startswith("error: " + named)
 
 
 def test_big_integers_need_json(tmp_path):

@@ -3,6 +3,7 @@
 import enum
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from decimal import Decimal
 from fractions import Fraction
@@ -35,7 +36,8 @@ from jnplus import (
     scale_values,
     theorem_check,
 )
-from jnplus.reports import CubeRows, LemmaRows, RatioRows, TheoremRows, scalar_json
+from jnplus.errors import OutOfDomainError
+from jnplus.reports import Rows, _rational, scalar_json
 
 
 def test_scalar_json_forms():
@@ -45,6 +47,37 @@ def test_scalar_json_forms():
     assert scalar_json(0.25) == 0.25
     assert scalar_json(math.inf) == "inf"
     assert scalar_json(Fraction(3, 4)) == {"decimal": "0.75", "exact": "3/4"}
+
+
+@pytest.mark.parametrize(
+    "num,den",
+    [(0, 7), (12, 1), (12, 8), (-6, 4), (1, 10**400), (-(10**400), 3), (10**400, 4 * 10**399)],
+    ids=["zero", "integer", "unreduced", "negative", "below-float-range", "past-float-range", "past-reduced"],
+)
+def test_rational_strings_match_fraction_and_float(num, den):
+    """The one function forming a rational's "decimal" and "exact" strings,
+    from any (num, den) with den > 0: float's repr, or inf past the float
+    range, and the Fraction's str."""
+    x = Fraction(num, den)
+    decimal, exact = _rational(num, den)
+    assert exact == str(x)
+    try:
+        assert decimal == repr(float(x))
+    except OverflowError:
+        assert decimal == ("inf" if x > 0 else "-inf")
+    assert scalar_json(x) == {"decimal": decimal, "exact": exact}
+
+
+@pytest.mark.parametrize(
+    "num,den", [(10**5000, 1), (-1, 10**5000), (10**5000 + 1, 3)], ids=["num", "den", "both"]
+)
+def test_rational_strings_past_the_digit_limit_name_the_digits(num, den):
+    """An exact string longer than Python writes out is an error naming its
+    digit count, and the limit is left as it is."""
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(OutOfDomainError, match="^an exact value of 5001 digits has no text"):
+        _rational(num, den)
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_jsonify_cube_and_nested():
@@ -272,8 +305,8 @@ def test_seminorm_witness_rows_match_json_encoder(n, L):
                 cubes, weights = expanded.witness.expand(), expanded.witness_weights.expand()
                 texts = []
                 for r in (fresh, expanded):
-                    assert isinstance(r.witness, CubeRows)
-                    assert isinstance(r.witness_weights, RatioRows)
+                    assert isinstance(r.witness, Rows)
+                    assert isinstance(r.witness_weights, Rows)
                     nested = {"result": [r], "size": len(r.witness)}
                     assert canonical_json(nested) == oracle_canonical_json(nested)
                     texts.append(canonical_json(r))
@@ -299,7 +332,7 @@ def test_decomposition_rows_match_json_encoder(n, L):
     many = 0
     for j in range(1, 17):
         dec = cz_decompose(f, None, Fraction(j, 8))
-        assert isinstance(dec.stopping, CubeRows)
+        assert isinstance(dec.stopping, Rows)
         for doc in (dec, {"decompositions": [dec], "size": len(dec.stopping)}):
             assert canonical_json(doc) == oracle_canonical_json(doc)
         keys = list(json.loads(canonical_json(dec))["groups"])
@@ -314,7 +347,7 @@ def _verify_docs(ctx, lambdas=None):
     the CLI writes them."""
     rows = lemma_sweep(ctx, lambdas)
     run = theorem_check(ctx, lambdas)
-    assert isinstance(rows, LemmaRows) and isinstance(run.records, TheoremRows)
+    assert isinstance(rows, Rows) and isinstance(run.records, Rows)
     sweep = {"params": ctx.params, "K": ctx.seminorm.value, "reports": rows}
     return [rows, run.records, sweep, run]
 
@@ -376,14 +409,18 @@ def test_lambda_rows_match_json_encoder_where_checks_fail():
     ctx = LemmaContext(f, 2, Fraction(1, 8))
     rows, records = lemma_sweep(ctx), theorem_check(ctx).records
     m = len(rows)
-    failing = replace(
-        rows,
-        main_ok=[i % 2 == 0 for i in range(m)],
-        p6_ok=[i % 3 != 0 for i in range(m)],
-        p8_ok=[i % 5 != 1 for i in range(m)],
-    )
-    assert failing.failed_ids() == ["Lemma", "p6", "p8"]
+    flags = {
+        "Lemma": [i % 2 == 0 for i in range(m)],
+        "p6": [i % 3 != 0 for i in range(m)],
+        "p8": [i % 5 != 1 for i in range(m)],
+    }
+    failed = [[name for name, ok in flags.items() if not ok[i]] for i in range(m)]
+    columns = {"p6-pass": flags["p6"], "p8-pass": flags["p8"], "failed-ids": failed,
+               "pass": [not ids for ids in failed]}
+    failing = replace(rows, columns={**rows.columns, **columns})
     assert {tuple(r.details["failed-ids"]) for r in failing} > {(), ("Lemma", "p6", "p8")}
-    nan_bounds = replace(records, bound=[math.nan] * m, passed=[False] * m)
+    assert [r.passed for r in failing] == columns["pass"]
+    columns = {"bound": [math.nan] * m, "pass": [False] * m}
+    nan_bounds = replace(records, columns={**records.columns, **columns})
     assert '"bound": "nan"' in canonical_json(nan_bounds)
     _assert_views_match_json_encoder([failing, nan_bounds, {"reports": failing, "n": 1}])

@@ -28,7 +28,7 @@ from jnplus import (
     scale_values,
     shift_values,
 )
-from jnplus.reports import CubeRows, RatioRows
+from jnplus.reports import Rows
 from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
@@ -308,7 +308,7 @@ def test_witness_is_row_views():
         oracle = [antichain_oracle(f, 2, functional=fn)
                   for fn in ("jnp-plus", "jnp-classical") if f.n == 1]
         for r in tree + single + oracle:
-            assert isinstance(r.witness, CubeRows) and isinstance(r.witness_weights, RatioRows)
+            assert isinstance(r.witness, Rows) and isinstance(r.witness_weights, Rows)
             cubes, weights = r.witness.expand(), r.witness_weights.expand()
             assert len(r.witness) == len(cubes) == len(weights)
             assert sum(weights, Fraction(0)) == r.weight
