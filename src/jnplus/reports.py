@@ -180,7 +180,8 @@ def _rational(num: int, den: int) -> tuple[str, str]:
     exact string past Python's limit on int-to-str digits is an
     OutOfDomainError naming its digit count; the limit stays as it is.
     """
-    g = math.gcd(num, den)
+    # a power-of-two den (a cell count's, a float's) has the gcd of num's lowest set bit
+    g = (min(num & -num, den) if num else den) if den & (den - 1) == 0 else math.gcd(num, den)
     if g != 1:
         num, den = num // g, den // g
     try:
