@@ -28,8 +28,8 @@ threshold and for ``verification.lemma_sweep`` at every b*lam.
 
 A decomposition holds its stopping cubes as level, spatial and time
 columns (:func:`~jnplus.reports.cube_rows`), not as one object per
-cube, and the checks on it read each level's index rows against that
-level's block sums.
+cube, and the checks on it read each level's index rows, a slice of the
+columns since the levels ascend, against that level's block sums.
 """
 
 from __future__ import annotations
@@ -216,7 +216,8 @@ class Decomposition:
 def _volume(levels: np.ndarray, n: int) -> Fraction:
     """Summed volume of n-dimensional cubes at ``levels``: a level-k cube weighs 2^{-kn}."""
     ks, counts = np.unique(levels, return_counts=True)
-    return sum((Fraction(c, 1 << (k * n)) for k, c in zip(ks.tolist(), counts.tolist())), Fraction(0))
+    terms = (Fraction(c, 1 << (k * n)) for k, c in zip(ks.tolist(), counts.tolist()))
+    return sum(terms, Fraction(0))
 
 
 def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
@@ -296,12 +297,12 @@ def select_subfamily(masks: list[tuple[int, np.ndarray]]) -> dict[int, list[int]
 
 
 def _stopping_levels(f: GridFunction, dec: Decomposition) -> list[tuple[int, np.ndarray]]:
-    """Per level k of ``dec.root`` down to the grid's: the level-k stopping
-    cubes' absolute index rows, spatial ones first and time last."""
+    """Per level k of ``dec.root`` down to the grid's, the level-k stopping cubes' index rows."""
     cols = dec.stopping.columns
-    names = [f"spatial-{i}" for i in range(f.n - 1)] + ["time"]
-    idx = np.column_stack([cols[name] for name in names])
-    return [(k, idx[cols["level"] == k]) for k in range(dec.root.level, f.L + 1)]
+    idx = np.column_stack([cols[f"spatial-{i}"] for i in range(f.n - 1)] + [cols["time"]])
+    ks = range(dec.root.level, f.L + 2)
+    cuts = np.searchsorted(cols["level"], ks).tolist()  # the level column ascends
+    return [(k, idx[lo:hi]) for k, lo, hi in zip(ks, cuts, cuts[1:])]
 
 
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:

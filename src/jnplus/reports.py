@@ -6,17 +6,14 @@ claim being tested, so a CLI exit can say exactly which link broke.
 A report object's ``to_json_dict`` returns its fields by report key as
 plain values; this module alone turns them into JSON.  A long list of
 like items (a witness's cubes or weights, a sweep's reports, a theorem
-run's records) comes as one :class:`Rows`: equal-length columns by
-ascending index, a form that holds what every item shares once and a
-:class:`Slot` where each column's value goes, and an order.
-:func:`canonical_json` writes a whole document in one walk, and a
-:class:`Rows` from its form's text, a %-template with a slot per column,
-without making an object per item; :func:`scalar_json` maps one number
-to its JSON value, for a compact dump of a few scalars.
-Serialization is canonical (sorted keys, stable float repr, exact
-rational strings alongside decimals in fixed mode) so identical inputs
-produce byte-identical reports.  :func:`_rational` alone forms a
-rational's "decimal" and "exact" strings.
+run's records) is one :class:`Rows`: columns, a form holding what every
+item shares and a :class:`Slot` per column, and an order.
+:func:`canonical_json` writes a document in one walk, a :class:`Rows`
+from its form's %-template without an object per item;
+:func:`scalar_json` maps one number to its JSON value.  The text is
+canonical (sorted keys, stable float repr, exact rational strings beside
+decimals in fixed mode), and :func:`_lowest` alone forms a rational's
+"decimal" and "exact" strings; :func:`_rational` reduces a pair for it.
 """
 
 from __future__ import annotations
@@ -25,17 +22,17 @@ import json
 import math
 import re
 import sys
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import repeat
 from typing import Any, Callable
 
 import numpy as np
 
 from .cubes import DyadicCube
 from .errors import OutOfDomainError
-from .grid import _digits
+from .grid import Thresholds, _digits
 
 __all__ = [
     "VerificationReport",
@@ -61,90 +58,113 @@ class Slot(str):
 
 @dataclass(frozen=True, eq=False)
 class Ratios:
-    """A column of rationals: entry j is ``nums[j] / den``, or
-    ``nums[j] / den[j]`` when ``den`` is a list (each den > 0), read as a
-    Fraction and written from the pair without one.  ``nums`` is a list
-    or an object array of Python ints."""
+    """A column of rationals over one denominator: entry j is
+    ``nums[j] / den`` (den > 0), read as a Fraction and written from the
+    pair without one.  ``nums`` is a list or an object array of Python ints."""
 
     nums: Any
-    den: int | list[int]
+    den: int
 
     def __len__(self) -> int:
         return len(self.nums)
 
     def __getitem__(self, j):
-        den = self.den[j] if isinstance(self.den, list) else self.den
-        return Ratios(self.nums[j], den) if isinstance(j, slice) else Fraction(self.nums[j], den)
-
-    def pairs(self):
-        """Each entry's (num, den)."""
-        return zip(self.nums, self.den if isinstance(self.den, list) else repeat(self.den))
+        if isinstance(j, slice):
+            return Ratios(self.nums[j], self.den)
+        return Fraction(self.nums[j], self.den)
 
     def floats(self) -> list[float]:
         """Each entry's float, rounded once as float(Fraction) rounds it."""
-        return [num / den for num, den in self.pairs()]
+        return [num / self.den for num in self.nums]
 
 
 @dataclass(frozen=True, eq=False)
 class Rows:
     """A long list of like items, held as columns.
 
-    ``columns`` maps each name to its values by ascending index, all of
-    one length: a list, a numpy array or :class:`Ratios`.  ``form`` is
-    an item with ``Slot(name)`` in place of each column's value, so what
-    every item shares is held once.  Item i is the form filled at
-    ascending index ``order[i]`` (at i when ``order`` is None) and passed
-    through ``make`` when one is given; indexing, iterating and
-    ``expand()`` build items, and the writer builds none.
+    ``columns`` (a dict, or :class:`_Columns` made when first read) maps
+    each name to its values by ascending index, all of one length: a
+    list, a numpy array, a :class:`Ratios` or a lam list
+    (:class:`~jnplus.grid.Thresholds`).  ``form`` is an item with
+    ``Slot(name)`` in place of each column's value, so what every item
+    shares is held once.  ``order`` gives item i's ascending index
+    ``order[i]``, a ``range`` for a list in its own order.  Item i is the
+    form filled at that index and passed through ``make`` when one is
+    given; indexing, iterating and ``expand()`` build items, and the
+    writer builds none.
     """
 
     form: Any
-    columns: dict[str, Any]
-    order: list[int] | None = None
+    columns: Mapping[str, Any]
+    order: Sequence[int]
     make: Callable | None = None
 
     def __len__(self) -> int:
-        return len(next(iter(self.columns.values())) if self.order is None else self.order)
+        return len(self.order)
 
     def __getitem__(self, i):
-        at = range(len(self)) if self.order is None else self.order
-        return [self._item(j) for j in at[i]] if isinstance(i, slice) else self._item(at[i])
+        if isinstance(i, slice):
+            return [self._item(j) for j in self.order[i]]
+        return self._item(self.order[i])
 
     def __iter__(self):
-        return map(self._item, range(len(self)) if self.order is None else self.order)
+        return map(self._item, self.order)
 
     def expand(self) -> list:
         return list(self)
 
     @cached_property
-    def _values(self) -> dict[str, Any]:
-        # each column by its slot: a numpy column's entries as Python scalars,
-        # a Ratios column's as Fractions, each made once
-        return {Slot(name): _items(col) for name, col in self.columns.items()}
+    def _build(self) -> Callable[[int], Any]:
+        # a numpy column's entries as Python scalars, a Ratios column's as Fractions, made once
+        values = {name: col.tolist() if isinstance(col, np.ndarray) else list(col)
+                  for name, col in self.columns.items()}
+        return _builder(self.form, values)
 
     def _item(self, j: int):
-        item = _fill(self.form, {slot: col[j] for slot, col in self._values.items()})
+        item = self._build(j)
         return item if self.make is None else self.make(item)
 
 
-def _items(col) -> list:
-    if isinstance(col, Ratios):
-        return [Fraction(num, den) for num, den in col.pairs()]
-    return col.tolist() if isinstance(col, np.ndarray) else col
-
-
-def _fill(form, values: dict):
-    """``form`` with each slot replaced by its value in ``values``."""
+def _builder(form, values: dict) -> Callable[[int], Any]:
+    """The function of an ascending index j that gives ``form`` with each
+    slot filled by entry j of its column in ``values``: the form is walked
+    once per list, not once per item."""
     t = type(form)
     if t is Slot:
-        return values[form]
-    if t is dict:
-        return {k: _fill(v, values) for k, v in form.items()}
+        return values[form[1:]].__getitem__
     if t is list:
-        return [_fill(v, values) for v in form]
+        parts = [_builder(v, values) for v in form]
+        return lambda j: [at(j) for at in parts]
+    if t is dict:
+        pairs = [(k, _builder(v, values)) for k, v in form.items()]
+        return lambda j: {k: at(j) for k, at in pairs}
     if t is VerificationReport:
-        return VerificationReport(**{k: _fill(v, values) for k, v in vars(form).items()})
-    return form
+        fields = _builder(vars(form), values)
+        return lambda j: VerificationReport(**fields(j))
+    return lambda j: form
+
+
+class _Columns(Mapping):
+    """The columns of a :class:`Rows`, made by ``make()`` when first read:
+    a witness that nothing reads (a verify run reads only its seminorm's
+    value) keeps its parts and is never joined."""
+
+    def __init__(self, make: Callable[[], dict[str, Any]]) -> None:
+        self._make = make
+
+    @cached_property
+    def _columns(self) -> dict[str, Any]:
+        columns, self._make = self._make(), None
+        return columns
+
+    def __getitem__(self, name: str):
+        return self._columns[name]
+
+    def __iter__(self):
+        return iter(self._columns)
+
+    def __len__(self) -> int:
+        return len(self._columns)
 
 
 def cube_rows(levels: list[tuple[int, np.ndarray]]) -> Rows:
@@ -152,16 +172,20 @@ def cube_rows(levels: list[tuple[int, np.ndarray]]) -> Rows:
 
     ``levels`` pairs a level k with an (m, n) integer array whose rows
     are cubes' absolute level-k indices, spatial ones first and time
-    last; the cubes keep that order.  The columns are ``level``,
-    ``spatial-i`` for each spatial axis i and ``time``.
+    last; the cubes keep that order.  The columns, ``level``,
+    ``spatial-i`` for each spatial axis i and ``time``, are
+    :class:`_Columns`: joined from ``levels`` when first read.
     """
+    n, m = levels[0][1].shape[1], sum(len(rows) for _, rows in levels)
+    return Rows(_cube_form(n), _Columns(lambda: _cube_columns(levels, n)), range(m), _cube)
+
+
+def _cube_columns(levels: list[tuple[int, np.ndarray]], n: int) -> dict[str, np.ndarray]:
     idx = np.concatenate([rows for _, rows in levels])
-    n = idx.shape[1]
-    counts = np.array([len(rows) for _, rows in levels])
-    columns = {"level": np.repeat(np.array([k for k, _ in levels]), counts)}
-    columns.update((f"spatial-{i}", idx[:, i]) for i in range(n - 1))
+    columns = {f"spatial-{i}": idx[:, i] for i in range(n - 1)}
     columns["time"] = idx[:, -1]
-    return Rows(_cube_form(n), columns, make=_cube)
+    columns["level"] = np.repeat([k for k, _ in levels], [len(rows) for _, rows in levels])
+    return columns
 
 
 @lru_cache
@@ -176,18 +200,23 @@ def _cube(d: dict) -> DyadicCube:
 
 
 def _rational(num: int, den: int) -> tuple[str, str]:
-    """The "decimal" and "exact" strings of the rational num/den (den > 0):
+    """The "decimal" and "exact" strings of the rational num/den, any pair
+    with den > 0: reduced by its gcd, then written by :func:`_lowest`."""
+    g = math.gcd(num, den)
+    return _lowest(num // g, den // g) if g != 1 else _lowest(num, den)
+
+
+def _lowest(num: int, den: int) -> tuple[str, str]:
+    """The "decimal" and "exact" strings of num/den in lowest terms (den > 0):
     repr(float(num/den)), or "inf"/"-inf" past the float range, and
-    str(Fraction(num, den)).
+    str(Fraction(num, den)).  The one place they are formed; a Fraction's
+    and a threshold list's ratios come in lowest terms and are written
+    from here directly.
 
     Int true division rounds correctly, as float(Fraction) does.  An
     exact string past Python's limit on int-to-str digits is an
     OutOfDomainError naming its digit count; the limit stays as it is.
     """
-    # a power-of-two den (a cell count's, a float's) has the gcd of num's lowest set bit
-    g = (min(num & -num, den) if num else den) if den & (den - 1) == 0 else math.gcd(num, den)
-    if g != 1:
-        num, den = num // g, den // g
     try:
         exact = f"{num}/{den}" if den != 1 else int.__repr__(num)
     except ValueError:
@@ -209,7 +238,7 @@ def scalar_json(x: Any) -> Any:
     become strings; rationals become {"decimal", "exact"} pairs.
     """
     if isinstance(x, Fraction):
-        decimal, exact = _rational(x.numerator, x.denominator)
+        decimal, exact = _lowest(x.numerator, x.denominator)
         return {"decimal": decimal, "exact": exact}
     if isinstance(x, float):
         return x if math.isfinite(x) else repr(x)
@@ -239,9 +268,9 @@ def _float_text(x: float) -> str:
     return float.__repr__(x) if math.isfinite(x) else f'"{x!r}"'
 
 
-def _ratio_text(num: int, den: int, nl: str) -> str:
-    # scalar_json's {"decimal", "exact"} pair of num/den, as _write_dict writes it at indent nl
-    decimal, exact = _rational(num, den)
+def _ratio_text(strings: tuple[str, str], nl: str) -> str:
+    # scalar_json's {"decimal", "exact"} pair, as _write_dict writes it at indent nl
+    decimal, exact = strings
     ind = nl + "  "
     return f'{{{ind}"decimal": "{decimal}",{ind}"exact": "{exact}"{nl}}}'
 
@@ -270,7 +299,7 @@ def _write(obj: Any, put, nl: str, memo: dict) -> None:
     if t is dict:
         _write_dict(obj, put, nl, memo)
     elif t is Fraction:
-        put(_ratio_text(obj.numerator, obj.denominator, nl))
+        put(_ratio_text(_lowest(obj.numerator, obj.denominator), nl))
     elif t in _SCALAR_TEXT:
         put(_SCALAR_TEXT[t](obj))
     elif t is list or t is tuple:
@@ -291,11 +320,12 @@ def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
     while the document is written.
     """
     if isinstance(obj, Fraction):
-        put(_ratio_text(obj.numerator, obj.denominator, nl))
+        put(_ratio_text(_lowest(obj.numerator, obj.denominator), nl))
     elif isinstance(obj, float):
         put(_float_text(obj))
     elif isinstance(obj, DyadicCube):
-        _write_cube(obj, put, nl)
+        cube = {"level": obj.level, "spatial": list(obj.spatial), "time": obj.time}
+        _write_dict(cube, put, nl, memo)
     elif isinstance(obj, Rows):
         _write_rows(obj, put, nl, memo)
     elif isinstance(obj, dict):
@@ -318,28 +348,20 @@ def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_cube(c: DyadicCube, put, nl: str) -> None:
-    if {type(c.level), type(c.time), *map(type, c.spatial)} != {int}:
-        # odd field types take the general path, field by field
-        _write_dict({"level": c.level, "spatial": list(c.spatial), "time": c.time}, put, nl, {})
-        return
-    ind = nl + "  "
-    spatial = f",{ind}  ".join(map(int.__repr__, c.spatial))
-    spatial = f"[{ind}  {spatial}{ind}]" if spatial else "[]"
-    put(f'{{{ind}"level": {c.level},{ind}"spatial": {spatial},{ind}"time": {c.time}{nl}}}')
-
-
 def _text(obj: Any, nl: str, memo: dict) -> str:
     parts: list[str] = []
     _write(obj, parts.append, nl, memo)
     return "".join(parts)
 
 
-def _take(col, ids: list[int]):
-    """The entries of a column at ``ids``, as a column of its kind."""
+def _take(col, ids: Sequence[int]):
+    """The entries of a column at ``ids`` as a column of its kind; a range of ids is a slice."""
+    if isinstance(ids, range):
+        return col if len(ids) == len(col) else col[ids.start : ids.stop]
     if isinstance(col, Ratios):
-        den = col.den if isinstance(col.den, int) else _take(col.den, ids)
-        return Ratios(_take(col.nums, ids), den)
+        return Ratios(_take(col.nums, ids), col.den)
+    if isinstance(col, Thresholds):
+        return Thresholds(_take(col.ratios, ids), None if col.exact else _take(col.floats(), ids))
     return col[ids] if isinstance(col, np.ndarray) else [col[j] for j in ids]
 
 
@@ -347,27 +369,27 @@ def _texts(values, nl: str, memo: dict, known: dict) -> list:
     """Each value's text at indent ``nl``, for a %s slot.
 
     An int stands for its own text, as %s of a plain int is its JSON
-    text, so a column of ints needs no pass.  ``known`` maps a
+    text, so an integer array needs no pass.  ``known`` maps a
     denominator and an indent to the texts of numerators over it.
     """
+    if isinstance(values, Thresholds):
+        if values.exact:
+            return [_ratio_text(_lowest(num, den), nl) for num, den in values.ratios]
+        values = values.floats()
     if isinstance(values, Ratios):
-        if isinstance(values.den, list):
-            return [_ratio_text(num, den, nl) for num, den in values.pairs()]
         # over one denominator (counts, weights) values repeat: each text made once
         texts = known.setdefault((values.den, nl), {})
         for num in dict.fromkeys(values.nums):
             if num not in texts:
-                texts[num] = _ratio_text(num, values.den, nl)
+                texts[num] = _ratio_text(_rational(num, values.den), nl)
         return list(map(texts.__getitem__, values.nums))
     if isinstance(values, np.ndarray):
         if values.dtype.kind in "iu":
             return values.tolist()
         values = values.tolist()
     kinds = set(map(type, values))
-    if kinds == {int}:
-        return values
     if kinds == {float} and all(map(math.isfinite, values)):
-        return list(map(float.__repr__, values))
+        return list(map(float.__repr__, values))  # half the time of _float_text per value
     if len(kinds) == 1 and (to_text := _SCALAR_TEXT.get(kinds.pop())):
         return list(map(to_text, values))
     # an empty list (a report's failed ids, mostly) needs no walk
@@ -395,14 +417,15 @@ def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
 
     The template is the form as :func:`_write` writes it at the items'
     indent, with a %s in place of each slot's text, read once per form
-    and indent.  Each column's texts fill its slot, at the slot's own
-    indent, a block of ``_RUN`` items at a time; ``known`` keeps the
-    texts of numerators over one denominator for the whole list.  One %
-    call formats a run of items, and each run is put on its own rather
-    than joined into one string for the list first, which would hold a
-    second copy of the list's text.  A bare value per item (a weight) is
-    put on its own, as :func:`_write_list` puts items: weights joined
-    into runs raised the peak RSS of a seminorm-deep run by ~5 MB.
+    and indent in a document.  Each column's texts fill its slot, at the
+    slot's own indent, a block of ``_RUN`` items at a time; ``known``
+    keeps the texts of numerators over one denominator for the whole
+    list.  One % call formats a run of items, and each run is put on its
+    own rather than joined into one string for the list first, which
+    would hold a second copy of the list's text.  A bare value per item
+    (a weight) is put on its own, as :func:`_write_list` puts items:
+    weights joined into runs raised the peak RSS of a seminorm-deep run
+    by ~5 MB.
     """
     m = len(rows)
     if not m:
@@ -419,24 +442,23 @@ def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
             nls.append(ind if line < 0 else _INDENT.match(text, line)[0])
         memo[key] = (rows.form, _SLOT_TEXT.sub("%s", text), names, nls)
     _, template, names, nls = memo[key]
-    ints = all(isinstance(col, np.ndarray) and col.dtype.kind in "iu" for col in rows.columns.values())
+    columns = rows.columns
+    ints = all(isinstance(col, np.ndarray) and col.dtype.kind in "iu" for col in columns.values())
     k, run = len(names), _RUN if ints else _RECORD_RUN
     sep, full = "[" + ind, f",{ind}".join([template] * run)
     known: dict = {}
     for lo in range(0, m, _RUN):
-        hi = min(lo + _RUN, m)
-        flat = [None] * (k * (hi - lo))  # the block's slot texts, item by item
+        ids = rows.order[lo : lo + _RUN]
+        flat = [None] * (k * len(ids))  # the block's slot texts, item by item
         for s, (name, nl_s) in enumerate(zip(names, nls)):
-            col = rows.columns[name]
-            part = col[lo:hi] if rows.order is None else _take(col, rows.order[lo:hi])
-            flat[s::k] = _texts(part, nl_s, memo, known)
+            flat[s::k] = _texts(_take(columns[name], ids), nl_s, memo, known)
         if template == "%s":
             for text in flat:
                 put(f"{sep}{text}")
                 sep = "," + ind
             continue
-        for start in range(0, hi - lo, run):
-            stop = min(start + run, hi - lo)
+        for start in range(0, len(ids), run):
+            stop = min(start + run, len(ids))
             text = full if stop - start == run else f",{ind}".join([template] * (stop - start))
             put(sep + text % tuple(flat[start * k : stop * k]))
             sep = "," + ind
@@ -491,7 +513,7 @@ def _write_dict(d: dict, put, nl: str, memo: dict) -> None:
         if t in _SCALAR_TEXT:
             put(head + _SCALAR_TEXT[t](v))
         elif t is Fraction:
-            put(head + _ratio_text(v.numerator, v.denominator, ind))
+            put(head + _ratio_text(_lowest(v.numerator, v.denominator), ind))
         else:
             put(head)
             _write(v, put, ind, memo)

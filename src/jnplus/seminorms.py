@@ -24,8 +24,9 @@ Every result holds its witness as two :class:`~jnplus.reports.Rows`
 of one length: the cubes as level, spatial and time columns
 (:func:`~jnplus.reports.cube_rows`) and their weights as raw values
 over one denominator (:class:`~jnplus.reports.Ratios`), or as floats.
-The report writes them without a per-cube object; a caller that wants
-``DyadicCube`` and weight lists calls ``expand()``.
+The cubes are joined into columns when first read (a verify run reads
+only K).  The report writes both without a per-cube object; a caller
+that wants ``DyadicCube`` and weight lists calls ``expand()``.
 
 The weights are read only inside the root, which lies in Q0, so the
 block reductions cover Q0 and the one time block after it.
@@ -199,7 +200,7 @@ class SeminormResult:
 def _weight_rows(raws, D: int | None) -> Rows:
     """A witness's weights: the rationals raw/D, or the floats raw when D is None
     (``raws`` a list, or an array of Python ints or of floats)."""
-    return Rows(_WEIGHT, {"weight": raws if D is None else Ratios(raws, D)})
+    return Rows(_WEIGHT, {"weight": raws if D is None else Ratios(raws, D)}, range(len(raws)))
 
 
 _WEIGHT = Slot("weight")

@@ -32,9 +32,10 @@ context, so a sweep over many lam recomputes none of it.
   stopping cube, each cell of E(lam) and each p6/p8 failure holds on one
   interval of lam indices, and the two local fields of a visited
   stopping cube are built once per sweep.  The reports come as one
-  :class:`jnplus.reports.Rows`: per-lam columns of counts, flags and
-  floats, and a report form that holds the values every report shares
-  once.  Indexing it builds a lam's :class:`VerificationReport`.
+  :class:`jnplus.reports.Rows`: per-lam columns (the lams as their
+  Thresholds, counts over the cells as Ratios, flags, floats) and a
+  form holding what every report shares.  Indexing it builds a lam's
+  :class:`VerificationReport`.
 
 * ``proof_constant(n, p, b)`` — the explicit constant C(n,p,b) produced by
   iterating the decay step down the ladder lam, b*lam, b^2*lam, ...,
@@ -48,8 +49,8 @@ context, so a sweep over many lam recomputes none of it.
   both variants.  It counts |E(lam)|, the augmented measure and the
   distribution measure of every lam in one pass over each array
   (``grid.exceed_ranks`` on the ascending list of ``_lambda_list``).
-  Its records come as one :class:`jnplus.reports.Rows`, whose items
-  are the record dicts.
+  Its records come as one :class:`jnplus.reports.Rows` of the same
+  kinds of columns, whose items are the record dicts.
 
 Measures are exact rationals in fixed mode.  The final inequality of
 the lemma and the theorem bound involve p-th roots and the iterated
@@ -61,6 +62,7 @@ tolerance; the report's ``exact`` flag says which.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -206,20 +208,21 @@ def lemma_sweep(ctx: LemmaContext, lambdas=None) -> Rows:
     return _decay_steps(ctx, *_lambda_list(ctx, lambdas))
 
 
-def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, list[int] | None]:
+def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, Sequence[int]]:
     """The lams of a sweep or theorem run, ascending and lifted once, and
     the ascending index of each lam of the caller's list: the one owner
     of lam order.
 
     The default ``default_lambda_grid(ctx)`` is already distinct,
     ascending, positive floats in the float range, so each lifts exactly
-    by itself and its order is its own (None).  A caller's lams are each lifted
+    by itself and its order is its own.  A caller's lams are each lifted
     by :meth:`GridFunction.threshold`, must be positive, and are sorted,
     repeats kept.  A fixed grid's list is exact: it holds the ratios alone.
     """
     f = ctx.f
     if lambdas is None:
-        values, order = default_lambda_grid(ctx), None
+        values = default_lambda_grid(ctx)
+        order = range(len(values))
     else:
         lamNs = [f.threshold(lam) for lam in lambdas]
         if not all(lamN > 0 for lamN in lamNs):
@@ -240,7 +243,7 @@ def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:
     return counts_above(hi, m) - counts_above(np.minimum(lo, hi), m)
 
 
-def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int] | None) -> Rows:
+def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: Sequence[int]) -> Rows:
     """The decay-step reports at the ascending lams, decided on rank arrays,
     as the columns of a :class:`jnplus.reports.Rows` in ``order``.
 
@@ -340,14 +343,15 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int] | None) -
             # cE / cells is float(|E(lam)|): both round the same rational once
             main_ok.append(cE / cells <= rhs_float * (1.0 + _REL_TOL) + 1e-18)
     ok6, ok8 = ok6.tolist(), ok8.tolist()
-    failed = [[] if a and b and c else _failed_ids(a, b, c) for a, b, c in zip(main_ok, ok6, ok8)]
+    failed = [[] if a and b and c else [name for name, ok in zip(_CHECKS, (a, b, c)) if not ok]
+              for a, b, c in zip(main_ok, ok6, ok8)]
     columns = {
         "lhs": [c / cells for c in E_counts],
         "rhs": rhs,
         "admissible": [False] * i0 + [True] * (m - i0),
         "pass": [not ids for ids in failed],
-        "lambda": _lam_column(lams),
-        "b-lambda": _lam_column(blams),
+        "lambda": lams,
+        "b-lambda": blams,
         "E-lambda": Ratios(E_counts, cells),
         "E-b-lambda": Ratios(B_counts, cells),
         "stopping-count": stops.tolist(),
@@ -358,35 +362,20 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: list[int] | None) -
     if lams.exact:
         exact = {c: _rational(c, cells)[1] for c in dict.fromkeys(E_counts)}
         columns["lhs-exact"] = [exact[c] for c in E_counts]
-    slot = {name: Slot(name) for name in columns}
-    details = {"params": params, "K": K.value, "K-weight": K.weight}
-    details.update((name, slot[name]) for name in _DETAIL_COLUMNS)
-    form = VerificationReport(
-        inequality_id="Lemma",
-        lhs=slot["lhs"],
-        rhs=slot["rhs"],
-        admissible=slot["admissible"],
-        passed=slot["pass"],
-        exact=exact_main,
-        lhs_exact=slot.get("lhs-exact"),
-        details=details,
-    )
+    details = {"params": params, "K": K.value, "K-weight": K.weight, **_DETAIL_SLOTS}
+    lhs_exact = Slot("lhs-exact") if lams.exact else None
+    form = VerificationReport("Lemma", *_REPORT_SLOTS, exact_main, lhs_exact, details=details)
     return Rows(form, columns, order)
 
 
-def _failed_ids(*oks: bool) -> list[str]:
-    return [name for name, ok in zip(("Lemma", "p6", "p8"), oks) if not ok]
-
-
-_DETAIL_COLUMNS = ("lambda", "b-lambda", "E-lambda", "E-b-lambda", "stopping-count", "p6-pass",
-                   "p8-pass", "failed-ids")
-
-
-def _lam_column(lams: Thresholds):
-    """A lam list as a report column: its ratios when exact, else its floats."""
-    if not lams.exact:
-        return lams.floats()
-    return Ratios([num for num, _ in lams.ratios], [den for _, den in lams.ratios])
+_CHECKS = ("Lemma", "p6", "p8")
+# the slots of a sweep report's lhs, rhs, admissible and pass, of its details, and a theorem record
+_REPORT_SLOTS = tuple(map(Slot, ("lhs", "rhs", "admissible", "pass")))
+_DETAIL = ("lambda", "b-lambda", "E-lambda", "E-b-lambda", "stopping-count", "p6-pass", "p8-pass",
+           "failed-ids")
+_DETAIL_SLOTS = {name: Slot(name) for name in _DETAIL}
+_RECORD = ("lambda", "E-grid", "E-aug", "dist", "bound", "pass", "branch")
+_RECORD_FORM = {name: Slot(name) for name in _RECORD}
 
 
 def proof_constant(n: int, p, b) -> float:
@@ -524,11 +513,9 @@ class TheoremRun:
     def to_csv(self) -> str:
         rows = self.records
         cols = rows.columns
-        lam = cols["lambda"]
-        floats = [lam.floats() if isinstance(lam, Ratios) else lam]
-        floats += [cols[name].floats() for name in ("E-grid", "E-aug", "dist")]
+        floats = [cols[name].floats() for name in ("lambda", "E-grid", "E-aug", "dist")]
         lines = ["lambda,E_grid,E_aug,dist,bound,pass"]
-        for j in range(len(rows)) if rows.order is None else rows.order:
+        for j in rows.order:
             lam_f, eg, ea, ds = (col[j] for col in floats)
             bd, ok = float(cols["bound"][j]), int(cols["pass"][j])
             lines.append(f"{lam_f!r},{eg!r},{ea!r},{ds!r},{bd!r},{ok}")
@@ -584,7 +571,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         passed.append(bool(ok and dist_ok))
         branches.append("iteration" if lam_f > lam0 else "trivial")
     columns = {
-        "lambda": _lam_column(lams),
+        "lambda": lams,
         "E-grid": Ratios(G, cells),
         "E-aug": Ratios(A, cells),
         "dist": Ratios(D, cells),
@@ -592,7 +579,7 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
         "pass": passed,
         "branch": branches,
     }
-    records = Rows({name: Slot(name) for name in columns}, columns, order)
+    records = Rows(_RECORD_FORM, columns, order)
 
     # single-cube consequence: (1/|root|) * integral of g over root∪root+
     V = volume(root)

@@ -7,7 +7,8 @@ rank intervals).  Agreement between the two routes is the point of the
 tests.  :func:`naive_good_lambda` is the exception: it decides one
 decay step per lam from the package's fields and the stopping masks of
 :func:`boolean_stopping_levels`, the route that the batched
-``lemma_sweep`` replaced.
+``lemma_sweep`` replaced.  :func:`failing_sweep` builds a sweep whose
+checks fail, which no corpus grid gives.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +32,7 @@ from jnplus import (
     default_manifest,
     forward,
     gen,
+    lemma_sweep,
     maximal_function,
     root_cube,
     scale_values,
@@ -416,3 +419,19 @@ def naive_good_lambda(ctx: LemmaContext, lam) -> VerificationReport:
             "failed-ids": failed,
         },
     )
+
+
+def failing_sweep(ctx):
+    """``ctx``'s sweep with each check made to fail somewhere: the Lemma at
+    odd lam indices, p6 at multiples of 3 and p8 at 1 mod 5."""
+    rows = lemma_sweep(ctx)
+    m = len(rows)
+    flags = {
+        "Lemma": [i % 2 == 0 for i in range(m)],
+        "p6": [i % 3 != 0 for i in range(m)],
+        "p8": [i % 5 != 1 for i in range(m)],
+    }
+    failed = [[name for name, ok in flags.items() if not ok[i]] for i in range(m)]
+    columns = {"p6-pass": flags["p6"], "p8-pass": flags["p8"], "failed-ids": failed,
+               "pass": [not ids for ids in failed]}
+    return replace(rows, columns={**rows.columns, **columns})

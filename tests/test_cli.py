@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import oracle_canonical_json
+from helpers import failing_sweep, oracle_canonical_json
 from jnplus import (
     DyadicCube,
     GeneratorSpec,
@@ -599,6 +599,22 @@ def test_exit_1_names_failed_inequality(example_path, capsys, monkeypatch):
     )
     assert code == 1
     assert "p9" in stderr
+
+
+def test_exit_1_names_failed_checks_of_a_sweep(example_path, capsys, monkeypatch):
+    """A sweep whose Lemma, p6 and p8 checks each fail at some lam: the
+    report's "failed" lists the three once each, "pass" is false, and the
+    exit is 1 naming them."""
+    failing = failing_sweep(LemmaContext(load_grid(example_path), 2, Fraction(1, 4)))
+    monkeypatch.setattr(cli, "lemma_sweep", lambda *a, **k: failing)
+    code, stdout, stderr = run(
+        capsys, "verify", "good-lambda", "--input", example_path, "--p", "2", "--b", "1/4"
+    )
+    assert code == 1
+    doc = json.loads(stdout)
+    assert doc["failed"] == ["Lemma", "p6", "p8"]
+    assert doc["pass"] is False
+    assert "FAIL: Lemma, p6, p8" in stderr
 
 
 def test_exit_2_on_bad_input(tmp_path, capsys):

@@ -12,7 +12,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from helpers import jsonify, oracle_canonical_json, random_fixed_grid
+from helpers import failing_sweep, jsonify, oracle_canonical_json, random_fixed_grid
 from jnplus import (
     DyadicCube,
     GeneratorSpec,
@@ -407,19 +407,9 @@ def test_lambda_rows_match_json_encoder_where_checks_fail():
     failed ids are not empty) and a theorem run whose bounds are nan."""
     f = gen(GeneratorSpec("uniform-random", 1, 3, 2, "fixed", 16))
     ctx = LemmaContext(f, 2, Fraction(1, 8))
-    rows, records = lemma_sweep(ctx), theorem_check(ctx).records
-    m = len(rows)
-    flags = {
-        "Lemma": [i % 2 == 0 for i in range(m)],
-        "p6": [i % 3 != 0 for i in range(m)],
-        "p8": [i % 5 != 1 for i in range(m)],
-    }
-    failed = [[name for name, ok in flags.items() if not ok[i]] for i in range(m)]
-    columns = {"p6-pass": flags["p6"], "p8-pass": flags["p8"], "failed-ids": failed,
-               "pass": [not ids for ids in failed]}
-    failing = replace(rows, columns={**rows.columns, **columns})
+    failing, records = failing_sweep(ctx), theorem_check(ctx).records
+    m = len(failing)
     assert {tuple(r.details["failed-ids"]) for r in failing} > {(), ("Lemma", "p6", "p8")}
-    assert [r.passed for r in failing] == columns["pass"]
     columns = {"bound": [math.nan] * m, "pass": [False] * m}
     nan_bounds = replace(records, columns={**records.columns, **columns})
     assert '"bound": "nan"' in canonical_json(nan_bounds)

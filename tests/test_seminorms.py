@@ -321,3 +321,18 @@ def test_witness_is_row_views():
             assert covers_once(r.witness.expand(), r.root, f.L, partition=True)
         for r in single:
             assert len(r.witness) == 1
+
+
+def test_witness_columns_are_joined_when_first_read():
+    """A seminorm's witness cubes keep their per-level index arrays until
+    the columns are first read: the size, and the value a verify run
+    reads, join nothing, and the first read joins them once."""
+    f = random_fixed_grid(np.random.default_rng(3), 2, 3)
+    r = jnp_plus_dyadic(f, 2)
+    columns = r.witness.columns
+    assert r.value > 0 and len(r.witness) == len(r.witness_weights) > 1
+    assert "_columns" not in vars(columns)
+    levels = columns["level"]
+    assert "_columns" in vars(columns) and columns["level"] is levels
+    assert levels.tolist() == [c.level for c in r.witness.expand()]
+    assert sorted(columns) == ["level", "spatial-0", "time"]
