@@ -22,6 +22,7 @@ import json
 import math
 import re
 import sys
+from collections import UserDict
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -144,7 +145,7 @@ def _builder(form, values: dict) -> Callable[[int], Any]:
     return lambda j: form
 
 
-class _Columns(Mapping):
+class _Columns(UserDict):
     """The columns of a :class:`Rows`, made by ``make()`` when first read:
     a witness that nothing reads (a verify run reads only its seminorm's
     value) keeps its parts and is never joined."""
@@ -153,18 +154,9 @@ class _Columns(Mapping):
         self._make = make
 
     @cached_property
-    def _columns(self) -> dict[str, Any]:
-        columns, self._make = self._make(), None
-        return columns
-
-    def __getitem__(self, name: str):
-        return self._columns[name]
-
-    def __iter__(self):
-        return iter(self._columns)
-
-    def __len__(self) -> int:
-        return len(self._columns)
+    def data(self) -> dict[str, Any]:
+        data, self._make = self._make(), None
+        return data
 
 
 def cube_rows(levels: list[tuple[int, np.ndarray]]) -> Rows:
@@ -172,9 +164,8 @@ def cube_rows(levels: list[tuple[int, np.ndarray]]) -> Rows:
 
     ``levels`` pairs a level k with an (m, n) integer array whose rows
     are cubes' absolute level-k indices, spatial ones first and time
-    last; the cubes keep that order.  The columns, ``level``,
-    ``spatial-i`` for each spatial axis i and ``time``, are
-    :class:`_Columns`: joined from ``levels`` when first read.
+    last; the cubes keep that order.  The columns ``level``, ``spatial-i``
+    per spatial axis and ``time`` are joined when first read.
     """
     n, m = levels[0][1].shape[1], sum(len(rows) for _, rows in levels)
     return Rows(_cube_form(n), _Columns(lambda: _cube_columns(levels, n)), range(m), _cube)
@@ -184,7 +175,9 @@ def _cube_columns(levels: list[tuple[int, np.ndarray]], n: int) -> dict[str, np.
     idx = np.concatenate([rows for _, rows in levels])
     columns = {f"spatial-{i}": idx[:, i] for i in range(n - 1)}
     columns["time"] = idx[:, -1]
-    columns["level"] = np.repeat([k for k, _ in levels], [len(rows) for _, rows in levels])
+    # a level fits a byte: the column of a 53,071-cube witness takes 53 KB, not 425 KB
+    ks = np.array([k for k, _ in levels], dtype=np.uint8)
+    columns["level"] = np.repeat(ks, [len(rows) for _, rows in levels])
     return columns
 
 

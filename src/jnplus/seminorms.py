@@ -24,9 +24,10 @@ Every result holds its witness as two :class:`~jnplus.reports.Rows`
 of one length: the cubes as level, spatial and time columns
 (:func:`~jnplus.reports.cube_rows`) and their weights as raw values
 over one denominator (:class:`~jnplus.reports.Ratios`), or as floats.
-The cubes are joined into columns when first read (a verify run reads
-only K).  The report writes both without a per-cube object; a caller
-that wants ``DyadicCube`` and weight lists calls ``expand()``.
+Both are joined from the sweep's per-level arrays when first read (a
+verify run reads only K).  The report writes them without a per-cube
+object; a caller that wants ``DyadicCube`` and weight lists calls
+``expand()``.
 
 The weights are read only inside the root, which lies in Q0, so the
 block reductions cover Q0 and the one time block after it.
@@ -71,7 +72,7 @@ from ._blocks import (
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
 from .grid import GridFunction, _float_array, _float_view, average, pos_part_average, resolve_root
-from .reports import Ratios, Rows, Slot, cube_rows
+from .reports import Ratios, Rows, Slot, _Columns, cube_rows
 
 __all__ = [
     "SeminormResult",
@@ -197,10 +198,16 @@ class SeminormResult:
         }
 
 
-def _weight_rows(raws, D: int | None) -> Rows:
-    """A witness's weights: the rationals raw/D, or the floats raw when D is None
-    (``raws`` a list, or an array of Python ints or of floats)."""
-    return Rows(_WEIGHT, {"weight": raws if D is None else Ratios(raws, D)}, range(len(raws)))
+def _weight_rows(parts: list, D: int | None) -> Rows:
+    """A witness's weights, the rationals raw/D or the floats raw when D is
+    None, given in parts (lists, or arrays of Python ints or of floats) and
+    joined into one column when first read."""
+
+    def columns() -> dict:
+        raws = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return {"weight": raws if D is None else Ratios(raws, D)}
+
+    return Rows(_WEIGHT, _Columns(columns), range(sum(map(len, parts))))
 
 
 _WEIGHT = Slot("weight")
@@ -301,7 +308,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         mode=f.mode,
         root=root,
         witness=witness,
-        witness_weights=_weight_rows(np.concatenate([raw for _, _, raw in levels]), D),
+        witness_weights=_weight_rows([raw for _, _, raw in levels], D),
         details={"levels": f.L - root.level + 1, "witness-size": len(witness)},
     )
 
@@ -349,7 +356,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         mode=f.mode,
         root=root,
         witness=cube_rows([at]),
-        witness_weights=_weight_rows([num], D),
+        witness_weights=_weight_rows([[num]], D),
     )
 
 
@@ -482,6 +489,6 @@ def antichain_oracle(
         witness=cube_rows(
             [(cs[0].level, np.array([[*c.spatial, c.time] for c in cs])) for cs in by_level]
         ),
-        witness_weights=_weight_rows([wt[c] for c in witness], den),
+        witness_weights=_weight_rows([[wt[c] for c in witness]], den),
         details={"antichains": count, "tree-cubes": len(nodes)},
     )

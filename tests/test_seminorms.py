@@ -324,15 +324,15 @@ def test_witness_is_row_views():
 
 
 def test_witness_columns_are_joined_when_first_read():
-    """A seminorm's witness cubes keep their per-level index arrays until
-    the columns are first read: the size, and the value a verify run
-    reads, join nothing, and the first read joins them once."""
+    """A seminorm's witness cubes and weights keep their per-level arrays
+    until the columns are first read: the size, and the value a verify
+    run reads, join nothing, and the first read joins them once."""
     f = random_fixed_grid(np.random.default_rng(3), 2, 3)
     r = jnp_plus_dyadic(f, 2)
     columns = r.witness.columns
     assert r.value > 0 and len(r.witness) == len(r.witness_weights) > 1
-    assert "_columns" not in vars(columns)
+    assert "data" not in vars(columns) and "data" not in vars(r.witness_weights.columns)
     levels = columns["level"]
-    assert "_columns" in vars(columns) and columns["level"] is levels
+    assert "data" in vars(columns) and columns["level"] is levels
     assert levels.tolist() == [c.level for c in r.witness.expand()]
     assert sorted(columns) == ["level", "spatial-0", "time"]
