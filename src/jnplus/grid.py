@@ -107,18 +107,18 @@ class Thresholds:
     """An ascending list of thresholds, held by each one's exact ratio.
 
     ``ratios`` holds each threshold's exact (numerator, denominator) in
-    lowest terms, read once.  A float list (f64 mode) also holds its
-    ``floats`` as given, and its items are those floats; an exact list
-    holds the ratios alone, and an item is read as its ratio's Fraction.
+    lowest terms, read once.  An ``exact`` list's items are its ratios'
+    Fractions; a float list's (f64 mode) are floats, each its ratio
+    divided: int true division rounds once, so the ratio of a float
+    (``float.as_integer_ratio``) divides back to that float exactly.
     :func:`exceed_ranks` takes one in place of a list, and then
     :func:`_cuts` reads the pairs on integer cells instead of reading
     every threshold again.  A slice is again one.
     """
 
-    def __init__(self, ratios: list[tuple[int, int]], floats: list[float] | None = None) -> None:
+    def __init__(self, ratios: list[tuple[int, int]], exact: bool) -> None:
         self.ratios = ratios
-        self.exact = floats is None
-        self._floats = floats
+        self.exact = exact
 
     def __len__(self) -> int:
         return len(self.ratios)
@@ -128,12 +128,13 @@ class Thresholds:
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Thresholds(self.ratios[i], None if self.exact else self._floats[i])
-        return Fraction(*self.ratios[i]) if self.exact else self._floats[i]
+            return Thresholds(self.ratios[i], self.exact)
+        num, den = self.ratios[i]
+        return Fraction(num, den) if self.exact else num / den
 
     def floats(self) -> list[float]:
         """Each threshold's float: its ratio rounded once, as float() rounds it."""
-        return [num / den for num, den in self.ratios] if self.exact else self._floats
+        return [num / den for num, den in self.ratios]
 
     def count_below(self, x) -> int:
         """How many thresholds lie below the number x, compared exactly."""
@@ -147,15 +148,14 @@ class Thresholds:
         one gcd; a float list holds the float products.
         """
         if not self.exact:
-            products = [c * lam for lam in self._floats]
-            return Thresholds([x.as_integer_ratio() for x in products], products)
+            return Thresholds([(c * lam).as_integer_ratio() for lam in self.floats()], False)
         cn, cd = c.as_integer_ratio()
         out = []
         for num, den in self.ratios:
             num, den = num * cn, den * cd
             g = math.gcd(num, den)
             out.append((num // g, den // g))
-        return Thresholds(out)
+        return Thresholds(out, True)
 
 
 def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
@@ -170,10 +170,11 @@ def _cuts(numer: np.ndarray, count: int, denom: int | None, lams) -> list:
     is a power of two.  The cut never decreases as lam grows.
     """
     if numer.dtype.kind == "f":
-        return [float(lam) * count for lam in lams]
+        floats = lams.floats() if isinstance(lams, Thresholds) else map(float, lams)
+        return [lam * count for lam in floats]
     scale = count * denom
     if not isinstance(lams, Thresholds):
-        lams = Thresholds([Fraction(lam).as_integer_ratio() for lam in lams])
+        lams = Thresholds([Fraction(lam).as_integer_ratio() for lam in lams], True)
     cuts = [num * scale // den for num, den in lams.ratios]
     top = 1 << _GUARD_BITS
     if numer.dtype == np.int64 and cuts and (max(cuts) > top or min(cuts) < -top):

@@ -26,16 +26,18 @@ scalar by :meth:`~jnplus.grid.GridFunction.scalar`.
 ascending list of thresholds on ranks, for :func:`cz_decompose` at one
 threshold and for ``verification.lemma_sweep`` at every b*lam.
 
-A decomposition holds its stopping cubes as level, spatial and time
-columns (:func:`~jnplus.reports.cube_rows`), not as one object per
-cube, and the checks on it read each level's index rows, a slice of the
-columns since the levels ascend, against that level's block sums.
+A decomposition holds its stopping cubes per level as the index rows
+that :func:`cz_decompose` finds, not as one object per cube: the checks
+read each level's rows against that level's block sums, the volumes
+come from the per-level counts, and the report's level, spatial and
+time columns (:func:`~jnplus.reports.cube_rows`) are joined when first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator
 
 import numpy as np
@@ -178,29 +180,42 @@ def positive_part_field(f: GridFunction, cube: DyadicCube) -> MaximalField:
 class Decomposition:
     """Stopping-time decomposition of ``root`` at ``threshold``.
 
-    ``stopping`` lists the maximal dyadic subcubes whose forward mean
-    exceeds the threshold, as :func:`~jnplus.reports.cube_rows`: coarse
-    to fine, index order within a level.  ``groups`` maps the list position j of each cube whose
-    forward translate is maximal with respect to inclusion among all
-    forward translates to every position i whose forward translate lies
-    inside that of j (j itself included), ascending; ``subfamily`` lists
-    those positions j.
+    ``levels`` pairs each level k of the root, coarse to fine, with the
+    index rows (spatial, then time) of the maximal dyadic subcubes whose
+    forward mean exceeds the threshold, in index order; ``stopping`` is
+    their :func:`~jnplus.reports.cube_rows`, made when first read.  ``groups`` maps
+    the list position j of each cube whose forward translate is maximal
+    with respect to inclusion among all forward translates to every
+    position i whose forward translate lies inside that of j (j itself
+    included), ascending; ``subfamily`` lists those positions j.
     """
 
     root: DyadicCube
     threshold: Fraction | float
-    stopping: Rows
+    levels: list[tuple[int, np.ndarray]] = field(repr=False)
     groups: dict[int, list[int]]
+
+    @cached_property
+    def stopping(self) -> Rows:
+        return cube_rows(self.levels)
 
     @property
     def subfamily(self) -> list[int]:
         return list(self.groups)
 
     def total_volume(self) -> Fraction:
-        return _volume(self.stopping.columns["level"], self.root.n)
+        return self._volume([len(rows) for _, rows in self.levels])
 
     def subfamily_volume(self) -> Fraction:
-        return _volume(self.stopping.columns["level"][self.subfamily], self.root.n)
+        # a position's level is the number of levels that end at or before it
+        ends = np.cumsum([len(rows) for _, rows in self.levels])
+        at = np.searchsorted(ends, self.subfamily, side="right")
+        return self._volume(np.bincount(at, minlength=len(ends)).tolist())
+
+    def _volume(self, counts: list[int]) -> Fraction:
+        # counts[i] cubes at the i-th level; a level-k cube weighs 2^{-kn}
+        terms = (Fraction(c, 1 << (k * self.root.n)) for (k, _), c in zip(self.levels, counts))
+        return sum(terms, Fraction(0))
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,13 +226,6 @@ class Decomposition:
             "groups": self.groups,
             "total-volume": self.total_volume(),
         }
-
-
-def _volume(levels: np.ndarray, n: int) -> Fraction:
-    """Summed volume of n-dimensional cubes at ``levels``: a level-k cube weighs 2^{-kn}."""
-    ks, counts = np.unique(levels, return_counts=True)
-    terms = (Fraction(c, 1 << (k * n)) for k, c in zip(ks.tolist(), counts.tolist()))
-    return sum(terms, Fraction(0))
 
 
 def _require_nonneg(f: GridFunction, root: DyadicCube) -> None:
@@ -260,8 +268,8 @@ def cz_decompose(f: GridFunction, root: DyadicCube | None, lam) -> Decomposition
     _require_nonneg(f, root)
     lam_n = f.scalar(lam)
     masks = [(k, e > A) for k, A, e in stopping_ranks(f, root, [lam_n])]
-    stopping = cube_rows([(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks])
-    return Decomposition(root, lam_n, stopping, select_subfamily(masks))
+    levels = [(k, np.argwhere(emit) + box_origin(root, k)) for k, emit in masks]
+    return Decomposition(root, lam_n, levels, select_subfamily(masks))
 
 
 def select_subfamily(masks: list[tuple[int, np.ndarray]]) -> dict[int, list[int]]:
@@ -296,15 +304,6 @@ def select_subfamily(masks: list[tuple[int, np.ndarray]]) -> dict[int, list[int]
     return groups
 
 
-def _stopping_levels(f: GridFunction, dec: Decomposition) -> list[tuple[int, np.ndarray]]:
-    """Per level k of ``dec.root`` down to the grid's, the level-k stopping cubes' index rows."""
-    cols = dec.stopping.columns
-    idx = np.column_stack([cols[f"spatial-{i}"] for i in range(f.n - 1)] + [cols["time"]])
-    ks = range(dec.root.level, f.L + 2)
-    cuts = np.searchsorted(cols["level"], ks).tolist()  # the level column ascends
-    return [(k, idx[lo:hi]) for k, lo, hi in zip(ks, cuts, cuts[1:])]
-
-
 def _forward_sums(f: GridFunction, k: int, rows: np.ndarray, steps: int) -> np.ndarray:
     """Block sums over the ``steps``-forward translates of the level-k cubes at index rows."""
     *space, t = rows.T
@@ -322,7 +321,7 @@ def check_p1(f: GridFunction, dec: Decomposition) -> VerificationReport:
     root, lam = dec.root, dec.threshold
     strict_ok = parent_ok = True
     mask = np.zeros((1,) * f.n, dtype=bool)  # the cubes' union over the root box
-    for k, rows in _stopping_levels(f, dec):
+    for k, rows in dec.levels:
         fwd = _forward_sums(f, k, rows, 1)
         strict_ok &= bool(exceeds(fwd, block_count(f, k), f.denom, lam).all())
         if k > root.level:
@@ -366,7 +365,7 @@ def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     worst_cube = None
     if admissible:
         # the largest mean of each level, the first cube attaining it in list order
-        for k, rows in _stopping_levels(f, dec):
+        for k, rows in dec.levels:
             if not len(rows):
                 continue
             sums = _forward_sums(f, k, rows, 2)

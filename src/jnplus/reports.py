@@ -9,7 +9,8 @@ like items (a witness's cubes or weights, a sweep's reports, a theorem
 run's records) is one :class:`Rows`: columns, a form holding what every
 item shares and a :class:`Slot` per column, and an order.
 :func:`canonical_json` writes a document in one walk, a :class:`Rows`
-from its form's %-template without an object per item;
+from its form's %-template without an object per item; the walk that
+writes the form marks each slot, so the template is made in that walk;
 :func:`scalar_json` maps one number to its JSON value.  The text is
 canonical (sorted keys, stable float repr, exact rational strings beside
 decimals in fixed mode), and :func:`_lowest` alone forms a rational's
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import re
 import sys
 from collections import UserDict
 from collections.abc import Mapping, Sequence
@@ -46,15 +46,15 @@ __all__ = [
 ]
 
 
-class Slot(str):
-    """The place of a column's value in a :class:`Rows` form.
+@dataclass(frozen=True)
+class Slot:
+    """The place of column ``name``'s value in a :class:`Rows` form.
 
-    A str that no report holds ("\\0" and the column's name), so a form
-    is written as any other value and each slot's text found in it.
+    The writer puts a mark where it reaches a slot, so the walk that
+    writes a form also finds each slot and the indent of its line.
     """
 
-    def __new__(cls, name: str) -> Slot:
-        return super().__new__(cls, "\0" + name)
+    name: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +132,7 @@ def _builder(form, values: dict) -> Callable[[int], Any]:
     once per list, not once per item."""
     t = type(form)
     if t is Slot:
-        return values[form[1:]].__getitem__
+        return values[form.name].__getitem__
     if t is list:
         parts = [_builder(v, values) for v in form]
         return lambda j: [at(j) for at in parts]
@@ -242,11 +242,9 @@ def canonical_json(obj: Any) -> str:
     """The canonical report text of ``obj``.
 
     Sorted keys, an indent of 2 and a final newline, written in one walk
-    that appends to one list, as :func:`_write` maps each value.  A
-    frozen dataclass that the document holds more than once (one
-    ``LemmaParams`` sits in every sweep form) is rendered once per
-    indent and its text reused, and so is the sorted key layout of dicts
-    with the same str keys.
+    that appends to one list, as :func:`_write` maps each value.  The
+    sorted key layout of dicts with the same str keys is made once per
+    indent, and a :class:`Rows` form's template once per indent.
     """
     parts: list[str] = []
     _write(obj, parts.append, "\n", {})
@@ -273,7 +271,6 @@ _BOOL_TEXT = {True: "true", False: "false"}
 # the text of a value of exactly one of these types, at any indent
 _SCALAR_TEXT = {
     str: _encode_str,
-    Slot: _encode_str,
     int: int.__repr__,
     float: _float_text,
     bool: _BOOL_TEXT.__getitem__,
@@ -306,11 +303,10 @@ def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
 
     In order: a Fraction (subclasses too) as scalar_json's pair; a float
     as float's repr, or its own repr quoted when not finite; a
-    :class:`DyadicCube`; a :class:`Rows`; a dict, list or tuple; an
-    object's ``to_json_dict``; a str; an int as int's repr; else a
-    TypeError, as in json.  ``memo`` maps (id, nl) of a frozen dataclass
-    to the object and its text; holding the object keeps its id unique
-    while the document is written.
+    :class:`DyadicCube`; a :class:`Rows`; a :class:`Slot` of a form as
+    the mark (its column's name, ``nl``) that :func:`_write_rows` makes
+    a %s; a dict, list or tuple; an object's ``to_json_dict``; a str; an
+    int as int's repr; else a TypeError, as in json.
     """
     if isinstance(obj, Fraction):
         put(_ratio_text(_lowest(obj.numerator, obj.denominator), nl))
@@ -321,18 +317,14 @@ def _write_other(obj: Any, put, nl: str, memo: dict) -> None:
         _write_dict(cube, put, nl, memo)
     elif isinstance(obj, Rows):
         _write_rows(obj, put, nl, memo)
+    elif isinstance(obj, Slot):
+        put((obj.name, nl))
     elif isinstance(obj, dict):
         _write_dict(obj, put, nl, memo)
     elif isinstance(obj, (list, tuple)):
         _write_list(obj, put, nl, memo)
     elif hasattr(obj, "to_json_dict"):
-        if not getattr(getattr(obj, "__dataclass_params__", None), "frozen", False):
-            _write(obj.to_json_dict(), put, nl, memo)
-            return
-        key = (id(obj), nl)
-        if key not in memo:
-            memo[key] = (obj, _text(obj.to_json_dict(), nl, memo))
-        put(memo[key][1])
+        _write(obj.to_json_dict(), put, nl, memo)
     elif isinstance(obj, str):
         put(_encode_str(obj))
     elif isinstance(obj, int):
@@ -354,7 +346,7 @@ def _take(col, ids: Sequence[int]):
     if isinstance(col, Ratios):
         return Ratios(_take(col.nums, ids), col.den)
     if isinstance(col, Thresholds):
-        return Thresholds(_take(col.ratios, ids), None if col.exact else _take(col.floats(), ids))
+        return Thresholds(_take(col.ratios, ids), col.exact)
     return col[ids] if isinstance(col, np.ndarray) else [col[j] for j in ids]
 
 
@@ -400,18 +392,14 @@ _RUN = 256
 _RECORD_RUN = 8
 
 
-# a slot as _write writes it, "\u0000" and its column's name quoted; a newline and an indent
-_SLOT_TEXT = re.compile(r'"\\u0000([^"]*)"')
-_INDENT = re.compile(r"\n *")
-
-
 def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
     """Write a :class:`Rows` as a list, from one %-template for its items.
 
     The template is the form as :func:`_write` writes it at the items'
-    indent, with a %s in place of each slot's text, read once per form
-    and indent in a document.  Each column's texts fill its slot, at the
-    slot's own indent, a block of ``_RUN`` items at a time; ``known``
+    indent, with a %s at each slot's mark, made once per form and indent
+    in a document; the mark holds the slot's column and the indent of its
+    line.  Each column's texts fill its slot, at the slot's own indent, a
+    block of ``_RUN`` items at a time; ``known``
     keeps the texts of numerators over one denominator for the whole
     list.  One % call formats a run of items, and each run is put on its
     own rather than joined into one string for the list first, which
@@ -426,24 +414,21 @@ def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
         return
     ind = nl + "  "
     key = (id(rows.form), ind)
-    if key not in memo:  # the form's template, its slots' names and their indents
-        text = _text(rows.form, ind, memo).replace("%", "%%")
-        names, nls = [], []
-        for slot in _SLOT_TEXT.finditer(text):
-            line = text.rfind("\n", 0, slot.start())  # the indent of the slot's line
-            names.append(slot[1])
-            nls.append(ind if line < 0 else _INDENT.match(text, line)[0])
-        memo[key] = (rows.form, _SLOT_TEXT.sub("%s", text), names, nls)
-    _, template, names, nls = memo[key]
+    if key not in memo:  # the form's template and its slots' marks; the entry holds the form alive
+        parts: list = []
+        _write(rows.form, parts.append, ind, memo)
+        template = "".join("%s" if type(part) is tuple else part.replace("%", "%%") for part in parts)
+        memo[key] = (rows.form, template, [part for part in parts if type(part) is tuple])
+    _, template, slots = memo[key]
     columns = rows.columns
     ints = all(isinstance(col, np.ndarray) and col.dtype.kind in "iu" for col in columns.values())
-    k, run = len(names), _RUN if ints else _RECORD_RUN
+    k, run = len(slots), _RUN if ints else _RECORD_RUN
     sep, full = "[" + ind, f",{ind}".join([template] * run)
     known: dict = {}
     for lo in range(0, m, _RUN):
         ids = rows.order[lo : lo + _RUN]
         flat = [None] * (k * len(ids))  # the block's slot texts, item by item
-        for s, (name, nl_s) in enumerate(zip(names, nls)):
+        for s, (name, nl_s) in enumerate(slots):
             flat[s::k] = _texts(_take(columns[name], ids), nl_s, memo, known)
         if template == "%s":
             for text in flat:

@@ -232,7 +232,7 @@ def _lambda_list(ctx: LemmaContext, lambdas) -> tuple[Thresholds, Sequence[int]]
         for j, i in enumerate(at):
             order[i] = j
     ratios = [lam.as_integer_ratio() for lam in values]
-    return Thresholds(ratios, None if f.is_fixed else values), order
+    return Thresholds(ratios, f.is_fixed), order
 
 
 def _held(lo: np.ndarray, hi: np.ndarray, m: int) -> np.ndarray:

@@ -224,7 +224,7 @@ def test_canonical_json_matches_json_encoder(doc):
     assert canonical_json(doc) == oracle_canonical_json(doc)
 
 
-def test_canonical_json_renders_a_repeated_frozen_object_once_per_indent():
+def test_canonical_json_renders_a_frozen_object_once_per_occurrence():
     calls = []
 
     @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def test_canonical_json_renders_a_repeated_frozen_object_once_per_indent():
     c = Counted()
     doc = {"a": [c, c, c], "b": c, "c": [{"d": c}, {"d": c}], "e": [Counted()]}
     text = canonical_json(doc)
-    assert len(calls) == 4  # three indents of c, and the other object
+    assert len(calls) == 7  # six occurrences of c, and the other object
     assert text == oracle_canonical_json(doc)
 
 
