@@ -16,7 +16,8 @@ grid.  Kinds:
   seed-chosen time cell (decreasing in time, so genuinely one-sided).
 * ``one-sided-power`` — spatially constant, f = t_center^{-alpha} on
   each time cell (scaled by the denominator and rounded), nonincreasing
-  in time; ``params["alpha"]`` defaults to 1/2.
+  in time; ``params["alpha"]`` defaults to 1/2, and must be positive,
+  finite and small enough that the largest cell fits int64.
 
 A spec may carry only the params its kind reads (``value`` for
 ``constant``, ``alpha`` for ``one-sided-power``); any other is an
@@ -31,6 +32,7 @@ last quarter of the unit time interval).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -172,11 +174,14 @@ def gen(spec: GeneratorSpec) -> GridFunction:
         nums = np.broadcast_to(col, shape).copy()
     elif spec.kind == "one-sided-power":
         alpha = float(spec.params.get("alpha", 0.5))
-        if alpha <= 0:
-            raise InvalidSpecError(f"alpha must be positive, got {alpha}")
+        if not (0 < alpha < math.inf):
+            raise InvalidSpecError(f"alpha must be positive and finite, got {alpha}")
         t = np.arange(3 * side, dtype=np.float64)
-        col = np.rint(denom * (side / (t + 0.5)) ** alpha).astype(np.int64)
-        nums = np.broadcast_to(col, shape).copy()
+        with np.errstate(over="ignore"):
+            col = np.rint(denom * (side / (t + 0.5)) ** alpha)
+        if not col[0] < 2.0**63:  # the largest cell, at t = 0
+            raise InvalidSpecError(f"alpha {alpha} makes a cell of {col[0]:.3g}, past int64")
+        nums = np.broadcast_to(col.astype(np.int64), shape).copy()
     else:  # pragma: no cover - __post_init__ rejects unknown kinds
         raise InvalidSpecError(f"unknown generator kind {spec.kind!r}")
 

@@ -248,12 +248,22 @@ def _digits(n: int) -> int:
     return d - (n < 10 ** (d - 1)) + (n >= 10**d)
 
 
+def _number_name(x) -> str:
+    """How an error names the number x: by its float (+-inf past the float
+    range) and, when x is exact, by the digits of its numerator and
+    denominator, not by all of them, which may pass Python's limit on
+    int-to-str digits."""
+    name = repr(_float_view(x))
+    if not isinstance(x, float):
+        num, den = x.as_integer_ratio()
+        name += f" (an exact ratio of {_digits(num)}/{_digits(den)} digits)"
+    return name
+
+
 def _in_float_range(lam, lift):
     """``lift(lam)``, refused (InvalidParamsError) when its float is
     infinite, or 0 while lam is not: the one float-range rule for thresholds.
-
-    The error names lam by that float, and an exact lam also by the
-    digits of its numerator and denominator, not by all of them.
+    The error names lam by :func:`_number_name`.
     """
     try:
         lam_n = lift(lam)
@@ -261,11 +271,7 @@ def _in_float_range(lam, lift):
     except OverflowError:
         x = math.inf
     if math.isinf(x) or (x == 0 and lam != 0):
-        name = repr(x)
-        if not isinstance(lam, float):
-            num, den = lam.as_integer_ratio()
-            name += f" (an exact ratio of {_digits(num)}/{_digits(den)} digits)"
-        raise InvalidParamsError(f"threshold {name} lies outside the float range")
+        raise InvalidParamsError(f"threshold {_number_name(lam)} lies outside the float range")
     return lam_n
 
 

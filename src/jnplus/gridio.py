@@ -136,12 +136,13 @@ def _read_json(path: str):
     """The JSON document in ``path``; malformed bytes are a GridFormatError naming the file.
 
     ValueError covers invalid JSON, bytes that are not UTF-8 and an
-    integer past Python's limit on str-to-int digits.
+    integer past Python's limit on str-to-int digits; RecursionError,
+    arrays nested past the decoder's depth.
     """
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise GridFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
@@ -152,10 +153,8 @@ def load_grid(path: str) -> GridFunction:
         n, L, mode, denom = _check_header(doc, path)
         if "values" not in doc:
             raise GridFormatError("values: missing from JSON grid")
-        try:
-            flat = np.asarray(doc["values"], dtype=object).ravel()
-        except (TypeError, ValueError) as exc:
-            raise GridFormatError(f"values: not a numeric array ({exc})") from exc
+        # ragged or too deeply nested values leave lists among the entries
+        flat = np.asarray(doc["values"], dtype=object).ravel()
         kinds = (int,) if mode == "fixed" else (int, float)
         if not all(type(v) in kinds for v in flat.tolist()):
             raise GridFormatError("values: expected numbers, integer numerators in fixed mode")
@@ -165,9 +164,9 @@ def load_grid(path: str) -> GridFunction:
     if not os.path.exists(sidecar):
         raise GridFormatError(f"{sidecar}: sidecar header not found")
     doc = _read_json(sidecar)
+    n, L, mode, denom = _check_header(doc, sidecar)
     if "values" in doc:
         raise GridFormatError("values: belongs in pure-JSON grids, not sidecars")
-    n, L, mode, denom = _check_header(doc, sidecar)
     raw = np.fromfile(path, dtype="<i8" if mode == "fixed" else "<f8")
     if not is_grid_size(n, L, raw.size):
         raise GridFormatError(

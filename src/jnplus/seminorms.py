@@ -42,8 +42,8 @@ every antichain explicitly with per-cube weights from the cell-iteration
 route — an independent cross-check for the batched pass, feasible only
 on tiny grids.
 
-In fixed mode with integer p everything here is exact integer
-arithmetic: at level k the weight numerators sit on the common
+In fixed mode with integer p (at most 1024, :func:`_exact_power`)
+everything here is exact integer arithmetic: at level k the weight numerators sit on the common
 denominators (2*denom)^p * 2^{2Lnp} (plus) and denom^p * 2^{2Lnp}
 (classical), with numerators T^p * 2^{kn(2p-1)} where T is the clamped
 (resp. absolute) deviation sum of the level-k block engine.
@@ -71,7 +71,8 @@ from ._blocks import (
 )
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
-from .grid import GridFunction, _float_array, _float_view, average, pos_part_average, resolve_root
+from .grid import GridFunction, _float_array, _float_view, _number_name, average, pos_part_average
+from .grid import resolve_root
 from .reports import Ratios, Rows, Slot, _Columns, cube_rows
 
 __all__ = [
@@ -86,15 +87,41 @@ __all__ = [
 ]
 
 
+# the largest integer p that a fixed grid's weights are raised to exactly
+_MAX_EXACT_P = 1 << 10
+
+
 def _norm_exponent(p) -> tuple[Fraction, int | None]:
-    """Validate p > 1; return (p as Fraction, integer value or None)."""
+    """Validate 1 < p < inf as floats read it; return (p as Fraction, integer value or None)."""
     try:
         q = Fraction(p)
     except (TypeError, ValueError) as exc:
         raise InvalidExponentError(f"exponent {p!r} is not a number") from exc
     if q <= 1:
-        raise InvalidExponentError(f"exponent must be > 1, got {p!r}")
+        raise InvalidExponentError(f"exponent must be > 1, got {_number_name(q)}")
+    if math.isinf(_float_view(q)):  # every path reads float(p)
+        raise InvalidExponentError(f"exponent {_number_name(q)} lies outside the float range")
     return q, (q.numerator if q.denominator == 1 else None)
+
+
+def _exact_power(f: GridFunction, p_int: int | None) -> bool:
+    """Whether f's weights are raised to p exactly: on a fixed grid, at an integer p.
+
+    Every exact power in the package is by such a p: the weights, the
+    oracle's ``phi_*`` and the decay step's and p11's comparisons, which
+    are exact only when the seminorm is.  A power's digits grow with p
+    alone, whatever the weights, so p must not exceed ``_MAX_EXACT_P``
+    (1024); a larger integer p on a fixed grid is an InvalidExponentError.
+    An f64 grid and a non-integer p take floats at any p.
+    """
+    if not (f.is_fixed and p_int is not None):
+        return False
+    if p_int > _MAX_EXACT_P:
+        raise InvalidExponentError(
+            f"exponent {_number_name(p_int)} exceeds {_MAX_EXACT_P}, the largest integer p "
+            "that a fixed grid's weights are raised to exactly"
+        )
+    return True
 
 
 def _pth_root(power, p: Fraction) -> float:
@@ -127,7 +154,7 @@ def phi_plus(f: GridFunction, cube: DyadicCube, p):
     """
     q, p_int = _norm_exponent(p)
     ppa = pos_part_average(f, cube, forward(cube, 2))
-    if f.is_fixed and p_int is not None:
+    if _exact_power(f, p_int):
         return volume(cube) * ppa**p_int
     return float(volume(cube)) * _float_pow(ppa, q)
 
@@ -143,7 +170,7 @@ def phi_classical(f: GridFunction, cube: DyadicCube, p):
         d = f.denom
         total = sum(abs(a * ad - an * d) for a in region.ravel().tolist())
         dev = Fraction(total, cells * d * ad)
-        if p_int is not None:
+        if _exact_power(f, p_int):
             return volume(cube) * dev**p_int
         return float(volume(cube)) * _float_pow(dev, q)
     dev = float(np.abs(region - avg).sum()) / cells
@@ -288,7 +315,7 @@ def _level_weights(
 def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
     root = resolve_root(f, root)
     q, p_int = _norm_exponent(p)
-    exact = f.is_fixed and p_int is not None
+    exact = _exact_power(f, p_int)
     # the weight arrays die with this call; the witness keeps only its own cubes
     num, levels = _tree_dp(_level_weights(f, root, variant, q, p_int))
     if exact:
@@ -415,6 +442,7 @@ def antichain_oracle(
     else:
         raise InvalidParamsError(f"unknown functional {functional!r}")
     q, p_int = _norm_exponent(p)
+    exact = _exact_power(f, p_int)
     nodes: list[DyadicCube] = []
     level_nodes = [root]
     while True:
@@ -433,7 +461,6 @@ def antichain_oracle(
         )
 
     raw = {c: weigh(f, c, p) for c in nodes}
-    exact = f.is_fixed and p_int is not None
     if exact:
         den = lcm(*(w.denominator for w in raw.values()))
         wt = {c: w.numerator * (den // w.denominator) for c, w in raw.items()}

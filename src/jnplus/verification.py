@@ -77,6 +77,7 @@ from .grid import (
     Thresholds,
     _float_view,
     _in_float_range,
+    _number_name,
     average,
     counts_above,
     exceed_ranks,
@@ -143,7 +144,7 @@ def lemma_params(n: int, p, b) -> LemmaParams:
     except (TypeError, ValueError) as exc:
         raise InvalidParamsError(f"b {b!r} is not a number") from exc
     if not (0 < bF < Fraction(1, 1 << n)):
-        raise InvalidParamsError(f"b must lie in (0, 2^-{n}), got {b!r}")
+        raise InvalidParamsError(f"b must lie in (0, 2^-{n}), got {_number_name(bF)}")
     try:  # lam0 and the proof constant divide by float(b)
         _in_float_range(bF, Fraction)
     except InvalidParamsError:
@@ -415,7 +416,8 @@ def proof_constant(n: int, p, b) -> float:
         C = math.inf
     if not math.isfinite(C):
         raise InvalidParamsError(
-            f"the proof constant C(n={n}, p={params.p}, b={bf!r}) lies outside the float range"
+            f"the proof constant C(n={n}, p={_number_name(params.p)}, b={bf!r}) "
+            "lies outside the float range"
         )
     return C
 

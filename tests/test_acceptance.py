@@ -16,6 +16,7 @@ import pytest
 
 from jnplus import (
     GeneratorSpec,
+    GridFunction,
     antichain_oracle,
     bmo_plus_limit_form,
     bundled_example,
@@ -240,6 +241,25 @@ def test_criterion_09_homogeneity_and_shift_exact():
         assert shifted.witness.expand() == base.witness.expand()
     print("ACCEPTANCE 9 homogeneity-shift: PASS (50 trials, exact weights, "
           "identical witnesses)")
+
+
+def test_criterion_09_homogeneity_and_shift_in_f64():
+    """The same laws on f64 grids, within 1e-9 relative: weight(c*f) =
+    c^p * weight(f) and weight(f + s) = weight(f)."""
+    rng = np.random.default_rng(2025)
+    for trial in range(20):
+        n = 1 + trial % 2
+        L = 1 + (trial // 2) % 3 if n == 1 else 1 + trial % 2
+        fixed = random_fixed_grid(rng, n, L, denom=8)
+        f = GridFunction(n, L, fixed.values / 8, "f64")
+        base = jnp_plus_dyadic(f, PINNED_P).weight
+        c = [2.0, 3.0, 0.5, 1.5][trial % 4]
+        scaled = jnp_plus_dyadic(scale_values(f, c), PINNED_P).weight
+        assert scaled == pytest.approx(c**PINNED_P * base, rel=1e-9, abs=1e-300)
+        s = [1.0, 7 / 3, 5 / 16][trial % 3]
+        shifted = jnp_plus_dyadic(shift_values(f, s), PINNED_P).weight
+        assert shifted == pytest.approx(base, rel=1e-9, abs=1e-12)
+    print("ACCEPTANCE 9 homogeneity-shift f64: PASS (20 trials within 1e-9)")
 
 
 def test_criterion_10_performance_budget():

@@ -974,3 +974,103 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as err:
         main(["--version"])
     assert err.value.code == 0
+
+
+@pytest.fixture
+def small_grids(tmp_path):
+    """A fixed and an f64 n=1 L=2 grid, as ``gen --kind uniform-random`` writes them."""
+    paths = {}
+    for mode in ("fixed", "f64"):
+        paths[mode] = str(tmp_path / f"{mode}.bin")
+        save_grid(gen(GeneratorSpec(kind="uniform-random", n=1, L=2, mode=mode)), paths[mode])
+    return paths
+
+
+@pytest.mark.parametrize(
+    "mode, argv, message",
+    [
+        ("fixed", ("seminorm", "--p", "1e5000"),
+         "exponent inf (an exact ratio of 5001/1 digits) lies outside the float range"),
+        ("f64", ("seminorm", "--p", "1e5000"),
+         "exponent inf (an exact ratio of 5001/1 digits) lies outside the float range"),
+        ("fixed", ("seminorm", "--p", "1e-5000"),
+         "exponent must be > 1, got 0.0 (an exact ratio of 1/5001 digits)"),
+        ("fixed", ("seminorm", "--p", "1025"),
+         "exponent 1025.0 (an exact ratio of 4/1 digits) exceeds 1024, the largest integer p "
+         "that a fixed grid's weights are raised to exactly"),
+        ("fixed", ("verify", "theorem", "--p", "2", "--b", "1e5000"),
+         "b must lie in (0, 2^-1), got inf (an exact ratio of 5001/1 digits)"),
+        ("fixed", ("decompose", "--lambda", "auto", "--b", "1e5000"),
+         "b must lie in (0, 2^-1), got inf (an exact ratio of 5001/1 digits)"),
+        ("f64", ("verify", "theorem", "--p", "1e300", "--b", "1/8"),
+         "the proof constant C(n=1, p=1e+300 (an exact ratio of 301/1 digits), b=0.125) "
+         "lies outside the float range"),
+    ],
+    ids=["p-1e5000", "p-1e5000-f64", "p-1e-5000", "p-past-the-exact-bound", "theorem-b-1e5000",
+         "decompose-b-1e5000", "proof-constant-p-1e300"],
+)
+def test_exit_2_names_a_large_p_or_b(small_grids, capsys, mode, argv, message):
+    """An exponent or b far from the usual range is an input error that names
+    it by its float and its digit counts, at once: no power to a 5001-digit
+    p, and no int-to-str conversion past Python's digit limit."""
+    from time import monotonic
+
+    t0 = monotonic()
+    code, stdout, stderr = run(capsys, *argv[:-2], "--input", small_grids[mode], *argv[-2:])
+    assert monotonic() - t0 < 1.0
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
+def test_exact_exponent_bound_from_both_sides(small_grids, capsys):
+    """A fixed grid's weights are powered exactly up to p = 1024; past it an
+    integer p is refused there, while an f64 grid and a non-integer p keep
+    their float weights."""
+    from jnplus.errors import InvalidExponentError
+    from jnplus.seminorms import _MAX_EXACT_P, antichain_oracle, jnp_plus_dyadic
+
+    fixed, f64 = load_grid(small_grids["fixed"]), load_grid(small_grids["f64"])
+    assert _MAX_EXACT_P == 1024
+    assert jnp_plus_dyadic(fixed, 1024).exact
+    assert run(capsys, "seminorm", "--input", small_grids["fixed"], "--p", "1024")[0] == 0
+    for call in (jnp_plus_dyadic, antichain_oracle):
+        with pytest.raises(InvalidExponentError, match="exceeds 1024"):
+            call(fixed, 1025)
+    assert not jnp_plus_dyadic(f64, 1025).exact
+    assert not jnp_plus_dyadic(fixed, Fraction(2051, 2)).exact
+
+
+@pytest.mark.parametrize("alpha", ["1e300", "nan", "inf", "1e5000", "20"])
+def test_gen_refuses_an_alpha_it_cannot_build(tmp_path, capsys, alpha):
+    """one-sided-power's largest cell is denom * (2 * 2^L)^alpha: at L=2 and
+    denom 16 that is 2^61 at alpha = 19 and 2^64, past int64, at 20."""
+    out = tmp_path / "a.bin"
+    argv = ("gen", "--kind", "one-sided-power", "--n", "1", "--L", "2", "--alpha", alpha)
+    code, stdout, stderr = run(capsys, *argv, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("error: alpha ")
+    assert not out.exists() and not (tmp_path / "a.bin.json").exists()
+
+    code, _, _ = run(capsys, *argv[:-1], "19", "--out", str(out))
+    assert code == 0
+    f = load_grid(str(out))
+    column = f.values.ravel().tolist()
+    assert column[0] == 1 << 61 and column == sorted(column, reverse=True) and column[-1] >= 0
+
+
+def test_exit_1_names_every_failed_theorem_check(example_path, capsys, monkeypatch):
+    """A real theorem run with its p9, p11 and distribution flags failed: exit
+    1 names all three, and the document's pass keys read false."""
+    from dataclasses import replace
+
+    run_ = verification.theorem_check(LemmaContext(load_grid(example_path), 2, Fraction(1, 4)))
+    assert run_.passed and run_.failed_ids() == []
+    failing = replace(run_, passed_p9=False, passed_p11=False, passed_dist=False)
+    assert failing.failed_ids() == ["p9", "p11", "Theorem"]
+    monkeypatch.setattr(cli, "theorem_check", lambda *a, **k: failing)
+    code, stdout, stderr = run(
+        capsys, "verify", "theorem", "--input", example_path, "--p", "2", "--b", "1/4"
+    )
+    assert code == 1
+    assert stderr == "FAIL: Theorem, p11, p9\n"
+    doc = json.loads(stdout)
+    assert [doc[key] for key in ("pass", "pass-p9", "pass-p11", "pass-dist")] == [False] * 4

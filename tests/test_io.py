@@ -226,3 +226,38 @@ def test_save_grid_overwrites_and_writes_through_symlinks(tmp_path):
             assert load_grid(str(target)).equals(b)
         else:  # the payload went through the link; the sidecar sits next to it
             assert np.fromfile(str(target), dtype="<i8").tolist() == [5, 4, 3, 2, 1, 0]
+
+
+_SIDECAR = {"version": 1, "n": 1, "L": 1, "mode": "fixed", "denom": 1}
+
+
+@pytest.mark.parametrize(
+    "grid,name,text,message",
+    [
+        ("grid.bin", "grid.bin.json", "5", "header must be a JSON object"),
+        ("grid.bin", "grid.bin.json", "null", "header must be a JSON object"),
+        ("grid.bin", "grid.bin.json", "true", "header must be a JSON object"),
+        ("grid.bin", "grid.bin.json", "1.5", "header must be a JSON object"),
+        ("grid.bin", "grid.bin.json", json.dumps(dict(_SIDECAR, values=[0] * 6)),
+         "values: belongs in pure-JSON grids, not sidecars"),
+        ("grid.json", "grid.json", json.dumps(_SIDECAR), "values: missing from JSON grid"),
+        ("grid.json", "grid.json", json.dumps(dict(_SIDECAR, values=[[0, 0], [0, 0, 0, 0]])),
+         "values: expected numbers"),
+        ("grid.json", "grid.json", "[" * 100000 + "]" * 100000, "not valid JSON (maximum recursion"),
+    ],
+    ids=["sidecar-int", "sidecar-null", "sidecar-bool", "sidecar-float", "sidecar-values",
+         "json-without-values", "json-ragged-values", "json-nested-past-the-decoder-depth"],
+)
+def test_rejected_grid_documents_exit_2(tmp_path, capsys, grid, name, text, message):
+    """A header that is valid JSON but not an object, values where they do not
+    belong, missing or ragged, and nesting past the JSON decoder's depth are
+    each a GridFormatError: exit 2, empty stdout."""
+    (tmp_path / name).write_text(text)
+    (tmp_path / "grid.bin").write_bytes(b"\x00" * 48)
+    path = str(tmp_path / grid)
+    with pytest.raises(GridFormatError) as err:
+        load_grid(path)
+    assert message in str(err.value)
+    assert main(["maximal", "--input", path]) == 2
+    out, errors = capsys.readouterr()
+    assert out == "" and errors.startswith("error: ") and message in errors

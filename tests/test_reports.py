@@ -414,3 +414,21 @@ def test_lambda_rows_match_json_encoder_where_checks_fail():
     nan_bounds = replace(records, columns={**records.columns, **columns})
     assert '"bound": "nan"' in canonical_json(nan_bounds)
     _assert_views_match_json_encoder([failing, nan_bounds, {"reports": failing, "n": 1}])
+
+
+@pytest.mark.parametrize("mode", ["fixed", "f64"])
+def test_stopping_check_reports_match_json_encoder(mode):
+    """The p1, p2 and p3 reports are json's own text; in fixed mode p2 and p3
+    are the reports that carry an "rhs-exact" key."""
+    from jnplus.maximal import check_p1, check_p2, weak_type_check
+
+    f = gen(GeneratorSpec(kind="uniform-random", n=2, L=3, seed=4, denom=64, mode=mode))
+    keys = set()
+    for lam in (Fraction(1, 2), Fraction(9, 8), 2):
+        dec = cz_decompose(f, None, lam)
+        for report in (check_p1(f, dec), check_p2(f, dec), weak_type_check(f, None, lam)):
+            assert report.passed
+            text = canonical_json(report)
+            assert text == oracle_canonical_json(report)
+            keys |= set(json.loads(text))
+    assert {"lhs-exact", "rhs-exact"} <= keys if mode == "fixed" else not keys & {"lhs-exact", "rhs-exact"}
