@@ -112,8 +112,6 @@ def _shift_time(blocks: np.ndarray, offset: int) -> np.ndarray:
     Entry [..., t] of the result is blocks[..., t+offset].  Tail entries
     have no reference; callers only read blocks whose reference exists.
     """
-    if offset == 0:
-        return blocks
     out = np.zeros_like(blocks)
     T = blocks.shape[-1]
     if offset < T:

@@ -98,11 +98,7 @@ def _emit(doc, out: str | None) -> None:
 
 def _cmd_gen(args) -> int:
     mode, denom = args.mode
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.value is not None:
-        params["value"] = args.value
+    params = {k: v for k, v in (("alpha", args.alpha), ("value", args.value)) if v is not None}
     spec = GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -310,10 +306,7 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return args.func(args)
-    except JnplusError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (JnplusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

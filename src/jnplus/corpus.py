@@ -16,8 +16,8 @@ grid.  Kinds:
   seed-chosen time cell (decreasing in time, so genuinely one-sided).
 * ``one-sided-power`` — spatially constant, f = t_center^{-alpha} on
   each time cell (scaled by the denominator and rounded), nonincreasing
-  in time; ``params["alpha"]`` defaults to 1/2, and must be positive,
-  finite and small enough that the largest cell fits int64.
+  in time; ``params["alpha"]`` defaults to 1/2, and must be positive
+  and small enough that the largest cell stays below 2^62.
 
 A spec may carry only the params its kind reads (``value`` for
 ``constant``, ``alpha`` for ``one-sided-power``); any other is an
@@ -174,14 +174,13 @@ def gen(spec: GeneratorSpec) -> GridFunction:
         nums = np.broadcast_to(col, shape).copy()
     elif spec.kind == "one-sided-power":
         alpha = float(spec.params.get("alpha", 0.5))
-        if not (0 < alpha < math.inf):
-            raise InvalidSpecError(f"alpha must be positive and finite, got {alpha}")
+        # the largest cell, denom * (2 * side)^alpha at t = 0, stays below 2^62 (int64_fits)
+        top = (62 - math.log2(denom)) / (L + 1)
+        if not 0 < alpha < top:  # also nan
+            raise InvalidSpecError(f"alpha must lie in (0, {top:.6g}) at L={L}, got {alpha}")
         t = np.arange(3 * side, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            col = np.rint(denom * (side / (t + 0.5)) ** alpha)
-        if not col[0] < 2.0**63:  # the largest cell, at t = 0
-            raise InvalidSpecError(f"alpha {alpha} makes a cell of {col[0]:.3g}, past int64")
-        nums = np.broadcast_to(col.astype(np.int64), shape).copy()
+        col = np.rint(denom * (side / (t + 0.5)) ** alpha).astype(np.int64)
+        nums = np.broadcast_to(col, shape).copy()
     else:  # pragma: no cover - __post_init__ rejects unknown kinds
         raise InvalidSpecError(f"unknown generator kind {spec.kind!r}")
 

@@ -249,10 +249,8 @@ def _digits(n: int) -> int:
 
 
 def _number_name(x) -> str:
-    """How an error names the number x: by its float (+-inf past the float
-    range) and, when x is exact, by the digits of its numerator and
-    denominator, not by all of them, which may pass Python's limit on
-    int-to-str digits."""
+    """An error's name for the number x: its float (+-inf past the float range)
+    and, when x is exact, its ratio's digit counts, not its digits."""
     name = repr(_float_view(x))
     if not isinstance(x, float):
         num, den = x.as_integer_ratio()

@@ -87,7 +87,6 @@ __all__ = [
 ]
 
 
-# the largest integer p that a fixed grid's weights are raised to exactly
 _MAX_EXACT_P = 1 << 10
 
 
@@ -105,15 +104,11 @@ def _norm_exponent(p) -> tuple[Fraction, int | None]:
 
 
 def _exact_power(f: GridFunction, p_int: int | None) -> bool:
-    """Whether f's weights are raised to p exactly: on a fixed grid, at an integer p.
-
-    Every exact power in the package is by such a p: the weights, the
-    oracle's ``phi_*`` and the decay step's and p11's comparisons, which
-    are exact only when the seminorm is.  A power's digits grow with p
-    alone, whatever the weights, so p must not exceed ``_MAX_EXACT_P``
-    (1024); a larger integer p on a fixed grid is an InvalidExponentError.
-    An f64 grid and a non-integer p take floats at any p.
-    """
+    """Whether f's weights are raised to p exactly: on a fixed grid at an integer
+    p, as every exact power is (the weights, ``phi_*``, and the decay step's and
+    p11's comparisons, exact only when K is).  A power's digits grow with p
+    whatever the weights, so p above ``_MAX_EXACT_P`` = 1024 is refused there
+    (InvalidExponentError); an f64 grid or a non-integer p takes floats."""
     if not (f.is_fixed and p_int is not None):
         return False
     if p_int > _MAX_EXACT_P:

@@ -483,14 +483,8 @@ class TheoremRun:
         return self.passed_p9 and self.passed_p11 and self.passed_dist
 
     def failed_ids(self) -> list[str]:
-        out = []
-        if not self.passed_p9:
-            out.append("p9")
-        if not self.passed_p11:
-            out.append("p11")
-        if not self.passed_dist:
-            out.append("Theorem")
-        return out
+        flags = (("p9", self.passed_p9), ("p11", self.passed_p11), ("Theorem", self.passed_dist))
+        return [name for name, passed in flags if not passed]
 
     def to_json_dict(self) -> dict:
         return {

@@ -1041,13 +1041,14 @@ def test_exact_exponent_bound_from_both_sides(small_grids, capsys):
 
 @pytest.mark.parametrize("alpha", ["1e300", "nan", "inf", "1e5000", "20"])
 def test_gen_refuses_an_alpha_it_cannot_build(tmp_path, capsys, alpha):
-    """one-sided-power's largest cell is denom * (2 * 2^L)^alpha: at L=2 and
-    denom 16 that is 2^61 at alpha = 19 and 2^64, past int64, at 20."""
+    """one-sided-power's largest cell is denom * (2 * 2^L)^alpha, and stays
+    below 2^62: at L=2 and denom 16 that is 2^61 at alpha = 19, and 2^64,
+    past int64, at 20."""
     out = tmp_path / "a.bin"
     argv = ("gen", "--kind", "one-sided-power", "--n", "1", "--L", "2", "--alpha", alpha)
     code, stdout, stderr = run(capsys, *argv, "--out", str(out))
     assert (code, stdout) == (2, "")
-    assert stderr.startswith("error: alpha ")
+    assert stderr.startswith("error: alpha must lie in (0, 19.3333) at L=2, got ")
     assert not out.exists() and not (tmp_path / "a.bin.json").exists()
 
     code, _, _ = run(capsys, *argv[:-1], "19", "--out", str(out))
