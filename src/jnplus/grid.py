@@ -259,18 +259,14 @@ def _number_name(x) -> str:
 
 
 def _in_float_range(lam, lift):
-    """``lift(lam)``, refused (InvalidParamsError) when its float is
+    """``lift(lam)``, refused (InvalidParamsError) when lam's float is
     infinite, or 0 while lam is not: the one float-range rule for thresholds.
     The error names lam by :func:`_number_name`.
     """
-    try:
-        lam_n = lift(lam)
-        x = float(lam_n)
-    except OverflowError:
-        x = math.inf
+    x = _float_view(lam)
     if math.isinf(x) or (x == 0 and lam != 0):
         raise InvalidParamsError(f"threshold {_number_name(lam)} lies outside the float range")
-    return lam_n
+    return lift(lam)
 
 
 def is_grid_size(n: int, L: int, size: int) -> bool:

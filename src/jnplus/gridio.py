@@ -121,7 +121,9 @@ def _check_header(doc: dict, where: str) -> tuple[int, int, str, int | None]:
     denom = doc.get("denom")
     if mode == "fixed":
         if type(denom) is not int or denom <= 0:
-            raise GridFormatError(f"denom: fixed mode requires a positive integer, got {denom!r}")
+            raise GridFormatError(
+                f"denom: fixed mode requires a positive integer, got {denom!r}"
+            )
     elif denom is not None:
         raise GridFormatError("denom: only valid in fixed mode")
     order = doc.get("order", "time-fastest")

@@ -361,7 +361,8 @@ def check_p2(f: GridFunction, dec: Decomposition) -> VerificationReport:
     root_fwd_avg = average(f, forward(dec.root))
     admissible = not (root_fwd_avg > lam)
     bound = lam * (1 << f.n)
-    worst = worst_cube = None
+    worst = None
+    worst_cube = None
     if admissible:
         # the largest mean of each level, the first cube attaining it in list order
         for k, rows in dec.levels:
@@ -425,9 +426,10 @@ def weak_type_check(f: GridFunction, root: DyadicCube | None, lam) -> Verificati
 
     field_aug = maximal_function(f, root, "augmented")
     measure_aug = field_aug.superlevel_measure(lam_n)
-    observed_aug = 0.0
     if integral > 0:
         observed_aug = float(measure_aug) * float(lam_n) / _float_view(integral)
+    else:
+        observed_aug = 0.0
 
     return VerificationReport(
         inequality_id="p3",
