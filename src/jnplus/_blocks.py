@@ -3,12 +3,13 @@ shared by the maximal scan, the one stopping rule
 (:func:`jnplus.maximal.stopping_ranks`) and the seminorm DP.
 
 :func:`blocked` splits each axis of a cell array into (block,
-cell-in-block) axes: summing over the :func:`in_block` axes gives block
-sums, and a per-block array blocked with side 1 broadcasts over the
-cells of each block.  :func:`root_box` maps a cube to its level-k block
-indices and :func:`box_origin` gives the first of them; callers keep
-blocks as index rows, and :func:`cubes_at` turns absolute rows into
-cubes where a caller wants the objects.
+cell-in-block) axes: reducing the :func:`in_block` axes
+(:func:`block_reduce`) gives block sums, and a per-block array blocked
+with side 1 broadcasts over the cells of each block.  :func:`root_box`
+maps a cube to its level-k block indices and :func:`box_origin` gives
+the first of them; callers keep blocks as index rows, and
+:func:`cubes_at` turns absolute rows into cubes where a caller wants
+the objects.
 
 Everything here works on raw cell entries: integer numerators in fixed
 mode (where sums and clamps stay exact) or float64 values.  Callers own
@@ -36,6 +37,14 @@ fit.  Against a block's own sum S the terms v*N - S add up to 0, so
 
 Every exact block reduction on such int64 terms goes through
 :func:`_exact_sums`, which hands the sums back as Python ints.
+
+Every per-block sum or maximum goes through :func:`block_reduce`.
+numpy's multi-axis reduce over the in-block axes is slow on large
+arrays with small blocks, so there integer and boolean arrays, and
+float maxima, fold axis by axis by strided halving (:func:`_halve`),
+exact in any order.  Float sums keep the multi-axis reduce: a sum's rounding
+depends on the order of its terms, and the f64 reports are pinned to
+that one.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ __all__ = [
     "cubes_at",
     "clamped_sums",
     "absdev_sums",
+    "block_reduce",
     "upsample",
     "children_sum",
     "level_sums",
@@ -80,6 +90,53 @@ def blocked(arr: np.ndarray, w: int) -> np.ndarray:
 def in_block(n: int) -> tuple[int, ...]:
     """The cell-in-block axes of a :func:`blocked` n-dimensional array."""
     return tuple(range(1, 2 * n, 2))
+
+
+# block_reduce folds blocks of side w <= _FOLD_MAX_SIDE in arrays of at least
+# _FOLD_AREA * w^2 entries.  Each halving step is one pass with a fixed cost,
+# while the multi-axis reduce gets cheaper as w grows; these are the
+# crossovers measured on int64 arrays from 3*2^4 to 2^8 x 3*2^8 entries.
+_FOLD_AREA = 1 << 7
+_FOLD_MAX_SIDE = 16
+
+
+def block_reduce(blocks: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """Per block of a :func:`blocked` array, ``op`` (np.add or np.maximum)
+    over its cells: the one per-block reduction, equal to
+    ``op.reduce(blocks, axis=in_block(n))``.
+
+    Integer and boolean arrays, and float maxima, fold by :func:`_halve`
+    where that is faster: blocks of side w at most :data:`_FOLD_MAX_SIDE`
+    in an array of at least :data:`_FOLD_AREA` * w^2 entries.  Float sums
+    keep the multi-axis reduce, whose rounding order the f64 reports are
+    pinned to; so do object arrays, whose Python-int adds cost the same
+    either way.
+    """
+    w, kind = blocks.shape[1], blocks.dtype.kind
+    if (
+        w <= _FOLD_MAX_SIDE
+        and blocks.size >= _FOLD_AREA * w * w
+        and (kind in "bi" or (kind == "f" and op is np.maximum))
+    ):
+        cells = tuple(b * c for b, c in zip(blocks.shape[::2], blocks.shape[1::2]))
+        return _halve(blocks.reshape(cells), w, op)
+    return op.reduce(blocks, axis=in_block(blocks.ndim // 2))
+
+
+def _halve(arr: np.ndarray, w: int, op: np.ufunc) -> np.ndarray:
+    """:func:`block_reduce` of ``blocked(arr, w)``, axis by axis: each step
+    joins every even-odd pair of entries along one axis, log2(w) steps per
+    axis, so w=1 reduces nothing.  Booleans and small integers add as
+    int64, as numpy's sums add them.  The terms meet in another order than
+    in the multi-axis reduce, so a float sum may round differently;
+    integer, boolean and object sums and all maxima are exact in any order."""
+    if op is np.add and arr.dtype.kind in "bi":
+        arr = arr.astype(np.int64, copy=False)
+    for ax in range(arr.ndim):
+        head = (slice(None),) * ax
+        for _ in range(w.bit_length() - 1):
+            arr = op(arr[head + (slice(0, None, 2),)], arr[head + (slice(1, None, 2),)])
+    return arr
 
 
 def block_count(gf: GridFunction, k: int) -> int:
@@ -159,7 +216,7 @@ def _deviation_sums(gf: GridFunction, k: int, ref: np.ndarray, T: int, kind: str
     with np.errstate(over="ignore", invalid="ignore"):
         diff = blocked(gf.values[..., : T * w], w) * N - blocked(ref[..., :T], 1)
         dev = np.maximum(diff, 0) if kind == "clamped" else np.abs(diff)
-        sums = dev.sum(axis=in_block(gf.n))
+        sums = block_reduce(dev, np.add)
     if gf.is_fixed or np.isfinite(sums).all():
         return sums
     raise OutOfDomainError(f"the f64 {kind} deviation sums of f at level {k} overflow")
@@ -204,8 +261,8 @@ def _exact_sums(terms: np.ndarray, bound: int, w: int) -> np.ndarray:
     s = w
     while s > 1 and not int64_fits(bound * s**n):
         s >>= 1
-    part = blocked(terms, s).sum(axis=in_block(n)).astype(object)
-    return part if s == w else blocked(part, w // s).sum(axis=in_block(n))
+    part = block_reduce(blocked(terms, s), np.add).astype(object)
+    return part if s == w else block_reduce(blocked(part, w // s), np.add)
 
 
 def upsample(arr: np.ndarray) -> np.ndarray:
@@ -217,7 +274,7 @@ def upsample(arr: np.ndarray) -> np.ndarray:
 
 def children_sum(arr: np.ndarray) -> np.ndarray:
     """Per parent block, the sum of its 2^n children (one dyadic level coarser), n = arr.ndim."""
-    return blocked(arr, 2).sum(axis=in_block(arr.ndim))
+    return block_reduce(blocked(arr, 2), np.add)
 
 
 def level_sums(arr: np.ndarray, depth: int) -> list[np.ndarray]:

@@ -21,7 +21,12 @@ grid.  Kinds:
 
 A spec may carry only the params its kind reads (``value`` for
 ``constant``, ``alpha`` for ``one-sided-power``); any other is an
-:class:`InvalidSpecError`.
+:class:`InvalidSpecError`.  The generators build their numerators in
+int64, so a spec is refused where they could pass the package's int64
+rule (:func:`jnplus.grid.int64_fits`, below 2^62): a constant ``value``
+(by default denom) and, for the kinds that draw from it
+(``uniform-random``, ``dyadic-martingale``, ``time-step``), a denom whose
+largest numerator, (2^n + 5L + 3) * denom (:func:`_draw_bound`), does not fit.
 
 ``default_manifest()`` returns the bundled 50-spec corpus and
 ``bundled_example()`` the small worked example used throughout the
@@ -40,7 +45,7 @@ import numpy as np
 
 from ._blocks import children_sum, upsample
 from .errors import InvalidSpecError
-from .grid import GridFunction
+from .grid import GridFunction, int64_fits
 
 __all__ = ["GeneratorSpec", "gen", "default_manifest", "bundled_example", "KINDS", "MAX_CELLS"]
 
@@ -58,6 +63,20 @@ MAX_CELLS = 1 << 22
 
 # The only params a kind reads; a spec giving any other is rejected.
 _KIND_PARAMS = {"constant": ("value",), "one-sided-power": ("alpha",)}
+# The kinds whose numerators are random draws scaled by denom.
+_DRAWING_KINDS = ("uniform-random", "dyadic-martingale", "time-step")
+
+
+def _draw_bound(n: int, L: int, denom: int) -> int:
+    """A bound on every magnitude the drawing kinds form in int64.
+
+    uniform-random draws up to 2*denom and time-step's cells reach
+    3*denom.  A martingale starts in [0, 2*denom]; each of its L levels
+    sums 2^n increments from [-denom, denom] and then moves a cell by at
+    most 2*denom+1, so its cells, shifted to be nonnegative, stay within
+    2*denom + 4*denom*L + L <= (5L + 2) * denom.
+    """
+    return (((1 << n) if L else 0) + 5 * L + 3) * denom
 
 
 @dataclass(frozen=True)
@@ -92,6 +111,17 @@ class GeneratorSpec:
         unread = sorted(set(self.params) - set(_KIND_PARAMS.get(self.kind, ())))
         if unread:
             raise InvalidSpecError(f"kind {self.kind!r} reads no param {', '.join(unread)}")
+        if self.kind == "constant" and not int64_fits(int(self.params.get("value", self.denom))):
+            raise InvalidSpecError(
+                f"constant value {self.params.get('value', self.denom)} "
+                f"{'' if 'value' in self.params else '(the default, denom) '}"
+                "must lie below 2^62 in magnitude"
+            )
+        if self.kind in _DRAWING_KINDS and not int64_fits(_draw_bound(self.n, self.L, self.denom)):
+            raise InvalidSpecError(
+                f"denom {self.denom} is too large for kind {self.kind!r} at n={self.n}, "
+                f"L={self.L}: the int64 numerators it forms must stay below 2^62"
+            )
 
     def to_json_dict(self) -> dict:
         return {

@@ -61,7 +61,7 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
-from ._blocks import _exact_sums, blocked, clamped_sums, in_block, root_box, upsample
+from ._blocks import _exact_sums, block_reduce, blocked, clamped_sums, root_box, upsample
 from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, InvalidParamsError, OutOfDomainError
 
@@ -440,7 +440,7 @@ class GridFunction:
             sums = _exact_sums(cells, M, self.side >> k)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
-                sums = blocked(self.values, self.side >> k).sum(axis=in_block(self.n))
+                sums = block_reduce(blocked(self.values, self.side >> k), np.add)
         sums.setflags(write=False)
         self._block_sums_cache[k] = sums
         return sums

@@ -45,8 +45,17 @@ on tiny grids.
 In fixed mode with integer p (at most 1024, :func:`_exact_power`)
 everything here is exact integer arithmetic: at level k the weight numerators sit on the common
 denominators (2*denom)^p * 2^{2Lnp} (plus) and denom^p * 2^{2Lnp}
-(classical), with numerators T^p * 2^{kn(2p-1)} where T is the clamped
-(resp. absolute) deviation sum of the level-k block engine.
+(classical), with numerators T^p * 2^{k*g}, g = n(2p-1), where T is the
+clamped (resp. absolute) deviation sum of the level-k block engine.
+
+The tree pass runs on the normalised numerators T^p: it keeps
+b_k = best_k / 2^{k*g}, so b_k = max(T^p, 2^g * sum of the children's
+b_{k+1}), each comparison divided on both sides by one power of two.
+Each level is int64 while its bound B_k = max(max T^p,
+2^{n+g} * B_{k+1}, 2^g) fits (:func:`jnplus.grid.exact`), and Python
+ints past that, as is every coarser level (:func:`_level_weights`).
+The optimum is multiplied back by 2^{root.level*g} and the witness
+weights by 2^{k*g} when first read.
 """
 
 from __future__ import annotations
@@ -71,8 +80,8 @@ from ._blocks import (
 )
 from .cubes import DyadicCube, children, forward, volume
 from .errors import InstanceTooLargeError, InvalidExponentError, InvalidParamsError
-from .grid import GridFunction, _float_array, _float_view, _number_name, average, pos_part_average
-from .grid import resolve_root
+from .grid import GridFunction, _float_array, _float_view, _number_name, average, exact, int64_fits
+from .grid import pos_part_average, resolve_root
 from .reports import Ratios, Rows, Slot, _Columns, cube_rows
 
 __all__ = [
@@ -222,37 +231,50 @@ class SeminormResult:
 
 def _weight_rows(parts: list, D: int | None) -> Rows:
     """A witness's weights, the rationals raw/D or the floats raw when D is
-    None, given in parts (lists, or arrays of Python ints or of floats) and
-    joined into one column when first read."""
+    None, given in parts: (raws, s) pairs, each entry standing for raw * 2^s
+    (lists, or arrays of Python ints, int64 or floats; s = 0 for floats).
+    They are joined into one column when first read, exact ones as Python
+    ints."""
 
     def columns() -> dict:
-        raws = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        raws = [raw if D is None else np.asarray(raw, dtype=object) << s for raw, s in parts]
+        raws = raws[0] if len(raws) == 1 else np.concatenate(raws)
         return {"weight": raws if D is None else Ratios(raws, D)}
 
-    return Rows(_WEIGHT, _Columns(columns), range(sum(map(len, parts))))
+    return Rows(_WEIGHT, _Columns(columns), range(sum(len(raw) for raw, _ in parts)))
 
 
 _WEIGHT = Slot("weight")
 
 
 def _tree_dp(
-    phi: dict[int, np.ndarray],
+    phi: dict[int, np.ndarray], g: int
 ) -> tuple[object, list[tuple[int, np.ndarray, np.ndarray]]]:
     """Maximize the summed weight over antichains of the subcube tree.
 
-    ``phi[k]`` holds the level-k weights over the root box, all on one
-    common scale.  Returns the root optimum (same scale) and, per level,
-    the witness cubes as an (m, n) index array over the root box with
-    their raw weights.  Ties prefer the children, so the witness tiles
-    the root.  The witness comes from a top-down covering sweep: a cube
-    is chosen when its own weight beat its children's best (every leaf
-    qualifies) and no ancestor was chosen.
+    ``phi[k]`` holds the level-k weights over the root box, each divided
+    by 2^{k*g} (:func:`_level_weights`; g = 0 for floats).  The pass
+    keeps best(Q) / 2^{k*g} for the level-k cubes Q,
+
+        b_k = max(phi[k], 2^g * sum of b_{k+1} over the children),
+
+    which divides both sides of every comparison by one power of two, so
+    every decision and tie is that of the weights themselves.  The
+    children's sums are cast to the parent level's dtype (int64, or Python
+    ints from some level up, as :func:`_level_weights` picks).  Returns the
+    root's b and, per level, the witness cubes as an (m, n) index array
+    over the root box with their phi entries.  Ties prefer the children,
+    so the witness tiles the root.  The witness comes from a top-down
+    covering sweep: a cube is chosen when its own weight beat its
+    children's best (every leaf qualifies) and no ancestor was chosen.
     """
     ks = sorted(phi)
     take: dict[int, np.ndarray] = {ks[-1]: np.ones(phi[ks[-1]].shape, dtype=bool)}
     best = phi[ks[-1]]
     for k in reversed(ks[:-1]):
-        child = children_sum(best)
+        child = children_sum(best.astype(phi[k].dtype, copy=False))
+        if g:
+            child <<= g
         t = phi[k] > child
         take[k] = t
         best = np.where(t, phi[k], child)
@@ -266,6 +288,16 @@ def _tree_dp(
     return best[(0,) * best.ndim], levels
 
 
+def _exact_total(raw: np.ndarray) -> int:
+    """The exact sum of nonnegative integers: Python ints as they are.
+    int64 ones (each below 2^62) sum in int64 where their count times their
+    largest fits, else as two sums of their 31-bit halves, each below 2^63
+    for fewer than 2^32 entries; the guard spares small levels those passes."""
+    if raw.dtype == object or int64_fits(len(raw) * int(raw.max(initial=0))):
+        return int(raw.sum())
+    return (int((raw >> 31).sum()) << 31) + int((raw & 0x7FFFFFFF).sum())
+
+
 def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
     # per block Q: sum over Q ∪ Q+ of max(value*N - sum over Q++, 0)
     return f.clamped_sums(k, 2) + _shift_time(f.clamped_sums(k, 1), 1)
@@ -273,27 +305,36 @@ def _plus_numerators(f: GridFunction, k: int) -> np.ndarray:
 
 def _level_weights(
     f: GridFunction, root: DyadicCube, variant: str, q: Fraction, p_int: int | None
-) -> dict[int, np.ndarray]:
-    """Per level k of ``root``, the weights of its level-k subcubes.
+) -> tuple[dict[int, np.ndarray], int]:
+    """Per level k of ``root``, the weights of its level-k subcubes divided
+    by 2^{k*g}, and g.
 
-    Exact integer numerators (object arrays) on the common denominator
-    of the module docstring in fixed mode with integer p; floats
-    otherwise.  A float weight divides the block sum by its scale
-    half*N^2*denom; where that scale has no float, each quotient is
+    In fixed mode with integer p these are the numerators T^p of the module
+    docstring, g = n(2p-1).  Level k holds int64 when its bound
+
+        B_k = max(max T^p, 2^{n+g} * B_{k+1}, 2^g)
+
+    fits (:func:`jnplus.grid.exact`): it covers b_k of :func:`_tree_dp`,
+    the children's sum and the factor 2^g itself.  Past that it holds
+    Python ints, and so does every coarser level.  Otherwise the weights
+    are floats and g = 0.  A float weight divides the block sum by its
+    scale half*N^2*denom; where that scale has no float, each quotient is
     taken exactly and rounded once (inf past the float range).
     """
-    exact = f.is_fixed and p_int is not None
+    g = f.n * (2 * p_int - 1) if f.is_fixed and p_int is not None else 0
     phi: dict[int, np.ndarray] = {}
-    for k in range(root.level, f.L + 1):
+    bound = 0  # B_{k+1}, the finer level's
+    for k in range(f.L, root.level - 1, -1):
         if variant == "plus":
             T = _plus_numerators(f, k)[root_box(root, k)]
             half = 2
         else:
             T = absdev_sums(f, k)[root_box(root, k)]
             half = 1
-        if exact:
-            # Python-int elements so powering cannot overflow
-            phi[k] = T.astype(object) ** p_int * (1 << (k * f.n * (2 * p_int - 1)))
+        if g:
+            if int64_fits(bound):  # past 2^62 it only grows
+                bound = max(int(T.max()) ** p_int, bound << (f.n + g), 1 << g)
+            phi[k] = exact(T, bound) ** p_int
         else:
             N = block_count(f, k)
             scale = half * N * N * (f.denom if f.is_fixed else 1)
@@ -304,20 +345,22 @@ def _level_weights(
                 ratio = ratio.reshape(T.shape)
             with np.errstate(over="ignore"):  # a power past the float range is inf
                 phi[k] = ratio ** float(q) * 2.0 ** (-k * f.n)
-    return phi
+    return phi, g
 
 
 def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
     root = resolve_root(f, root)
     q, p_int = _norm_exponent(p)
-    exact = _exact_power(f, p_int)
+    exact_p = _exact_power(f, p_int)
     # the weight arrays die with this call; the witness keeps only its own cubes
-    num, levels = _tree_dp(_level_weights(f, root, variant, q, p_int))
-    if exact:
+    phi, g = _level_weights(f, root, variant, q, p_int)
+    num, levels = _tree_dp(phi, g)
+    if exact_p:
         base = (2 * f.denom) if variant == "plus" else f.denom
         D = base**p_int * (1 << (2 * f.L * f.n * p_int))
-        power = Fraction(int(num), D)
-        if sum(int(raw.sum()) for _, _, raw in levels) != int(num):
+        num = int(num) << (root.level * g)
+        power = Fraction(num, D)
+        if sum(_exact_total(raw) << (k * g) for k, _, raw in levels) != num:
             raise AssertionError("witness weights do not add up to the optimum")
     else:
         power = float(num)
@@ -330,7 +373,7 @@ def _family_seminorm(f: GridFunction, p, root: DyadicCube | None, variant: str):
         mode=f.mode,
         root=root,
         witness=witness,
-        witness_weights=_weight_rows([raw for _, _, raw in levels], D),
+        witness_weights=_weight_rows([(raw, k * g) for k, _, raw in levels], D),
         details={"levels": f.L - root.level + 1, "witness-size": len(witness)},
     )
 
@@ -378,7 +421,7 @@ def _cube_sweep(f: GridFunction, root: DyadicCube | None, kind: str):
         mode=f.mode,
         root=root,
         witness=cube_rows([at]),
-        witness_weights=_weight_rows([[num]], D),
+        witness_weights=_weight_rows([([num], 0)], D),
     )
 
 
@@ -511,6 +554,6 @@ def antichain_oracle(
         witness=cube_rows(
             [(cs[0].level, np.array([[*c.spatial, c.time] for c in cs])) for cs in by_level]
         ),
-        witness_weights=_weight_rows([[wt[c] for c in witness]], den),
+        witness_weights=_weight_rows([([wt[c] for c in witness], 0)], den),
         details={"antichains": count, "tree-cubes": len(nodes)},
     )

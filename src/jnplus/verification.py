@@ -69,7 +69,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._blocks import blocked, box_origin, cubes_at, in_block
+from ._blocks import block_reduce, blocked, box_origin, cubes_at
 from .cubes import DyadicCube, forward, volume
 from .errors import InvalidParamsError
 from .grid import (
@@ -292,7 +292,7 @@ def _decay_steps(ctx: LemmaContext, lams: Thresholds, order: Sequence[int]) -> R
         # per level of the root box, fine to coarse: the largest eE in each block
         tops = [eE]
         for _ in range(f.L - root.level):
-            tops.append(blocked(tops[-1], 2).max(axis=in_block(n)))
+            tops.append(block_reduce(blocked(tops[-1], 2), np.maximum))
         one_minus = 1 - (1 << n) * b
         # p8's thresholds, at the admissible lams i >= i0 only
         under = lams[i0:].times(one_minus)

@@ -1058,6 +1058,42 @@ def test_gen_refuses_an_alpha_it_cannot_build(tmp_path, capsys, alpha):
     assert column[0] == 1 << 61 and column == sorted(column, reverse=True) and column[-1] >= 0
 
 
+@pytest.mark.parametrize("value", [(1 << 62) - 1, 1 - (1 << 62)])
+def test_gen_constant_value_from_both_sides_of_the_int64_rule(tmp_path, capsys, value):
+    """A constant value below 2^62 in magnitude builds its grid exactly; one
+    of magnitude 2^62 (or 2^70) exits 2 naming the value, and writes no file."""
+    out = tmp_path / "c.bin"
+    argv = ("gen", "--kind", "constant", "--n", "1", "--L", "2", "--out", str(out))
+    assert run(capsys, *argv, "--value", str(value))[0] == 0
+    assert load_grid(str(out)).values.ravel().tolist() == [value] * 12
+    out.unlink()
+    for past in (value + (1 if value > 0 else -1), 1 << 70):
+        code, stdout, stderr = run(capsys, *argv, "--value", str(past))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: constant value {past} must lie below 2^62 in magnitude\n"
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["uniform-random", "dyadic-martingale", "time-step"])
+def test_gen_denom_from_both_sides_of_the_draw_bound(tmp_path, capsys, kind):
+    """At n=1, L=2 a drawing kind's numerators stay within (2 + 10 + 3) * denom:
+    the largest denom under 2^62 / 15 builds a grid within that range (no
+    int64 draw or sum wrapped), and the next one, or 2^63, exits 2 naming
+    denom."""
+    top = ((1 << 62) - 1) // 15
+    out = tmp_path / "d.bin"
+    argv = ("gen", "--kind", kind, "--n", "1", "--L", "2", "--seed", "3", "--out", str(out))
+    assert run(capsys, *argv, "--mode", f"fixed:{top}")[0] == 0
+    cells = load_grid(str(out)).values.ravel().tolist()
+    assert 0 <= min(cells) and max(cells) <= 15 * top and max(cells) > top // 2
+    out.unlink()
+    for denom in (top + 1, 1 << 63):
+        code, stdout, stderr = run(capsys, *argv, "--mode", f"fixed:{denom}")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: denom {denom} is too large for kind '{kind}' at n=1, L=2")
+        assert not out.exists()
+
+
 def test_exit_1_names_every_failed_theorem_check(example_path, capsys, monkeypatch):
     """A real theorem run with its p9, p11 and distribution flags failed: exit
     1 names all three, and the document's pass keys read false."""

@@ -29,7 +29,7 @@ from jnplus import (
     shift_values,
 )
 from jnplus.reports import Rows
-from jnplus.seminorms import _level_weights, _norm_exponent, _tree_dp
+from jnplus.seminorms import _exact_total, _level_weights, _norm_exponent, _tree_dp
 
 from helpers import (
     corpus_grids,
@@ -269,7 +269,10 @@ def test_single_cube_family_lower_bound():
 def test_array_witness_matches_recursive_walk(variant):
     """The covering-sweep witness equals the recursive walk of tests/helpers.py:
     same cubes in the same order, same raw and reported weights, same
-    witness-size, on every corpus grid in exact and float arithmetic."""
+    witness-size, on every corpus grid in exact and float arithmetic.
+    The walk reads the weights themselves (exact ones as Python ints, each
+    level's normalised numerators times 2^{k*g}), and the DP's optimum and
+    raw weights are compared after the same un-normalising."""
     functional = jnp_plus_dyadic if variant == "plus" else jnp_classical_dyadic
     for s in default_manifest():
         for mode in ("fixed", "f64"):
@@ -278,10 +281,16 @@ def test_array_witness_matches_recursive_walk(variant):
             for root, p in ((root_cube(f.n), 2), (root_cube(f.n), Fraction(3, 2)),
                             (DyadicCube(1, (1,) * (f.n - 1), 1), 2)):
                 q, p_int = _norm_exponent(p)
-                phi = _level_weights(f, root, variant, q, p_int)
-                num, levels = _tree_dp(phi)
-                want_num, want_cubes, want_raw = recursive_witness(phi, root, f.n)
-                raw = [w for _, _, ws in levels for w in ws.tolist()]
+                phi, g = _level_weights(f, root, variant, q, p_int)
+                num, levels = _tree_dp(phi, g)
+                if g:  # exact: the weight at level k is phi[k] * 2^{k*g}
+                    weights = {k: phi[k].astype(object) << (k * g) for k in phi}
+                    num = int(num) << (root.level * g)
+                    raw = [w << (k * g) for k, _, ws in levels for w in ws.tolist()]
+                else:
+                    weights = phi
+                    raw = [w for _, _, ws in levels for w in ws.tolist()]
+                want_num, want_cubes, want_raw = recursive_witness(weights, root, f.n)
                 r = functional(f, p, root)
                 assert r.details["witness-size"] == len(want_cubes)
                 assert r.witness.expand() == want_cubes
@@ -294,6 +303,106 @@ def test_array_witness_matches_recursive_walk(variant):
                 else:
                     assert float(num) == pytest.approx(float(want_num), rel=1e-12)
                     assert r.witness_weights.expand() == [float(w) for w in want_raw]
+
+
+def _reference_tree(f: GridFunction, p: int, variant: str):
+    """K, witness cubes and witness weights of the unit cube's tree, walked by
+    :func:`helpers.recursive_witness` on Python-int weights from the
+    cell-iteration route (``phi_plus``/``phi_classical``), all on the tree's
+    denominator D: no block sum, no normalising and no int64 take part."""
+    weigh = phi_plus if variant == "plus" else phi_classical
+    base = 2 * f.denom if variant == "plus" else f.denom
+    D = base**p << (2 * f.L * f.n * p)
+    weights = {}
+    for k in range(f.L + 1):
+        arr = np.empty((1 << k,) * f.n, dtype=object)
+        for idx in np.ndindex(arr.shape):
+            w = weigh(f, DyadicCube(k, idx[:-1], idx[-1]), p) * D
+            assert w.denominator == 1
+            arr[idx] = w.numerator
+        weights[k] = arr
+    num, cubes, raws = recursive_witness(weights, root_cube(f.n), f.n)
+    return Fraction(num, D), cubes, [Fraction(w, D) for w in raws]
+
+
+def _same_as_reference(f: GridFunction, p: int, variant: str) -> None:
+    r = (jnp_plus_dyadic if variant == "plus" else jnp_classical_dyadic)(f, p)
+    weight, cubes, weights = _reference_tree(f, p, variant)
+    assert r.weight == weight
+    assert r.witness.expand() == cubes
+    assert r.witness_weights.expand() == weights
+
+
+# n=1, L=2 cell patterns, each with the largest c for which c * pattern
+# keeps every level of the plus weights at p=2 on int64
+_EDGES = {
+    "ramp": (11 - np.arange(12), 11184810),
+    "step": ((np.arange(12) < 5).astype(np.int64), 67108863),
+}
+
+
+@pytest.mark.parametrize("past", [0, 1])
+@pytest.mark.parametrize("name", sorted(_EDGES))
+def test_dp_int64_boundary_from_both_sides(name, past):
+    """Level k is int64 while B_k = max(max T^p, 2^{n+g} B_{k+1}, 2^g) stays
+    below 2^62: at the largest c every level is, at c + 1 the root level
+    holds Python ints.  On the ramp c*(11 - t) the normalised DP values
+    reach that bound, so the root's lies just below 2^62 at c and reaches
+    2^62 at c + 1.  On the step (c on the first five time cells) the root's
+    own T^p stays below 2^62 and the children's term passes it.  Both
+    sides give the all-Python-int reference's K, witness and weights."""
+    pattern, c = _EDGES[name]
+    f = GridFunction(1, 2, (c + past) * pattern, "fixed", 1)
+    phi, g = _level_weights(f, f.root, "plus", Fraction(2), 2)
+    assert [k for k in sorted(phi) if phi[k].dtype == np.int64] == ([1, 2] if past else [0, 1, 2])
+    if name == "ramp":
+        num, _ = _tree_dp(phi, g)
+        assert int(num).bit_length() == 62 + past
+    else:
+        assert int(phi[0].max()) < 1 << 62
+    _same_as_reference(f, 2, "plus")
+
+
+@pytest.mark.parametrize("p", [128, 1024])
+def test_dp_at_large_p_with_an_all_zero_level(p):
+    """At p = 128 and 1024 the factor 2^g alone passes 2^62, so every level
+    holds Python ints, also a level whose sums are all zero: the finest,
+    on a grid rising over the unit time interval's cells and the next two
+    (the plus weights), and on any grid (the classical ones)."""
+    f = GridFunction(1, 2, [1, 2, 3, 4, 5, 6] + [0] * 6, "fixed", 1)
+    for variant in ("plus", "classical"):
+        q, p_int = _norm_exponent(p)
+        phi, _ = _level_weights(f, f.root, variant, q, p_int)
+        assert not phi[2].any() and phi[1].any()
+        assert all(a.dtype == object for a in phi.values())
+        _same_as_reference(f, p, variant)
+
+
+def test_dp_on_a_2_to_40_scaled_grid_holds_python_ints():
+    """The benchmark's big-integer grid, 2^40 * a uniform grid, keeps every
+    level with a nonzero weight on Python ints where the grid itself has
+    int64 levels, and its result is 2^{40p} times the grid's, with the same
+    witness.  (The classical weights' finest level is all zero.)"""
+    f = gen(GeneratorSpec("uniform-random", 2, 3, 0, "fixed", 256))
+    big = scale_values(f, 1 << 40)
+    for variant in ("plus", "classical"):
+        phi, phi_big = (_level_weights(h, h.root, variant, Fraction(2), 2)[0] for h in (f, big))
+        assert any(a.dtype == np.int64 and a.any() for a in phi.values())
+        assert all(a.dtype == object for a in phi_big.values() if a.any())
+        functional = jnp_plus_dyadic if variant == "plus" else jnp_classical_dyadic
+        r, rb = functional(f, 2), functional(big, 2)
+        assert rb.weight == r.weight * (1 << 80)
+        assert rb.witness.expand() == r.witness.expand()
+        assert rb.witness_weights.expand() == [w * (1 << 80) for w in r.witness_weights.expand()]
+
+
+def test_exact_total_of_int64_weights_past_int64():
+    """The witness check sums each level's int64 weights exactly: one int64
+    sum where it fits, 31-bit halves where the total passes 2^63."""
+    top = (1 << 62) - 1
+    for raw in ([], [top], [top, 1], [top] * 3, list(range(1 << 10)) + [top] * 5):
+        assert _exact_total(np.array(raw, dtype=np.int64)) == sum(raw)
+    assert _exact_total(np.array([1 << 80, 3], dtype=object)) == (1 << 80) + 3
 
 
 def test_witness_is_row_views():
