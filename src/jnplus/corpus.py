@@ -19,7 +19,9 @@ grid.  Kinds:
   in time; ``params["alpha"]`` defaults to 1/2, and must be positive
   and small enough that the largest cell stays below 2^62.
 
-A spec may carry only the params its kind reads (``value`` for
+A spec's n lies in [1, :data:`~jnplus.grid.MAX_N`], the largest dimension
+at which every operation runs, and its grid has at most ``MAX_CELLS``
+cells.  A spec may carry only the params its kind reads (``value`` for
 ``constant``, ``alpha`` for ``one-sided-power``); any other is an
 :class:`InvalidSpecError`.  The generators build their numerators in
 int64, so a spec is refused where they could pass the package's int64
@@ -45,7 +47,7 @@ import numpy as np
 
 from ._blocks import children_sum, upsample
 from .errors import InvalidSpecError
-from .grid import GridFunction, int64_fits
+from .grid import MAX_N, GridFunction, int64_fits
 
 __all__ = ["GeneratorSpec", "gen", "default_manifest", "bundled_example", "KINDS", "MAX_CELLS"]
 
@@ -94,8 +96,8 @@ class GeneratorSpec:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise InvalidSpecError(f"unknown generator kind {self.kind!r}")
-        if self.n < 1:
-            raise InvalidSpecError(f"n must be >= 1, got {self.n}")
+        if not 1 <= self.n <= MAX_N:
+            raise InvalidSpecError(f"n must lie in [1, {MAX_N}], got {self.n}")
         if self.L < 0:
             raise InvalidSpecError(f"L must be >= 0, got {self.L}")
         # compare exponents first so a huge L never builds a huge integer

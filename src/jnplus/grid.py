@@ -65,7 +65,12 @@ from ._blocks import _exact_sums, block_reduce, blocked, clamped_sums, root_box,
 from .cubes import DyadicCube, forward, root_cube
 from .errors import GridFormatError, InvalidParamsError, OutOfDomainError
 
+# Largest dimension a grid may have: the dyadic blocks of an n-dimensional
+# array take 2n axes (:func:`~jnplus._blocks.blocked`), and numpy allows 64.
+MAX_N = 32
+
 __all__ = [
+    "MAX_N",
     "int64_fits",
     "exceeds",
     "Thresholds",
@@ -316,8 +321,8 @@ class GridFunction:
         mode: Mode = "fixed",
         denom: int | None = None,
     ) -> None:
-        if n < 1:
-            raise GridFormatError(f"dimension must be >= 1, got {n}")
+        if not 1 <= n <= MAX_N:
+            raise GridFormatError(f"dimension must lie in [1, {MAX_N}], got {n}")
         if L < 0:
             raise GridFormatError(f"resolution level must be >= 0, got {L}")
         if mode not in ("fixed", "f64"):

@@ -35,7 +35,7 @@ time columns (:func:`~jnplus.reports.cube_rows`) are joined when first read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator
@@ -138,14 +138,22 @@ def maximal_function(
     r = root.level
     fwd = [f.block_sums(k)[root_box(root, k, time_shift=1)] for k in range(r, f.L + 1)]
     running = _running_max(fwd)
-    if variant == "augmented":
-        leaf = f.region(root)
-        if f.is_fixed:
-            leaf = leaf * (1 << ((f.L - r) * f.n))
-        running = np.maximum(running, leaf)
     scale = f.denom * (1 << ((f.L - r) * f.n)) if f.is_fixed else None
     running.setflags(write=False)
-    return MaximalField(root, variant, f.n, f.L, f.mode, scale, running)
+    grid = MaximalField(root, "grid", f.n, f.L, f.mode, scale, running)
+    return _augmented(grid, f) if variant == "augmented" else grid
+
+
+def _augmented(grid: MaximalField, f: GridFunction) -> MaximalField:
+    """The augmented field max(M f, f) of f, from its grid field ``grid``:
+    each leaf cell's value, on the field's scale, joined with the grid
+    value.  The one definition of the augmented variant."""
+    leaf = f.region(grid.root)
+    if f.is_fixed:
+        leaf = leaf * (1 << ((f.L - grid.root.level) * f.n))
+    values = np.maximum(grid.values, leaf)
+    values.setflags(write=False)
+    return replace(grid, variant="augmented", values=values)
 
 
 def positive_part_field(f: GridFunction, cube: DyadicCube) -> MaximalField:

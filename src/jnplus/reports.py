@@ -10,11 +10,15 @@ run's records) is one :class:`Rows`: columns, a form holding what every
 item shares and a :class:`Slot` per column, and an order.
 :func:`canonical_json` writes a document in one walk, a :class:`Rows`
 from its form's %-template without an object per item; the walk that
-writes the form marks each slot, so the template is made in that walk;
-:func:`scalar_json` maps one number to its JSON value.  The text is
-canonical (sorted keys, stable float repr, exact rational strings beside
-decimals in fixed mode), and :func:`_lowest` alone forms a rational's
-"decimal" and "exact" strings; :func:`_rational` reduces a pair for it.
+writes the form marks each slot, so the template is made in that walk.
+Each slot's column turns into texts once per list, and a long column
+makes each distinct value's text once (a table of str over an int
+column's range, one text per float bit pattern or per rational
+numerator); :func:`scalar_json` maps one number to its JSON value.  The
+text is canonical (sorted keys, stable float repr, exact rational strings
+beside decimals in fixed mode), and :func:`_lowest` alone forms a
+rational's "decimal" and "exact" strings; :func:`_rational` reduces a
+pair for it.
 """
 
 from __future__ import annotations
@@ -353,9 +357,11 @@ def _take(col, ids: Sequence[int]):
 def _texts(values, nl: str, memo: dict, known: dict) -> list:
     """Each value's text at indent ``nl``, for a %s slot.
 
-    An int stands for its own text, as %s of a plain int is its JSON
-    text, so an integer array needs no pass.  ``known`` maps a
-    denominator and an indent to the texts of numerators over it.
+    A long int or float64 array (``_RUN`` entries or more) takes each
+    distinct value's text once, from :func:`_distinct_texts`.  A shorter
+    int array stands for its own texts, as %s of a plain int is its JSON
+    text.  ``known`` maps a denominator and an indent to the texts of
+    numerators over it, for the whole list.
     """
     if isinstance(values, Thresholds):
         if values.exact:
@@ -364,11 +370,14 @@ def _texts(values, nl: str, memo: dict, known: dict) -> list:
     if isinstance(values, Ratios):
         # over one denominator (counts, weights) values repeat: each text made once
         texts = known.setdefault((values.den, nl), {})
-        for num in dict.fromkeys(values.nums):
+        nums = values.nums.tolist() if isinstance(values.nums, np.ndarray) else values.nums
+        for num in dict.fromkeys(nums):
             if num not in texts:
                 texts[num] = _ratio_text(_rational(num, values.den), nl)
-        return list(map(texts.__getitem__, values.nums))
+        return list(map(texts.__getitem__, nums))
     if isinstance(values, np.ndarray):
+        if len(values) >= _RUN and (texts := _distinct_texts(values)) is not None:
+            return texts
         if values.dtype.kind in "iu":
             return values.tolist()
         values = values.tolist()
@@ -381,9 +390,29 @@ def _texts(values, nl: str, memo: dict, known: dict) -> list:
     return [_text(v, nl, memo) if v or type(v) is not list else "[]" for v in values]
 
 
-# items whose texts are made at once, and items formatted by one % call
-# when all of an item's values are ints (a cube): a call per cube took three
-# times as long, and runs longer than 256 saved only a few percent more
+def _distinct_texts(col: np.ndarray) -> list | None:
+    """The texts of an int column whose range is under twice its length,
+    read from a table of str over that range (%s of a str costs a third of
+    %s of an int), or of a float64 column, one :func:`_float_text` per
+    distinct bit pattern, so -0.0, nan and inf keep their own.  None for
+    any other column."""
+    if col.dtype.kind in "iu":
+        lo, hi = int(col.min()), int(col.max())
+        if hi - lo >= 2 * len(col):
+            return None
+        table = np.array(list(map(str, range(lo, hi + 1))), dtype=object)
+        return table[col - lo].tolist()
+    if col.dtype != np.float64:
+        return None
+    bits, at = np.unique(col.view(np.int64), return_inverse=True)
+    table = np.array(list(map(_float_text, bits.view(np.float64).tolist())), dtype=object)
+    return table[at].tolist()
+
+
+# columns this long make each distinct value's text once, and items all of
+# whose values are ints (a cube) are formatted this many to one % call: a
+# call per cube took three times as long, and longer runs saved only a few
+# percent more
 _RUN = 256
 # items of any other form formatted by one % call.  A sweep's 73 reports in
 # one call ran no faster, and their strings of ~100 KB raised the peak RSS
@@ -398,15 +427,19 @@ def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
     The template is the form as :func:`_write` writes it at the items'
     indent, with a %s at each slot's mark, made once per form and indent
     in a document; the mark holds the slot's column and the indent of its
-    line.  Each column's texts fill its slot, at the slot's own indent, a
-    block of ``_RUN`` items at a time; ``known``
-    keeps the texts of numerators over one denominator for the whole
-    list.  One % call formats a run of items, and each run is put on its
-    own rather than joined into one string for the list first, which
-    would hold a second copy of the list's text.  A bare value per item
-    (a weight) is put on its own, as :func:`_write_list` puts items:
-    weights joined into runs raised the peak RSS of a seminorm-deep run
-    by ~5 MB.
+    line.  Each slot's column turns into texts once for the whole list, at
+    the slot's own indent (:func:`_texts`): a long column of ints reads
+    them from a table of str over its range, one of floats makes one text
+    per distinct value, and rationals over one denominator one text per
+    distinct numerator.  One % call formats a run of items from those
+    lists, and each run is put on its own rather than joined into one
+    string for the list first, which would hold a second copy of the
+    list's text.  A bare value per item (a weight) is put as two pieces,
+    the separator and its shared text, so no string is made per item.
+    Weights joined into runs wrote faster, but raised the peak RSS of a
+    seminorm-deep run by 4 MB: the run strings, freed once the document is
+    joined, leave holes in the heap that a later large allocation (the
+    benchmark's ``json.loads`` of the report) cannot reuse.
     """
     m = len(rows)
     if not m:
@@ -420,26 +453,27 @@ def _write_rows(rows: Rows, put, nl: str, memo: dict) -> None:
         template = "".join("%s" if type(part) is tuple else part.replace("%", "%%") for part in parts)
         memo[key] = (rows.form, template, [part for part in parts if type(part) is tuple])
     _, template, slots = memo[key]
-    columns = rows.columns
+    columns, known = rows.columns, {}
+    texts = [_texts(_take(columns[name], rows.order), nl_s, memo, known) for name, nl_s in slots]
+    sep, comma = "[" + ind, "," + ind
+    if template == "%s" and type(texts[0][0]) is str:
+        for text in texts[0]:
+            put(sep)
+            put(text)
+            sep = comma
+        put(nl + "]")
+        return
     ints = all(isinstance(col, np.ndarray) and col.dtype.kind in "iu" for col in columns.values())
     k, run = len(slots), _RUN if ints else _RECORD_RUN
-    sep, full = "[" + ind, f",{ind}".join([template] * run)
-    known: dict = {}
-    for lo in range(0, m, _RUN):
-        ids = rows.order[lo : lo + _RUN]
-        flat = [None] * (k * len(ids))  # the block's slot texts, item by item
-        for s, (name, nl_s) in enumerate(slots):
-            flat[s::k] = _texts(_take(columns[name], ids), nl_s, memo, known)
-        if template == "%s":
-            for text in flat:
-                put(f"{sep}{text}")
-                sep = "," + ind
-            continue
-        for start in range(0, len(ids), run):
-            stop = min(start + run, len(ids))
-            text = full if stop - start == run else f",{ind}".join([template] * (stop - start))
-            put(sep + text % tuple(flat[start * k : stop * k]))
-            sep = "," + ind
+    full, flat = comma.join([template] * run), [None] * (k * run)
+    for start in range(0, m, run):
+        stop = min(start + run, m)
+        if stop - start < run:  # the last run
+            full, flat = comma.join([template] * (stop - start)), flat[: k * (stop - start)]
+        for s, col in enumerate(texts):
+            flat[s::k] = col[start:stop]
+        put(sep + full % tuple(flat))
+        sep = comma
     put(nl + "]")
 
 

@@ -85,7 +85,7 @@ from .grid import (
     resolve_root,
     union_sum,
 )
-from .maximal import MaximalField, maximal_function, positive_part_field, stopping_ranks
+from .maximal import MaximalField, _augmented, maximal_function, positive_part_field, stopping_ranks
 from .reports import Ratios, Rows, Slot, VerificationReport, _rational
 from .seminorms import SeminormResult, jnp_plus_dyadic, _float_pow, _norm_exponent
 
@@ -528,7 +528,8 @@ def theorem_check(ctx: LemmaContext, lambdas=None) -> TheoremRun:
     distribution <= |E_aug| comparison is exact: both are cell counts.
     """
     f, params, root, K, g, lam0 = ctx.f, ctx.params, ctx.root, ctx.seminorm, ctx.g, ctx.lam0
-    field_g, field_a = ctx.field, maximal_function(g, root, "augmented")
+    field_g = ctx.field
+    field_a = _augmented(field_g, g)
     lams, order = _lambda_list(ctx, lambdas)
     m, cells = len(lams), 1 << (f.L * f.n)
     C = proof_constant(f.n, params.p, params.b)

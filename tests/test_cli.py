@@ -25,6 +25,7 @@ from jnplus import (
 from jnplus import cli, verification
 from jnplus.cli import main
 from jnplus.corpus import MAX_CELLS
+from jnplus.grid import MAX_N
 from jnplus.reports import Rows, VerificationReport
 
 
@@ -222,13 +223,15 @@ def test_lambda_free_work_built_once(example_path, capsys, monkeypatch):
 
 def test_decompose_auto_builds_no_maximal_field(example_path, capsys, monkeypatch):
     """The lambda grid reads neither g's maximal field nor its forward mean."""
-    calls = count_calls(monkeypatch, "maximal_function")["maximal_function"]
+    counted = count_calls(monkeypatch, "maximal_function", "_augmented")
+    calls = counted["maximal_function"]
     code, _, _ = run(capsys, "decompose", "--input", example_path, "--lambda", "auto")
     assert code == 0
     assert calls == []
     code, _, _ = run(capsys, "verify", "theorem", "--input", example_path, "--p", "2", "--b", "1/4")
     assert code == 0
-    assert len(calls) == 2  # the grid field once, the augmented one once
+    # the grid field once; the augmented one is joined from it, with no second pass
+    assert len(calls) == 1 and len(counted["_augmented"]) == 1
 
 
 def test_verify_good_lambda_pass(example_path, capsys):
@@ -671,6 +674,48 @@ def test_exit_2_on_oversized_gen(tmp_path, capsys):
     assert stdout == ""
     assert "3*2^40 cells" in stderr and str(MAX_CELLS) in stderr
     assert not out.exists()
+
+
+def test_every_command_runs_at_the_largest_dimension(tmp_path, capsys):
+    # n = MAX_N at L = 0 (three cells), where dyadic blocks take 2n = 64 numpy axes
+    b = f"1/{1 << (MAX_N + 1)}"  # b < 2^-n
+    commands = [
+        ("seminorm", "--p", "2"),
+        ("verify", "good-lambda", "--p", "2", "--b", b),
+        ("verify", "theorem", "--p", "3/2", "--b", b),
+        ("maximal", "--variant", "augmented"),
+        ("decompose", "--lambda", "auto", "--p", "2", "--b", b),
+        ("oracle", "--p", "2"),
+    ]
+    for kind in ("uniform-random", "time-step"):
+        for mode in ("fixed:16", "f64"):
+            path = str(tmp_path / f"{kind}-{mode}.bin")
+            argv = ("gen", "--kind", kind, "--n", str(MAX_N), "--L", "0", "--mode", mode)
+            assert run(capsys, *argv, "--out", path)[0] == 0
+            for cmd in commands:
+                code, stdout, stderr = run(capsys, *cmd, "--input", path)
+                assert code == 0, (kind, mode, cmd, stderr)
+                json.loads(stdout)
+
+
+@pytest.mark.parametrize("n", [MAX_N + 1, 70])
+def test_exit_2_past_the_largest_dimension(tmp_path, capsys, n):
+    out = tmp_path / "x.bin"
+    code, stdout, stderr = run(
+        capsys, "gen", "--kind", "constant", "--n", str(n), "--L", "0", "--out", str(out)
+    )
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: n must lie in [1, {MAX_N}], got {n}\n"
+    assert not out.exists()
+    # a hand-written sidecar that names such an n
+    path = str(tmp_path / "hand.bin")
+    save_grid(gen(GeneratorSpec(kind="constant", n=MAX_N, L=0)), path)
+    header = json.loads(Path(path + ".json").read_text())
+    Path(path + ".json").write_text(json.dumps({**header, "n": n}))
+    for cmd in (("seminorm", "--p", "2"), ("maximal",)):
+        code, stdout, stderr = run(capsys, *cmd, "--input", path)
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: dimension must lie in [1, {MAX_N}], got {n}\n"
 
 
 @pytest.mark.parametrize("mode", ["fixed:64", "f64"])

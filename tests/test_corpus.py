@@ -17,6 +17,7 @@ from jnplus import (
     root_cube,
 )
 from jnplus.corpus import MAX_CELLS
+from jnplus.grid import MAX_N
 
 from helpers import all_subcubes
 
@@ -137,6 +138,14 @@ def test_invalid_specs():
         GeneratorSpec(kind="constant", n=1, L=1, denom=0)
     with pytest.raises(InvalidSpecError):
         GeneratorSpec.from_json_dict({"kind": "constant"})
+
+
+def test_spec_dimension_limit():
+    # n = MAX_N runs at L = 0; past it a spec is refused before any array is made
+    assert gen(GeneratorSpec(kind="uniform-random", n=MAX_N, L=0)).values.ndim == MAX_N
+    for n in (0, MAX_N + 1, 70):
+        with pytest.raises(InvalidSpecError, match=f"n must lie in \\[1, {MAX_N}\\], got {n}"):
+            GeneratorSpec(kind="constant", n=n, L=0)
 
 
 def test_spec_cell_limit():

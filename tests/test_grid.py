@@ -30,7 +30,7 @@ from jnplus import (
     shift_values,
 )
 from jnplus._blocks import absdev_sums, clamped_sums
-from jnplus.grid import counts_above, exact, exceed_ranks, exceeds, union_sum
+from jnplus.grid import MAX_N, counts_above, exact, exceed_ranks, exceeds, union_sum
 from jnplus.maximal import positive_part_field
 
 from helpers import (
@@ -82,6 +82,10 @@ def test_construction_validation():
                 GridFunction(1, 1, given, "fixed", 1)
     with pytest.raises(GridFormatError):
         GridFunction(1, 1, [0] * 6, "f64", 4)  # denom is fixed-mode only
+    assert GridFunction(MAX_N, 0, [1, 2, 3], "fixed", 1).values.ndim == MAX_N
+    for n in (0, MAX_N + 1, 70):  # past MAX_N, dyadic blocks would take over 64 numpy axes
+        with pytest.raises(GridFormatError, match=f"dimension must lie in \\[1, {MAX_N}\\]"):
+            GridFunction(n, 0, [1, 2, 3], "fixed", 1)
 
 
 def test_shape_and_cell_volume():

@@ -37,7 +37,8 @@ from jnplus import (
     theorem_check,
 )
 from jnplus.errors import OutOfDomainError
-from jnplus.reports import Rows, _rational, scalar_json
+from jnplus import reports
+from jnplus.reports import Ratios, Rows, Slot, _rational, scalar_json
 
 
 def test_scalar_json_forms():
@@ -433,3 +434,54 @@ def test_stopping_check_reports_match_json_encoder(mode):
             keys |= set(json.loads(text))
     exact_keys = {"lhs-exact", "rhs-exact"}
     assert keys & exact_keys == (exact_keys if mode == "fixed" else set())
+
+
+def _long_columns(m: int) -> dict:
+    """Columns of m entries for the writer's per-list tables: repeated
+    floats with -0.0 beside 0.0, nan and both infinities; negative ints,
+    bytes, ints near both int64 ends, an int column too wide for a table;
+    rationals with repeated numerators over a denominator they share
+    factors with; and bools, which take no table."""
+    j = np.arange(m)
+    floats = np.array([0.5, -0.0, 0.0, np.nan, np.inf, -np.inf, 0.1, 1e-300, -2.5])
+    i64 = np.iinfo(np.int64)
+    return {
+        "float": floats[j * 7 % len(floats)],
+        "neg": (j % 37) - 20,
+        "byte": (j % 9).astype(np.uint8),
+        "top": i64.max - (j % 5),
+        "bottom": i64.min + (j % 3),
+        "wide": j * 1_000_003 - 7,
+        "ratio": Ratios(((j % 11) - 5).tolist(), 6),
+        "flag": j % 3 == 0,  # a bool array, written value by value
+    }
+
+
+@pytest.mark.parametrize("m", [255, 256, 700])
+def test_rows_from_per_list_tables_match_json_encoder(m):
+    """Long columns take their texts from per-list tables (ints over their
+    range, one text per float bit pattern and per rational numerator), on
+    both sides of the 256-entry switch, in a bare form, an all-int form and
+    a mixed form, in their own order, from an offset and shuffled."""
+    columns = _long_columns(m)
+    shuffled = np.random.default_rng(m).permutation(m).tolist()
+    ints = ["neg", "byte", "top", "bottom", "wide"]
+    forms = [Slot(name) for name in columns]
+    forms.append({name: Slot(name) for name in ints})  # one % call per 256 items
+    forms.append({"x": [Slot("neg"), Slot("float")], "r": Slot("ratio"), "b": Slot("byte")})
+    for form in forms:
+        for order in (range(m), range(3, m), shuffled):
+            doc = {"rows": Rows(form, columns, order), "again": Rows(form, columns, order)}
+            assert canonical_json(doc) == oracle_canonical_json(doc)
+
+
+def test_a_weight_list_forms_each_distinct_rational_once(monkeypatch):
+    # the n=2, L=8 witness's shape: 53,071 weights with 3,071 distinct numerators
+    calls = []
+    lowest = reports._lowest
+    monkeypatch.setattr(reports, "_lowest", lambda num, den: calls.append(1) or lowest(num, den))
+    nums = [10**20 + j * 7919 % 3_071 for j in range(53_071)]
+    rows = Rows(Slot("weight"), {"weight": Ratios(nums, 3 << 40)}, range(len(nums)))
+    text = canonical_json({"witness-weights": rows})
+    assert len(calls) == 3_071
+    assert text == oracle_canonical_json({"witness-weights": rows})
